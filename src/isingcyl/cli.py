@@ -6,7 +6,8 @@ come from flags or from a single JSON config file (via ``--config``);
 explicit flags win over file values.  Tabular output is CSV (RFC-4180
 style, dot decimal, 17 significant digits) with a ``schema,1`` prelude
 row and the run seed recorded.  Exit codes: 0 on success, 1 on usage
-error, 2 on tolerance failure.
+error, 2 on tolerance failure or on a failed internal certificate (an
+AssertionError or RuntimeError from the library, reported in one line).
 
 Reductions are deterministic: the same (config, seed) produces
 byte-identical output at any parallelism degree.  The default degree
@@ -731,6 +732,9 @@ def main(argv=None):
         return 1
     except ToleranceError as err:
         print(f"tolerance failure: {err}", file=sys.stderr)
+        return 2
+    except (AssertionError, RuntimeError) as err:
+        print(f"certificate failure: {err}", file=sys.stderr)
         return 2
 
 

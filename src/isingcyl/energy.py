@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import Species, propagator_from_A
-from .scaling import SHELL_TOL, cylinder_scal_block
+from .scaling import IMAGE_TOL, cylinder_scal_block
 from .skew import pfaffian_combinatorial, pfaffian_sign_logabs
 
 _BRUTE_FORCE_SITE_CAP = 24
@@ -291,7 +291,7 @@ class BruteForceGibbs:
         return cumulant_from_moments(lambda block: table[tuple(block)], bonds)
 
 
-def scal_energy_correlation(cylinder, couplings, marked, tol=SHELL_TOL):
+def scal_energy_correlation(cylinder, couplings, marked, tol=IMAGE_TOL):
     """Scaling limit of the truncated correlation of m energy observables.
 
     Args:
@@ -310,8 +310,8 @@ def scal_energy_correlation(cylinder, couplings, marked, tol=SHELL_TOL):
     if m < 2:
         raise ValueError("the scaling limit is defined for m >= 2 observables")
     pts = [p for p, _ in marked]
-    if len(set(pts)) != m:
-        raise ValueError("marked points must be distinct")
+    if len({(x % cylinder.ell1, y) for x, y in pts}) != m:
+        raise ValueError("marked points must be distinct around the ring")
     m1 = sum(1 for _, d in marked if d == 1)
     m2 = m - m1
     mat = np.zeros((2 * m, 2 * m))

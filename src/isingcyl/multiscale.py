@@ -45,6 +45,7 @@ from .spectral import (
     b_of_k1,
     dispersion,
     mode_sum,
+    real_block,
     spectral_data,
     symbol_entries,
 )
@@ -110,11 +111,8 @@ def single_scale_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv
     if not h_star(geometry) <= h <= 0:
         raise ValueError(f"h={h} outside [{h_star(geometry)}, 0]")
     data = spectral_data(geometry, couplings)
-    out = mode_sum(data, z, zp, _mode_weight(data, h), deriv_z, deriv_zp)
-    residue = float(np.max(np.abs(out.imag)))
-    if residue > 1e-10:
-        raise AssertionError(f"imaginary residue {residue:.2e}")
-    return PropagatorBlock(out.real, deriv_z, deriv_zp)
+    return real_block(mode_sum(data, z, zp, _mode_weight(data, h), deriv_z, deriv_zp),
+                      deriv_z, deriv_zp)
 
 
 def tail_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv_zp=(0, 0)):
@@ -123,11 +121,8 @@ def tail_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv_zp=(0, 
         raise ValueError(f"h={h} outside [{h_star(geometry)}, 0]")
     data = spectral_data(geometry, couplings)
     D = dispersion(couplings, data._k1_flat, data._k2_flat)
-    out = mode_sum(data, z, zp, tail_weight(h, D), deriv_z, deriv_zp)
-    residue = float(np.max(np.abs(out.imag)))
-    if residue > 1e-10:
-        raise AssertionError(f"imaginary residue {residue:.2e}")
-    return PropagatorBlock(out.real, deriv_z, deriv_zp)
+    return real_block(mode_sum(data, z, zp, tail_weight(h, D), deriv_z, deriv_zp),
+                      deriv_z, deriv_zp)
 
 
 def telescoping_residual(geometry, couplings, z, zp, h=None):

@@ -2,9 +2,11 @@
 
 The continuum propagator on the cylinder of sides (l1, l2) is an
 alternating double image sum of the infinite-plane scaling profile.  The
-profile is a rational function of the rescaled coordinates; the image
-sum alternates in both winding numbers and is evaluated in symmetric
-shells (pairing n with -n) so the partial sums converge absolutely.
+profile is the real or imaginary part of 1/w in the rescaled complex
+displacement w, so the alternating sum over windings around the ring
+closes to a cosecant (Mittag-Leffler), and the sum over reflections
+across the two boundaries that remains converges geometrically; it is
+cut where a rigorous tail bound meets the requested tolerance.
 
 Coordinates follow the lattice convention: the first axis is periodic
 with period l1, the second runs across the open boundary at heights 0
@@ -20,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import PropagatorBlock
 from .lattice import CylinderGeometry
 
-SHELL_TOL = 1e-10
-MAX_SHELL = 4000
+IMAGE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -89,94 +89,81 @@ def plane_scal_block(couplings, z1, z2):
     return np.array([[a, b], [b, -a]])
 
 
-def _profile_arrays(couplings, x, y):
-    """Array-valued (g1, g2) at displacement (x, y)."""
-    X = x / (1.0 - couplings.t2)
-    Y = y / (1.0 - couplings.t1)
-    pref = -1.0 / (2.0 * math.pi * couplings.t2 * (1.0 - couplings.t2))
-    r2 = X * X + Y * Y
-    return pref * X / r2, pref * Y / r2
+def _csc(z):
+    """Cosecant in the overflow-free form -2i s q / (1 - q^2), q = e^{i s z}.
+
+    s = sign(Im z) keeps |q| <= 1, so large |Im z| underflows to 0
+    instead of producing 0 * inf.
+    """
+    s = np.where(z.imag < 0.0, -1.0, 1.0)
+    q = np.exp(1j * s * z)
+    return -2j * s * q / (1.0 - q * q)
 
 
-def _shell_coords(s):
-    """All (n1, n2) with max(|n1|, |n2|) = s, ordered so that index k and
-    index -1-k are the pair (n, -n)."""
-    top = [(n1, s) for n1 in range(-s, s + 1)]
-    right = [(s, n2) for n2 in range(s - 1, -s, -1)]
-    half = top + right
-    full = half + [(-a, -b) for (a, b) in reversed(half)]
-    return np.array([p[0] for p in full]), np.array([p[1] for p in full])
-
-
-def _shell_sum(couplings, ell1, ell2, u0, vm0, vp0, n1, n2):
-    """Summed contribution of the listed image indices (direct + reflected)."""
-    sign = 1.0 - 2.0 * ((n1 + n2) & 1)
-    u = u0 + n1 * ell1
-    vm = vm0 + 2.0 * n2 * ell2
-    vp = vp0 + 2.0 * n2 * ell2
-    a_m, b_m = _profile_arrays(couplings, u, vm)
-    a_p, b_p = _profile_arrays(couplings, u, vp)
-    a_s, _ = _profile_arrays(couplings, u, vp - 2.0 * ell2)
-    out = np.empty((2, 2))
-    out[0, 0] = np.dot(sign, a_m - a_p)
-    out[0, 1] = np.dot(sign, b_m + b_p)
-    out[1, 0] = np.dot(sign, b_m - b_p)
-    out[1, 1] = np.dot(sign, a_s - a_m)
-    return out
-
-
-def cylinder_scal_block(cylinder, couplings, z, zp, tol=SHELL_TOL, max_shell=MAX_SHELL,
-                        shell_trace=None):
+def cylinder_scal_block(cylinder, couplings, z, zp, tol=IMAGE_TOL):
     """Continuum cylinder propagator block via the alternating image sum.
 
-    Shells in max(|n1|, |n2|) are evaluated whole (n paired with -n so the
-    alternating cancellation is realized within each shell); the sum stops
-    once two consecutive shells each contribute at most `tol` in sup norm,
-    with at least four shells taken.  Shell contributions decay like s^-3,
-    so partial sums converge at rate N^-2.
+    The images of the plane profile sit at displacements (x + n1 l1,
+    v0 + 2 n2 l2) with sign (-1)^(n1 + n2), for the direct separation
+    v0 = z2 - z2' and the reflected one v0 = z2 + z2'.  In the rescaled
+    complex displacement w = x/(1-t2) + i v0/(1-t1) the profile is
+    (g1, g2) = pref (Re 1/w, -Im 1/w), and the alternating sum over ring
+    windings is a cosecant (Mittag-Leffler, DLMF 4.22.5):
 
-    Args:
-        shell_trace: optional list; when given, per-shell sup-norm
-            contributions are appended (diagnostics for the convergence
-            tests).
+        sum_n1 (-1)^n1 / (w + n1 lam) = (pi/lam) csc(pi w / lam),
+
+    lam = l1/(1-t2).  What remains is the sum over reflections,
+
+        S(v0) = sum_n2 (-1)^n2 (pi/lam) csc(pi (w + i n2 mu) / lam),
+
+    mu = 2 l2/(1-t1), whose terms decay like exp(-pi |Im w + n2 mu| / lam).
+
+    Terms with pi |Im w + n2 mu| / lam > D are dropped.  Since
+    |csc z| <= 1/sinh|Im z| and the dropped terms on each side of the
+    real axis are spaced by pi mu / lam, the dropped part of S is at
+    most (2 pi/lam) / ((1 - e^{-pi mu/lam}) sinh D); D is chosen so that
+    twice this, times |pref|, equals `tol`.  So `tol` bounds the sup norm
+    of the truncation error of the block.  The cutoff depends on |Im|
+    only, which keeps the swap and boundary identities exact term by
+    term.
 
     Raises:
-        RuntimeError: shell cap reached before the tolerance.
-        ZeroDivisionError: coincident points (singular direct term).
+        ValueError: tol is not positive.
+        ZeroDivisionError: coincident or mirror-coincident points, up to
+            windings around the ring (singular direct term).
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     l1, l2 = cylinder.ell1, cylinder.ell2
+    t1, t2 = couplings.t1, couplings.t2
     u0 = z[0] - zp[0]
-    vm0 = z[1] - zp[1]
-    vp0 = z[1] + zp[1]
-    if u0 == 0.0 and (vm0 == 0.0 or vp0 == 0.0):
+    v0 = np.array([z[1] - zp[1], z[1] + zp[1]])
+    if math.remainder(u0, l1) == 0.0 and any(
+            math.remainder(v, 2.0 * l2) == 0.0 for v in v0):
         raise ZeroDivisionError("coincident (or mirror-coincident) points")
 
-    total = _shell_sum(couplings, l1, l2, u0, vm0, vp0,
-                       np.array([0]), np.array([0]))
-    small = 0
-    for s in range(1, max_shell + 1):
-        n1, n2 = _shell_coords(s)
-        shell = _shell_sum(couplings, l1, l2, u0, vm0, vp0, n1, n2)
-        total += shell
-        mag = float(np.max(np.abs(shell)))
-        if shell_trace is not None:
-            shell_trace.append(mag)
-        if s >= 4 and mag <= tol:
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-    raise RuntimeError(
-        f"image sum did not reach tol={tol} within {max_shell} shells"
-    )
+    lam = l1 / (1.0 - t2)
+    mu = 2.0 * l2 / (1.0 - t1)
+    pref = -1.0 / (2.0 * math.pi * t2 * (1.0 - t2))
+    # expm1 keeps 1 - e^{-pi mu/lam} exact when the exponential underflows
+    ratio_gap = -math.expm1(-math.pi * mu / lam)
+    cut = math.asinh(4.0 * math.pi * abs(pref) / (lam * ratio_gap * tol))
+    y_cut = cut * lam / math.pi
+    n_max = math.ceil((y_cut + float(np.max(np.abs(v0))) / (1.0 - t1)) / mu)
+    n2 = np.arange(-n_max, n_max + 1)
+    y = v0[:, None] / (1.0 - t1) + mu * n2
+    terms = (-1.0) ** n2 * _csc(math.pi * (u0 / (1.0 - t2) + 1j * y) / lam)
+    kept = np.where(np.abs(y) <= y_cut, terms, 0.0)
+    s_m, s_p = (math.pi / lam) * np.sum(kept, axis=1)
+
+    # the lower-right entry takes the reflected images one step down in
+    # n2, and that shift flips the sign of the alternating series
+    a_m, b_m = pref * s_m.real, -pref * s_m.imag
+    a_p, b_p = pref * s_p.real, -pref * s_p.imag
+    return np.array([[a_m - a_p, b_m + b_p], [b_m - b_p, -a_p - a_m]])
 
 
-def cylinder_scal_propagator(cylinder, couplings, z, zp, tol=SHELL_TOL):
-    return PropagatorBlock(cylinder_scal_block(cylinder, couplings, z, zp, tol))
-
-
-def rescaling_residual(cylinder, couplings, z, zp, xi, tol=SHELL_TOL):
+def rescaling_residual(cylinder, couplings, z, zp, xi, tol=IMAGE_TOL):
     """sup norm of xi*g(l1,l2; xi z, xi z') - g(l1/xi, l2/xi; z, z')."""
     big = cylinder_scal_block(
         cylinder, couplings, (xi * z[0], xi * z[1]), (xi * zp[0], xi * zp[1]), tol
@@ -222,7 +209,7 @@ def fourier_profile_check(couplings, points, regulator=1e-3, panel_width=2.0, no
     return worst
 
 
-def scaling_remainder_records(cylinder, couplings, pairs, meshes, tol=SHELL_TOL):
+def scaling_remainder_records(cylinder, couplings, pairs, meshes, tol=IMAGE_TOL):
     """Lattice-to-continuum residual sweep.
 
     For each continuum pair and mesh a, evaluates the rescaled lattice

@@ -238,7 +238,7 @@ def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
         deriv_zp: same for the second argument.
 
     Returns:
-        Complex (2, 2) block; caller asserts the imaginary residue.
+        Complex (2, 2) block; `real_block` checks the imaginary residue.
     """
     geom, cpl = data.geometry, data.couplings
     if not (geom.contains_extended(z) and geom.contains_extended(zp)):
@@ -289,6 +289,19 @@ def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
     return out / L
 
 
+def real_block(out, deriv_z, deriv_zp):
+    """Real PropagatorBlock of a `mode_sum` result.
+
+    Raises:
+        AssertionError: imaginary residue above IMAG_RESIDUE_TOL.
+    """
+    residue = float(np.max(np.abs(out.imag)))
+    if residue > IMAG_RESIDUE_TOL:
+        raise AssertionError(
+            f"imaginary residue {residue:.2e} exceeds {IMAG_RESIDUE_TOL:.0e}")
+    return PropagatorBlock(out.real, deriv_z, deriv_zp)
+
+
 def critical_propagator(geometry, couplings, z, zp, deriv_z=(0, 0), deriv_zp=(0, 0)):
     """Exact critical cylinder propagator block <phi_omega,z phi_omega',z'>.
 
@@ -298,12 +311,8 @@ def critical_propagator(geometry, couplings, z, zp, deriv_z=(0, 0), deriv_zp=(0,
     Raises:
         ValueError: off-critical couplings (the eigenbasis only closes on
             the critical line; use `propagator_from_A` instead).
-        AssertionError: imaginary residue above 1e-10 after the explicit
-            +-k2 pairing.
+        AssertionError: imaginary residue above IMAG_RESIDUE_TOL after the
+            explicit +-k2 pairing.
     """
     data = spectral_data(geometry, couplings)
-    out = mode_sum(data, z, zp, None, deriv_z, deriv_zp)
-    residue = float(np.max(np.abs(out.imag)))
-    if residue > IMAG_RESIDUE_TOL:
-        raise AssertionError(f"imaginary residue {residue:.2e} exceeds 1e-10")
-    return PropagatorBlock(out.real, deriv_z, deriv_zp)
+    return real_block(mode_sum(data, z, zp, None, deriv_z, deriv_zp), deriv_z, deriv_zp)

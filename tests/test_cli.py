@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from isingcyl import scaling
 from isingcyl.cli import main
 
 
@@ -151,7 +152,27 @@ def test_correlations_continuum_mode(capsys):
     assert code == 0
     header = out.splitlines()[2].split(",")
     value = float(out.splitlines()[3].split(",")[header.index("value")])
-    assert abs(value - 0.6047423245288527) < 1e-9
+    assert abs(value - 0.604742323599146) < 1e-9
+
+
+def test_correlations_marked_points_equal_around_the_ring(capsys):
+    code, _, err = run(capsys, "correlations", "--l1", "1", "--l2", "1",
+                       "--marked", '[[0,0.5,2],[1,0.5,2]]')
+    assert code == 1
+    assert "distinct" in err
+
+
+@pytest.mark.parametrize("exc", [AssertionError, RuntimeError])
+def test_certificate_failure_exits_two_in_one_line(capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc("root residual 1.1e-13 too large")
+
+    monkeypatch.setattr(scaling, "scaling_remainder_records", fail)
+    code, _, err = run(capsys, "scaling", "--l1", "1", "--l2", "1",
+                       "--meshes", "8,16", "--pairs", '[[[0.25, 0.25], [0.75, 0.5]]]')
+    assert code == 2
+    assert err.splitlines() == ["certificate failure: root residual 1.1e-13 too large"]
+    assert "Traceback" not in err
 
 
 def test_correlations_bond_outside_cylinder(capsys):
