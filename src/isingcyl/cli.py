@@ -9,9 +9,8 @@ row and the run seed recorded.  Exit codes: 0 on success, 1 on usage
 error, 2 on tolerance failure or on a failed internal certificate (an
 AssertionError or RuntimeError from the library, reported in one line).
 
-Reductions are deterministic: the same (config, seed) produces
-byte-identical output at any parallelism degree.  The default degree
-comes from the ISINGCYL_PARALLEL environment variable.
+Runs are deterministic: the same (config, seed) produces byte-identical
+output.  The spectral propagator table is evaluated as one batch.
 """
 
 import argparse
@@ -21,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,29 +40,6 @@ class ToleranceError(Exception):
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-
-def _parallel_degree(args):
-    if getattr(args, "parallel", None) is not None:
-        degree = args.parallel
-    else:
-        degree = int(os.environ.get("ISINGCYL_PARALLEL", "1"))
-    if degree < 1:
-        raise UsageError("parallelism degree must be >= 1")
-    return degree
-
-
-def _pmap(fn, items, degree):
-    """Order-preserving map, optionally threaded.
-
-    Results come back in input order whatever the degree, so downstream
-    CSV writing is byte-stable.
-    """
-    items = list(items)
-    if degree <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=degree) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(value):
@@ -224,19 +199,13 @@ def cmd_propagator(args):
     if route == "spectral":
         if not couplings.is_critical:
             raise UsageError("the spectral route requires critical couplings")
-
-        def block(pair):
-            return spectral.critical_propagator(
-                geometry, couplings, pair[0], pair[1]).matrix
+        blocks = spectral.critical_propagator(
+            geometry, couplings, [z for z, _ in pairs], [zp for _, zp in pairs])
     elif route == "dense":
         cache = exact.PropagatorCache(geometry, couplings)
-
-        def block(pair):
-            return cache.vertical_block(pair[0], pair[1])
+        blocks = [cache.vertical_block(z, zp) for z, zp in pairs]
     else:
         raise UsageError(f"unknown route {route!r}")
-    degree = _parallel_degree(args)
-    blocks = _pmap(block, pairs, degree)
     header = ["z1", "z2", "zp1", "zp2", "g_pp", "g_pm", "g_mp", "g_mm"]
     rows = []
     for (z, zp), blk in zip(pairs, blocks):
@@ -265,7 +234,6 @@ def cmd_multiscale(args):
         raise UsageError("multiscale decompositions require critical couplings")
     seed = args.seed if args.seed is not None else 0
     args.seed = seed
-    degree = _parallel_degree(args)
     modes = [bool(args.check_telescoping), args.decay is not None,
              bool(args.gram)]
     if sum(modes) != 1:
@@ -274,19 +242,11 @@ def cmd_multiscale(args):
 
     if args.check_telescoping:
         pairs = _telescoping_pairs(geometry, seed)
-        hs = multiscale.scale_indices(geometry)
-
-        def job(pair):
-            z, zp = pair
-            return [(z, zp, h,
-                     multiscale.telescoping_residual(geometry, couplings,
-                                                     z, zp, h))
-                    for h in hs]
-
-        chunks = _pmap(job, pairs, degree)
         rows, worst = [], 0.0
-        for chunk in chunks:
-            for z, zp, h, resid in chunk:
+        for z, zp in pairs:
+            for h in multiscale.scale_indices(geometry):
+                resid = multiscale.telescoping_residual(geometry, couplings,
+                                                        z, zp, h)
                 worst = max(worst, resid)
                 rows.append([z[0], z[1], zp[0], zp[1], h, resid])
         _emit_csv(args, ["z1", "z2", "zp1", "zp2", "h", "max_residual"], rows)
@@ -387,19 +347,11 @@ def cmd_scaling(args):
                  for z, zp in raw]
     except (TypeError, ValueError, IndexError):
         raise UsageError("--pairs: expected [[[x,y],[x',y']], ...]")
-    degree = _parallel_degree(args)
-
-    def job(pair):
-        return scaling.scaling_remainder_records(cylinder, couplings,
-                                                 [pair], meshes)
-
-    chunks = _pmap(job, pairs, degree)
+    records = scaling.scaling_remainder_records(cylinder, couplings, pairs,
+                                                meshes)
     header = ["pair_id", "a", "L", "M", "residual_norm", "fitted_slope"]
-    rows = []
-    for pid, chunk in enumerate(chunks):
-        for rec in chunk:
-            rows.append([pid, rec["a"], rec["L"], rec["M"],
-                         rec["residual_norm"], rec["fitted_slope"]])
+    rows = [[rec["pair_id"], rec["a"], rec["L"], rec["M"],
+             rec["residual_norm"], rec["fitted_slope"]] for rec in records]
     _emit_csv(args, header, rows)
     return 0
 
@@ -601,8 +553,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub):
     sub.add_argument("--config", help="JSON file supplying any unset option")
     sub.add_argument("--output", help="write CSV here instead of stdout")
-    sub.add_argument("--parallel", type=int,
-                     help="worker threads (default: $ISINGCYL_PARALLEL or 1)")
     sub.add_argument("--seed", type=int, help="RNG seed, recorded in output")
 
 

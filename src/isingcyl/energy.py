@@ -88,13 +88,21 @@ def set_partitions(items):
 
 
 def cumulant_from_moments(moment, items):
-    """Moebius inversion: cumulant of the items given a joint-moment callable."""
+    """Moebius inversion: cumulant of the items given a joint-moment callable.
+
+    Each subset's moment is computed once: `set_partitions` keeps every
+    block in input order, so tuple(block) is a canonical key.
+    """
+    moments = {}
     total = 0.0
     for part in set_partitions(items):
         coef = (-1.0) ** (len(part) - 1) * math.factorial(len(part) - 1)
         prod = 1.0
         for block in part:
-            prod *= moment(block)
+            key = tuple(block)
+            if key not in moments:
+                moments[key] = moment(block)
+            prod *= moments[key]
         total += coef * prod
     return total
 

@@ -42,12 +42,13 @@ from .blocks import PropagatorBlock
 from .exact import horizontal_kernel_infinite
 from .lattice import per_range, ring_sign
 from .spectral import (
-    b_of_k1,
+    critical_propagator,
     dispersion,
+    forward_difference,
     mode_sum,
     real_block,
     spectral_data,
-    symbol_entries,
+    symbol_numerator,
 )
 
 PLANE_TOL = 1e-11
@@ -96,9 +97,12 @@ def _window_weight_over_dispersion(a, b, D):
     return np.where(D == 0.0, b - a, val)
 
 
-def _mode_weight(data, h):
-    D = dispersion(data.couplings, data._k1_flat, data._k2_flat)
-    return scale_weight(h, D)
+def _weighted_propagator(weight, geometry, couplings, h, z, zp, deriv_z, deriv_zp):
+    if not h_star(geometry) <= h <= 0:
+        raise ValueError(f"h={h} outside [{h_star(geometry)}, 0]")
+    data = spectral_data(geometry, couplings)
+    return real_block(mode_sum(data, z, zp, weight(h, data.D), deriv_z, deriv_zp),
+                      deriv_z, deriv_zp)
 
 
 def single_scale_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv_zp=(0, 0)):
@@ -106,29 +110,19 @@ def single_scale_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv
 
     Same eigenmode sum as the full critical propagator with the w_h(D)
     weight inserted per mode; boundary cancellations survive because the
-    weight is even in k2.
+    weight is even in k2.  Site arrays give a (P, 2, 2) batch, as in
+    `critical_propagator`.
     """
-    if not h_star(geometry) <= h <= 0:
-        raise ValueError(f"h={h} outside [{h_star(geometry)}, 0]")
-    data = spectral_data(geometry, couplings)
-    return real_block(mode_sum(data, z, zp, _mode_weight(data, h), deriv_z, deriv_zp),
-                      deriv_z, deriv_zp)
+    return _weighted_propagator(scale_weight, geometry, couplings, h, z, zp, deriv_z, deriv_zp)
 
 
 def tail_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv_zp=(0, 0)):
-    """Infrared remainder g^{(<= h)} on the cylinder."""
-    if not h_star(geometry) <= h <= 0:
-        raise ValueError(f"h={h} outside [{h_star(geometry)}, 0]")
-    data = spectral_data(geometry, couplings)
-    D = dispersion(couplings, data._k1_flat, data._k2_flat)
-    return real_block(mode_sum(data, z, zp, tail_weight(h, D), deriv_z, deriv_zp),
-                      deriv_z, deriv_zp)
+    """Infrared remainder g^{(<= h)} on the cylinder (batches as above)."""
+    return _weighted_propagator(tail_weight, geometry, couplings, h, z, zp, deriv_z, deriv_zp)
 
 
 def telescoping_residual(geometry, couplings, z, zp, h=None):
     """max |g_c - g^{(<=h)} - sum_{j=h+1..0} g^{(j)}| at one pair."""
-    from .spectral import critical_propagator
-
     if h is None:
         h = h_star(geometry)
     total = tail_propagator(geometry, couplings, h, z, zp).matrix.copy()
@@ -156,30 +150,18 @@ def _plane_batch_fixed(couplings, h, dzs, deriv_z, deriv_zp, N, chunk=256):
     dz2 = dz[:, 1].astype(float)
     P = dz.shape[0]
 
-    m2 = np.ones_like(k, dtype=complex)
-    if deriv_z[1]:
-        m2 = m2 * (np.exp(-1j * k) - 1.0) ** deriv_z[1]
-    if deriv_zp[1]:
-        m2 = m2 * (np.exp(1j * k) - 1.0) ** deriv_zp[1]
-    V = np.exp(-1j * np.outer(k, dz2)) * m2[:, None]  # (N, P)
+    m2 = forward_difference(-k, deriv_z[1]) * forward_difference(k, deriv_zp[1])
+    V = np.exp(-1j * np.outer(k, dz2)) * np.reshape(m2, (-1, 1))  # (N, P)
 
     out = np.zeros((P, 2, 2), dtype=complex)
-    t1 = couplings.t1
-    one = 1.0 - t1 * t1
     for lo in range(0, N, chunk):
         k1c = k[lo:lo + chunk]
         K1 = k1c[:, None]
         D = dispersion(couplings, K1, k[None, :])
         wD = _window_weight_over_dispersion(a, b, D)
-        Bk = b_of_k1(k1c, couplings)[:, None]
-        npp = (-2j * t1 * np.sin(K1)) * np.ones((1, N))
-        npm = -one * (1.0 - Bk * np.exp(-1j * k[None, :]))
-        nmp = one * (1.0 - Bk * np.exp(1j * k[None, :]))
-        ph1 = np.exp(-1j * np.outer(k1c, dz1))
-        if deriv_z[0]:
-            ph1 = ph1 * ((np.exp(-1j * k1c) - 1.0) ** deriv_z[0])[:, None]
-        if deriv_zp[0]:
-            ph1 = ph1 * ((np.exp(1j * k1c) - 1.0) ** deriv_zp[0])[:, None]
+        npp, npm, nmp, _ = symbol_numerator(couplings, K1, k[None, :])
+        m1 = forward_difference(-k1c, deriv_z[0]) * forward_difference(k1c, deriv_zp[0])
+        ph1 = np.exp(-1j * np.outer(k1c, dz1)) * np.reshape(m1, (-1, 1))
         tpp = (npp * wD) @ V
         tpm = (npm * wD) @ V
         tmp = (nmp * wD) @ V
@@ -444,18 +426,16 @@ def _edge_sample_pairs(geometry, h, rng, window, per_distance=5):
 
 
 def _edge_samples(geometry, couplings, h, pairs):
-    plane_cache = {}
     folded = [
         (per_range(z[0] - zp[0], geometry.L), z[1] - zp[1]) for z, zp in pairs
     ]
     needed = sorted(set(folded))
-    blocks = plane_block_batch(couplings, h, needed)
-    for dz, blk in zip(needed, blocks):
-        plane_cache[dz] = blk
+    plane = dict(zip(needed, plane_block_batch(couplings, h, needed)))
+    full = single_scale_propagator(geometry, couplings, h,
+                                   [z for z, _ in pairs], [zp for _, zp in pairs])
     samples = []
-    for (z, zp), f in zip(pairs, folded):
-        full = single_scale_propagator(geometry, couplings, h, z, zp).matrix
-        edge = full - ring_sign(z[0] - zp[0], geometry.L) * plane_cache[f]
+    for (z, zp), f, blk in zip(pairs, folded, full):
+        edge = blk - ring_sign(z[0] - zp[0], geometry.L) * plane[f]
         n = float(np.max(np.abs(edge)))
         if n < _FIT_NOISE_FLOOR:
             continue
@@ -546,9 +526,8 @@ def tail_bound_report(geometry, couplings, h_list, seed=0):
     reports = []
     for h in h_list:
         pairs = _tail_sample_pairs(geometry, h, rng)
-        sup = 0.0
-        for z, zp in pairs:
-            sup = max(sup, tail_propagator(geometry, couplings, h, z, zp).sup_norm)
+        sup = float(np.max(np.abs(tail_propagator(
+            geometry, couplings, h, [z for z, _ in pairs], [zp for _, zp in pairs]))))
         reports.append(
             dict(h=h, fitted_C=sup * 2.0 ** (-h), fitted_c=0.0, max_residual=0.0,
                  n_samples=len(pairs))
@@ -591,46 +570,25 @@ def gram_vector(geometry, couplings, h, omega, s, z, side):
     data = spectral_data(geometry, couplings)
     L, M = geometry.L, geometry.M
     k1 = data.k1[:, None]                         # (L, 1)
-    q2 = np.concatenate([data.roots, -data.roots], axis=1)  # (L, 2M)
-    norm = np.concatenate([data.norms, data.norms], axis=1)
-
-    D = dispersion(couplings, k1, q2)
-    sqrt_w = np.sqrt(scale_weight(h, D))
-    measure = np.sqrt(1.0 / (2.0 * L * norm))
-
-    gpp, gpm, gmp, gmm = symbol_entries(couplings, k1, q2)
-    gpp_m, gpm_m, _, gmm_m = symbol_entries(couplings, k1, -q2)
-    # sharp = + uses ghat itself; sharp = - uses the reflected matrix
-    g_sharp = {
-        +1: (gpp, gpm, gmp, gmm),
-        -1: (gpp, gpm_m, gmp, np.exp(2j * q2 * (M + 1)) * gmm),
-    }
+    q2 = data.q2                                  # (L, 2M)
+    sqrt_w = np.sqrt(scale_weight(h, data.D))
 
     out = np.zeros((L, 2 * M, 4, 2), dtype=complex)
-    for si, sharp in enumerate((+1, -1)):
-        spp, spm, smp, smm = (np.sqrt(g) for g in g_sharp[sharp])
-        if side == "left":
-            phase = np.exp(1j * (k1 * z[0] + q2 * z[1]))
-            mult = (np.exp(1j * k1) - 1.0) ** s[0] * (np.exp(1j * q2) - 1.0) ** s[1]
-            comps = (
-                (np.conj(spp), np.conj(spm), 0.0, 0.0)
-                if omega > 0
-                else (0.0, 0.0, np.conj(smp), np.conj(smm))
-            )
-            sign_phase = 1.0 if sharp > 0 else -1j
+    left = side == "left"
+    # sharp = + uses ghat itself; sharp = - uses the reflected matrix
+    for si, (sharp, table) in enumerate(((+1, data.sqrt_trans), (-1, data.sqrt_image))):
+        q = q2 if left else sharp * q2
+        scalar = (np.exp(1j * (k1 * z[0] + q * z[1])) * sqrt_w
+                  * forward_difference(k1, s[0]) * forward_difference(q, s[1]))
+        if sharp < 0:
+            scalar = scalar * (-1j if left else 1j)
+        if left:
+            sigmas = [0, 1] if omega > 0 else [2, 3]
+            comps = np.conj(table[:, :, sigmas])
         else:
-            phase = np.exp(1j * (k1 * z[0] + sharp * q2 * z[1]))
-            mult = (np.exp(1j * k1) - 1.0) ** s[0] * (
-                np.exp(1j * sharp * q2) - 1.0
-            ) ** s[1]
-            comps = (spp, 0.0, smp, 0.0) if omega > 0 else (0.0, spm, 0.0, smm)
-            sign_phase = 1.0 if sharp > 0 else 1j
-        scalar = phase * mult * sqrt_w * measure * sign_phase
-        for sigma in range(4):
-            c = comps[sigma]
-            if isinstance(c, float):
-                continue
-            out[:, :, sigma, si] = scalar * c
+            sigmas = [0, 2] if omega > 0 else [1, 3]
+            comps = table[:, :, sigmas]
+        out[:, :, sigmas, si] = scalar[:, :, None] * comps
     return out
 
 
@@ -668,19 +626,22 @@ def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0, slope_hs=(-1, -
     max_err = 0.0
     min_cs_margin = np.inf
     norm_consts = []
+    species = (+1, -1)
     for h in h_list:
         for z, zp in pairs[: max(4, n_pairs // len(h_list))]:
+            lefts = {(s, om): gram_vector(geometry, couplings, h, om, s, z, "left")
+                     for s in orders for om in species}
+            rights = {(sp, op): gram_vector(geometry, couplings, h, op, sp, zp, "right")
+                      for sp in orders for op in species}
             for s in orders:
                 for sp in orders:
-                    for om_i, om in enumerate((+1, -1)):
-                        left = gram_vector(geometry, couplings, h, om, s, z, "left")
-                        for op_i, op in enumerate((+1, -1)):
-                            right = gram_vector(geometry, couplings, h, op, sp, zp, "right")
+                    direct = single_scale_propagator(geometry, couplings, h, z, zp, s, sp).matrix
+                    for om_i, om in enumerate(species):
+                        left = lefts[s, om]
+                        for op_i, op in enumerate(species):
+                            right = rights[sp, op]
                             rec = gram_inner(left, right)
-                            direct = single_scale_propagator(
-                                geometry, couplings, h, z, zp, s, sp
-                            ).matrix[om_i, op_i]
-                            max_err = max(max_err, abs(rec - direct))
+                            max_err = max(max_err, abs(rec - direct[om_i, op_i]))
                             cs = gram_norm(left) * gram_norm(right) - abs(rec)
                             min_cs_margin = min(min_cs_margin, cs)
     # norm scaling in h at s = 0, one fixed site and species

@@ -27,15 +27,18 @@ in either argument become exact phase multipliers on the two terms.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from .blocks import PropagatorBlock
-from .exact import Couplings
 
 IMAG_RESIDUE_TOL = 1e-10
+# bound on a transverse root's forward error |resid / resid'|; measured
+# values stay at 1-2 eps pi for every M and critical coupling tried
+ROOT_TOL = 8.0 * np.finfo(float).eps * np.pi
+# complex entries per transient array in `mode_sum` (2 MB)
+_CHUNK_ENTRIES = 1 << 17
 
 
 def antiperiodic_momenta(L):
@@ -145,17 +148,25 @@ def symbol_entries(couplings, k1, k2):
 
 
 class SpectralData:
-    """Root and normalization tables for one (geometry, couplings) pair.
+    """Root, normalization and mode tables for one (geometry, couplings) pair.
 
     Attributes:
         k1: (L,) antiperiodic momenta.
         B: (L,) values of B(k1), all in (0, 1).
         roots: (L, M) positive transverse roots, row i for k1[i].
         norms: (L, M) mode normalizations N_M(k1, k2) >= M.
+        q2, D: (L, 2M) signed transverse momenta [roots, -roots] and the
+            dispersion D(k1, q2), the argument of the scale weights.
+        trans, image: (L, 2M, 4) mode coefficients of the translation-
+            invariant and image terms, entries (pp, pm, mp, mm) over
+            2 L N_M: ghat(k1, q2), and ghat with pm taken at -q2 and mm
+            times e^{2 i q2 (M+1)}.
+        sqrt_trans, sqrt_image: their principal square roots (Gram factors).
 
-    Construction validates the residuals of every root (<= 1e-13), the
-    interval bracketing, monotonicity, agreement of the two N_M formulas,
-    and that no root collides with pi.
+    Construction validates the forward error |resid / resid'| of every
+    root (<= ROOT_TOL, a bound independent of M), the interval
+    bracketing, monotonicity, agreement of the two N_M formulas, and that
+    no root collides with pi.
     """
 
     def __init__(self, geometry, couplings):
@@ -178,9 +189,12 @@ class SpectralData:
         hi = np.pi / (M + 1) * (n + 1.0)
         for i, B in enumerate(self.B):
             k = transverse_roots(B, M)
-            resid = np.abs(B * np.sin(M * k) - np.sin((M + 1) * k))
-            if np.max(resid) > 1e-13:
-                raise AssertionError(f"root residual {np.max(resid):.2e} too large")
+            resid = B * np.sin(M * k) - np.sin((M + 1) * k)
+            slope = B * M * np.cos(M * k) - (M + 1) * np.cos((M + 1) * k)
+            error = np.max(np.abs(resid / slope))
+            if not error <= ROOT_TOL:
+                raise AssertionError(
+                    f"root forward error {error:.2e} exceeds {ROOT_TOL:.2e}")
             if np.any(k <= lo) or np.any(k >= hi):
                 raise AssertionError("root escaped its bracketing interval")
             if np.any(np.diff(k) <= 0):
@@ -197,16 +211,28 @@ class SpectralData:
             norms[i] = nm
         self.roots = roots
         self.norms = norms
-        # flat per-mode views used by the propagator sums
-        self._k1_flat = np.repeat(self.k1, M)
-        self._k2_flat = roots.reshape(-1)
-        self._norm_flat = norms.reshape(-1)
-        for arr in (self.k1, self.B, self.roots, self.norms):
+
+        k1 = self.k1[:, None]
+        q2 = np.concatenate([roots, -roots], axis=1)
+        measure = 1.0 / (2.0 * L * np.concatenate([norms, norms], axis=1))
+        gpp, gpm, gmp, gmm = symbol_entries(couplings, k1, q2)
+        gpm_reflected = symbol_entries(couplings, k1, -q2)[1]
+        self.q2 = q2
+        self.D = dispersion(couplings, k1, q2)
+        self.trans = np.stack([gpp, gpm, gmp, gmm], axis=-1) * measure[..., None]
+        self.image = np.stack(
+            [gpp, gpm_reflected, gmp, np.exp(2j * q2 * (M + 1)) * gmm], axis=-1
+        ) * measure[..., None]
+        self.sqrt_trans = np.sqrt(self.trans)
+        self.sqrt_image = np.sqrt(self.image)
+        for arr in (self.k1, self.B, self.roots, self.norms, self.q2, self.D,
+                    self.trans, self.image, self.sqrt_trans, self.sqrt_image):
             arr.setflags(write=False)
 
     @property
     def n_modes(self):
-        return self._k1_flat.size
+        """Number of (k1, k2) modes, L * M."""
+        return self.roots.size
 
 
 @lru_cache(maxsize=32)
@@ -214,99 +240,111 @@ def spectral_data(geometry, couplings):
     return SpectralData(geometry, couplings)
 
 
-def _phase_power(phase, order):
-    """(e^{i a} - 1)^order for the derivative multipliers, order in 0..2."""
-    if order == 0:
-        return 1.0
-    return (phase - 1.0) ** order
+def forward_difference(k, order):
+    """(e^{i k} - 1)^order: the multiplier of an order-`order` forward
+    difference on a plane wave e^{i k x}; the scalar 1 at order 0."""
+    return 1.0 if order == 0 else (np.exp(1j * k) - 1.0) ** order
+
+
+def _sites(data, z, zp):
+    """Both arguments as (P, 2) integer arrays inside the extended lattice."""
+    z = np.asarray(z, dtype=int).reshape(-1, 2)
+    zp = np.asarray(zp, dtype=int).reshape(-1, 2)
+    L, M = data.geometry.L, data.geometry.M
+    both = np.stack([z, zp], axis=1)
+    bad = ~np.all((both >= (1, 0)) & (both <= (L, M + 1)), axis=(1, 2))
+    if np.any(bad):
+        p = int(np.argmax(bad))
+        raise ValueError(f"sites {tuple(z[p].tolist())}, {tuple(zp[p].tolist())} "
+                         "outside the extended lattice")
+    return z, zp
+
+
+def _row_sums(data, coef, mult, values):
+    """S[i, n, a] = sum over q2 in row i of e^{-i q2 values[n]} mult coef[i, q2, a].
+
+    `mult` is a per-mode factor of shape (L, 2M), or a scalar."""
+    L, width = data.q2.shape
+    out = np.empty((L, len(values), 4), dtype=complex)
+    step = max(1, _CHUNK_ENTRIES // (L * width))
+    for lo in range(0, len(values), step):
+        half = np.exp(-1j * (values[lo:lo + step, None, None] * data.roots))
+        phase = np.concatenate([half, np.conj(half)], axis=-1) * mult   # q2 = +-k2
+        out[:, lo:lo + step] = np.matmul(phase.transpose(1, 0, 2), coef)
+    return out
 
 
 def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
-    """Evaluate the eigenmode double sum for one pair of sites.
+    """Evaluate the eigenmode double sum for one site pair or a batch.
 
-    The +k2 and -k2 members of each mode pair are combined explicitly, so
-    the imaginary parts cancel to roundoff before the result is inspected.
+    The q2 = +-k2 sum of each k1 row is a matmul against the tables of
+    `data`, once per distinct z2 - z2' (translation-invariant term) and
+    z2 + z2' (image term) in the batch, chunked so its phase arrays stay
+    at a few MB; the k1 sum is a second matmul over the distinct
+    z1 - z1'.  Work and memory thus grow with the number of distinct
+    offsets (at most (2L - 1)(2M + 3)), not with the batch size.
+    Imaginary parts cancel to roundoff between +k2 and -k2.
 
     Args:
         data: SpectralData.
-        z, zp: sites; the vertical coordinate may take the extended values
-            0 and M + 1 (where boundary identities hold).
-        weight: optional per-mode multiplicative weight, an array of
-            shape (n_modes,) evaluated on (k1, k2) -- used for the
-            single-scale cutoffs.  None means the full propagator.
+        z, zp: one site each, or (P, 2) arrays of sites; the vertical
+            coordinate may take the extended values 0 and M + 1 (where
+            boundary identities hold).
+        weight: optional per-mode multiplicative weight of shape (L, 2M),
+            evaluated on (k1, q2) like `data.D` -- the single-scale
+            cutoffs.  None means the full propagator.
         deriv_z: forward-difference orders (r1, r2) in the first argument.
         deriv_zp: same for the second argument.
 
     Returns:
-        Complex (2, 2) block; `real_block` checks the imaginary residue.
+        Complex (2, 2) block for one pair, (P, 2, 2) for a batch.
     """
-    geom, cpl = data.geometry, data.couplings
-    if not (geom.contains_extended(z) and geom.contains_extended(zp)):
-        raise ValueError(f"sites {z}, {zp} outside the extended lattice")
-    L, M = geom.L, geom.M
-    k1 = data._k1_flat
-    k2 = data._k2_flat
-    nrm = data._norm_flat
+    single = np.shape(z) == (2,)
+    z, zp = _sites(data, z, zp)
+    q2 = data.q2
+    lead = (1.0 if weight is None else weight) * forward_difference(-q2, deriv_z[1])
+    mult_trans = lead * forward_difference(q2, deriv_zp[1])
+    mult_img = lead * forward_difference(-q2, deriv_zp[1])
+    d1 = forward_difference(-data.k1, deriv_z[0]) * forward_difference(data.k1, deriv_zp[0])
 
-    gpp, gpm, gmp, gmm = symbol_entries(cpl, k1, k2)
-    gpp_m, gpm_m, gmp_m, gmm_m = symbol_entries(cpl, k1, -k2)
-
-    dz1 = z[0] - zp[0]
-    ph_k1 = np.exp(-1j * k1 * dz1)
-    d1 = _phase_power(np.exp(-1j * k1), deriv_z[0]) * _phase_power(
-        np.exp(1j * k1), deriv_zp[0]
-    )
-
-    out = np.zeros((2, 2), dtype=complex)
-    for sgn in (+1.0, -1.0):
-        q2 = sgn * k2
-        gq = (gpp, gpm, gmp, gmm) if sgn > 0 else (gpp_m, gpm_m, gmp_m, gmm_m)
-        gq_opp = (gpp_m, gpm_m, gmp_m, gmm_m) if sgn > 0 else (gpp, gpm, gmp, gmm)
-        # translation-invariant part: e^{-i q2 (z2 - z2')} ghat(k1, q2)
-        ph_trans = np.exp(-1j * q2 * (z[1] - zp[1]))
-        mult_trans = _phase_power(np.exp(-1j * q2), deriv_z[1]) * _phase_power(
-            np.exp(1j * q2), deriv_zp[1]
-        )
-        # image part: e^{-i q2 (z2 + z2')} with the reflected symbol matrix
-        ph_img = np.exp(-1j * q2 * (z[1] + zp[1]))
-        mult_img = _phase_power(np.exp(-1j * q2), deriv_z[1]) * _phase_power(
-            np.exp(-1j * q2), deriv_zp[1]
-        )
-        img_pp = gq[0]
-        img_pm = gq_opp[1]
-        img_mp = gq[2]
-        img_mm = np.exp(2j * q2 * (M + 1)) * gq[3]
-
-        base = ph_k1 * d1 / (2.0 * nrm)
-        if weight is not None:
-            base = base * weight
-        wt = base * ph_trans * mult_trans
-        wi = base * ph_img * mult_img
-        out[0, 0] += np.sum(wt * gq[0] - wi * img_pp)
-        out[0, 1] += np.sum(wt * gq[1] - wi * img_pm)
-        out[1, 0] += np.sum(wt * gq[2] - wi * img_mp)
-        out[1, 1] += np.sum(wt * gq[3] - wi * img_mm)
-    return out / L
+    dz1, i1 = np.unique(z[:, 0] - zp[:, 0], return_inverse=True)
+    v_trans, i_trans = np.unique(z[:, 1] - zp[:, 1], return_inverse=True)
+    v_img, i_img = np.unique(z[:, 1] + zp[:, 1], return_inverse=True)
+    ring = np.exp(-1j * np.outer(dz1, data.k1)) * d1                  # (n1, L)
+    # (n1, n2, 4) tables over the distinct offsets, then one gather per pair
+    trans = np.tensordot(ring, _row_sums(data, data.trans, mult_trans, v_trans), 1)
+    image = np.tensordot(ring, _row_sums(data, data.image, mult_img, v_img), 1)
+    out = trans[i1, i_trans] - image[i1, i_img]
+    out = out.reshape(-1, 2, 2)
+    return out[0] if single else out
 
 
 def real_block(out, deriv_z, deriv_zp):
-    """Real PropagatorBlock of a `mode_sum` result.
+    """Real part of a `mode_sum` result, checked.
+
+    Returns:
+        A PropagatorBlock for one pair, a real (P, 2, 2) array for a batch.
 
     Raises:
-        AssertionError: imaginary residue above IMAG_RESIDUE_TOL.
+        AssertionError: imaginary residue above IMAG_RESIDUE_TOL anywhere
+            in the batch.
     """
-    residue = float(np.max(np.abs(out.imag)))
+    residue = float(np.max(np.abs(out.imag), initial=0.0))
     if residue > IMAG_RESIDUE_TOL:
         raise AssertionError(
             f"imaginary residue {residue:.2e} exceeds {IMAG_RESIDUE_TOL:.0e}")
-    return PropagatorBlock(out.real, deriv_z, deriv_zp)
+    if out.ndim == 2:
+        return PropagatorBlock(out.real, deriv_z, deriv_zp)
+    return out.real
 
 
 def critical_propagator(geometry, couplings, z, zp, deriv_z=(0, 0), deriv_zp=(0, 0)):
     """Exact critical cylinder propagator block <phi_omega,z phi_omega',z'>.
 
     phi_+ = Vbar and phi_- = V, so this block matches the corresponding
-    rows and columns of -A^{-1} from the dense representation.
+    rows and columns of -A^{-1} from the dense representation.  For
+    (P, 2) site arrays z, zp the result is a real (P, 2, 2) array, one
+    `mode_sum` call for the whole batch.
 
     Raises:
         ValueError: off-critical couplings (the eigenbasis only closes on

@@ -79,12 +79,13 @@ def check_spectral_vs_inverse():
         geom = CylinderGeometry(L, M)
         for cpl in couplings_list:
             cache = exact.propagator_from_A(geom, cpl)
-            for z in geom.sites():
-                for zp in geom.sites():
-                    blk = spectral.critical_propagator(geom, cpl, z, zp)
-                    ref = cache.vertical_block(z, zp)
-                    worst = max(worst, float(np.max(np.abs(blk.matrix - ref))))
-                    n_entries += 4
+            sites = list(geom.sites())
+            zs = [z for z in sites for _ in sites]
+            zps = [zp for _ in sites for zp in sites]
+            blocks = spectral.critical_propagator(geom, cpl, zs, zps)
+            ref = np.array([cache.vertical_block(z, zp) for z, zp in zip(zs, zps)])
+            worst = max(worst, float(np.max(np.abs(blocks - ref))))
+            n_entries += blocks.size
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-9 and elapsed <= 60.0
     return _record(
@@ -137,43 +138,30 @@ def check_boundary_and_symmetry(seed=1):
     data = spectral.spectral_data(geom, cpl)
     sites = list(geom.sites())
 
-    worst = 0.0
-    # full-propagator boundary rows and columns, exhaustive in z1 and in
-    # the unconstrained argument
-    for z1 in range(1, L + 1):
-        for zp in sites:
-            row0 = spectral.mode_sum(data, (z1, 0), zp)
-            rowm = spectral.mode_sum(data, (z1, M + 1), zp)
-            col0 = spectral.mode_sum(data, zp, (z1, 0))
-            colm = spectral.mode_sum(data, zp, (z1, M + 1))
-            worst = max(
-                worst,
-                abs(row0[0, 0]), abs(row0[0, 1]),
-                abs(rowm[1, 0]), abs(rowm[1, 1]),
-                abs(col0[0, 0]), abs(col0[1, 0]),
-                abs(colm[0, 1]), abs(colm[1, 1]),
-            )
+    def boundary_residual(evaluate, partners):
+        """Largest entry the boundary identities kill on the extended rows
+        z2 = 0 and z2 = M+1 (exhaustive in z1), against each partner
+        site, and likewise on the columns."""
+        ring = range(1, L + 1)
+        bottom = [(z1, 0) for z1 in ring for _ in partners]
+        top = [(z1, M + 1) for z1 in ring for _ in partners]
+        other = [zp for _ in ring for zp in partners]
+        return float(max(
+            np.max(np.abs(evaluate(bottom, other)[:, 0, :])),
+            np.max(np.abs(evaluate(top, other)[:, 1, :])),
+            np.max(np.abs(evaluate(other, bottom)[:, :, 0])),
+            np.max(np.abs(evaluate(other, top)[:, :, 1])),
+        ))
 
-    # single-scale boundary rows, exhaustive in z1, sampled partners
+    # full propagator: exhaustive in the unconstrained argument too
+    worst = boundary_residual(lambda z, zp: spectral.mode_sum(data, z, zp), sites)
+
+    # single-scale boundary rows, sampled partners
     partners = [sites[int(i)] for i in rng.integers(0, len(sites), size=12)]
     for h in multiscale.scale_indices(geom):
-        for z1 in range(1, L + 1):
-            for zp in partners:
-                row0 = multiscale.single_scale_propagator(
-                    geom, cpl, h, (z1, 0), zp).matrix
-                rowm = multiscale.single_scale_propagator(
-                    geom, cpl, h, (z1, M + 1), zp).matrix
-                col0 = multiscale.single_scale_propagator(
-                    geom, cpl, h, zp, (z1, 0)).matrix
-                colm = multiscale.single_scale_propagator(
-                    geom, cpl, h, zp, (z1, M + 1)).matrix
-                worst = max(
-                    worst,
-                    abs(row0[0, 0]), abs(row0[0, 1]),
-                    abs(rowm[1, 0]), abs(rowm[1, 1]),
-                    abs(col0[0, 0]), abs(col0[1, 0]),
-                    abs(colm[0, 1]), abs(colm[1, 1]),
-                )
+        worst = max(worst, boundary_residual(
+            lambda z, zp: multiscale.single_scale_propagator(geom, cpl, h, z, zp),
+            partners))
 
     def th1(z):
         return (L + 1 - z[0], z[1])

@@ -76,11 +76,13 @@ def test_config_file_fills_flags(capsys, tmp_path):
 
 
 def test_unknown_config_key_rejected(capsys, tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text('{"bogus": 1}')
-    code, _, err = run(capsys, "partition", "--config", str(cfg))
-    assert code == 1
-    assert "bogus" in err
+    # "parallel" is no option either: the CLI runs single-threaded
+    for key in ("bogus", "parallel"):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, _, err = run(capsys, "partition", "--config", str(cfg))
+        assert code == 1
+        assert key in err
 
 
 def test_propagator_routes_agree(capsys):
@@ -125,15 +127,34 @@ def test_output_file_and_rerun_identical(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_parallel_degrees_byte_identical(capsys, tmp_path):
-    base = ["multiscale", "--L", "8", "--M", "8", "--critical",
-            "--t1", "isotropic", "--check-telescoping"]
-    one = tmp_path / "one.csv"
-    four = tmp_path / "four.csv"
-    assert main(base + ["--parallel", "1", "--output", str(one)]) == 0
-    assert main(base + ["--parallel", "4", "--output", str(four)]) == 0
-    assert one.read_bytes() == four.read_bytes()
-    capsys.readouterr()
+def test_spectral_table_matches_single_pairs(capsys):
+    pairs = [((1, 1), (8, 8)), ((3, 2), (6, 5)), ((5, 8), (5, 1)),
+             ((2, 4), (2, 4)), ((7, 3), (1, 6))]
+    base = ["propagator", "--L", "8", "--M", "8", "--critical", "--t1",
+            "isotropic", "--route", "spectral"]
+    table = base + ["--pairs", json.dumps(pairs)]
+    code, first, _ = run(capsys, *table)
+    assert code == 0
+    code, again, _ = run(capsys, *table)
+    assert code == 0 and again == first
+    rows = first.splitlines()[3:]
+    assert len(rows) == len(pairs)
+    for (z, zp), row in zip(pairs, rows):
+        code, out, _ = run(capsys, *base, "--z", "%d,%d" % z, "--zp", "%d,%d" % zp)
+        assert code == 0
+        single = out.splitlines()[3].split(",")
+        assert single[:4] == row.split(",")[:4]
+        diff = max(abs(float(a) - float(b))
+                   for a, b in zip(single[4:], row.split(",")[4:]))
+        assert diff <= 1e-14
+
+
+def test_scaling_reaches_mesh_one_over_128(capsys):
+    code, out, err = run(capsys, "scaling", "--l1", "1", "--l2", "1",
+                         "--meshes", "32,64,128",
+                         "--pairs", '[[[0.25, 0.25], [0.75, 0.5]]]')
+    assert code == 0, err
+    assert [line.split(",")[3] for line in out.splitlines()[3:]] == ["32", "64", "128"]
 
 
 def test_correlations_against_oracle(capsys):

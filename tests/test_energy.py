@@ -56,6 +56,18 @@ def test_cumulants_of_known_moments():
     assert abs(k4) < 1e-12
 
 
+@pytest.mark.parametrize("m", [4, 5])
+def test_cumulant_computes_each_subset_moment_once(m):
+    calls = []
+
+    def moment(block):
+        calls.append(tuple(block))
+        return 0.5 ** len(block)
+
+    cumulant_from_moments(moment, tuple(range(m)))
+    assert len(calls) == len(set(calls)) == 2 ** m - 1
+
+
 @pytest.mark.parametrize("L,M", [(4, 3), (6, 2)])
 def test_truncated_pair_matches_enumeration(L, M):
     g = CylinderGeometry(L, M)

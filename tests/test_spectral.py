@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from isingcyl import spectral
 from isingcyl.exact import Couplings, PropagatorCache
 from isingcyl.lattice import CylinderGeometry
+from isingcyl.multiscale import scale_weight, tail_weight
 from isingcyl.spectral import (
+    ROOT_TOL,
+    SpectralData,
     antiperiodic_momenta,
     b_of_k1,
     b_of_k1_critical_form,
@@ -120,3 +124,57 @@ def test_forward_difference_derivative_labels():
     shifted = critical_propagator(g, ISO, (3, 2), zp).matrix
     deriv = critical_propagator(g, ISO, z, zp, deriv_z=(1, 0)).matrix
     assert np.max(np.abs(deriv - (shifted - plain))) < 1e-10
+
+
+@pytest.mark.parametrize("L,M,t1", [(8, 5, None), (32, 32, 0.5)])
+def test_batch_equals_batches_of_one(L, M, t1):
+    g = CylinderGeometry(L, M)
+    cpl = ISO if t1 is None else Couplings.critical_from_t1(t1)
+    data = spectral_data(g, cpl)
+    rng = np.random.default_rng(7)
+    # vertical coordinates include the extended rows 0 and M + 1
+    z = np.column_stack([rng.integers(1, L + 1, 40), rng.integers(0, M + 2, 40)])
+    zp = np.column_stack([rng.integers(1, L + 1, 40), rng.integers(0, M + 2, 40)])
+    weights = [None, scale_weight(-1, data.D), scale_weight(-2, data.D),
+               tail_weight(-2, data.D)]
+    orders = [((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 2), (1, 1)), ((2, 1), (0, 2))]
+    for weight in weights:
+        for dz, dzp in orders:
+            batch = mode_sum(data, z, zp, weight, dz, dzp)
+            assert batch.shape == (len(z), 2, 2)
+            ones = np.array([mode_sum(data, tuple(a), tuple(b), weight, dz, dzp)
+                             for a, b in zip(z.tolist(), zp.tolist())])
+            assert np.max(np.abs(batch - ones)) <= 1e-14
+
+
+def test_batch_propagator_shapes_and_site_check():
+    g = CylinderGeometry(6, 4)
+    blocks = critical_propagator(g, ISO, [(1, 1), (2, 3)], [(4, 4), (6, 1)])
+    assert blocks.shape == (2, 2, 2)
+    single = critical_propagator(g, ISO, (2, 3), (6, 1)).matrix
+    assert np.max(np.abs(blocks[1] - single)) <= 1e-14
+    assert critical_propagator(g, ISO, np.empty((0, 2)), np.empty((0, 2))).shape == (0, 2, 2)
+    with pytest.raises(ValueError, match="extended lattice"):
+        critical_propagator(g, ISO, [(1, 1), (2, 6)], [(4, 4), (6, 1)])
+
+
+@pytest.mark.parametrize("M", [128, 256])
+@pytest.mark.parametrize("t1", [math.sqrt(2.0) - 1.0, 0.5, 0.2])
+def test_root_certificate_holds_at_large_M(M, t1):
+    data = SpectralData(CylinderGeometry(8, M), Couplings.critical_from_t1(t1))
+    assert data.roots.shape == (8, M)
+
+
+@pytest.mark.parametrize("M", [8, 256])
+def test_root_certificate_rejects_perturbed_root(monkeypatch, M):
+    exact_roots = spectral.transverse_roots
+
+    def perturbed(B, M):
+        k = exact_roots(B, M).copy()
+        k[M // 2] += 64.0 * np.finfo(float).eps * np.pi   # still inside its bracket
+        return k
+
+    monkeypatch.setattr(spectral, "transverse_roots", perturbed)
+    with pytest.raises(AssertionError, match="forward error"):
+        SpectralData(CylinderGeometry(8, M), ISO)
+    assert 64.0 * np.finfo(float).eps * np.pi > ROOT_TOL
