@@ -7,7 +7,8 @@ explicit flags win over file values.  Tabular output is CSV (RFC-4180
 style, dot decimal, 17 significant digits) with a ``schema,1`` prelude
 row and the run seed recorded.  Exit codes: 0 on success, 1 on usage
 error, 2 on tolerance failure or on a failed internal certificate (an
-AssertionError or RuntimeError from the library, reported in one line).
+AssertionError, RuntimeError, ArithmeticError or SingularSkewError from
+the library, reported in one line).
 
 Runs are deterministic: the same (config, seed) produces byte-identical
 output.  The spectral propagator table is evaluated as one batch.
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import energy, exact, kernels, multiscale, scaling, spectral, verify
 from .lattice import CylinderGeometry
+from .skew import SingularSkewError
 
 SCHEMA_VERSION = "1"
 ORACLE_SITE_CAP = 20
@@ -411,6 +413,8 @@ def cmd_correlations(args):
     bonds = _parse_bonds(raw, geometry, "--bonds")
     try:
         value = energy.truncated_energy_correlation(geometry, couplings, bonds)
+    except SingularSkewError:
+        raise
     except ValueError as err:
         raise UsageError(str(err))
     bonds_txt = ";".join(f"{b.site[0]}:{b.site[1]}:{b.direction}"
@@ -683,7 +687,7 @@ def main(argv=None):
     except ToleranceError as err:
         print(f"tolerance failure: {err}", file=sys.stderr)
         return 2
-    except (AssertionError, RuntimeError) as err:
+    except (AssertionError, RuntimeError, ArithmeticError, SingularSkewError) as err:
         print(f"certificate failure: {err}", file=sys.stderr)
         return 2
 

@@ -195,7 +195,8 @@ def truncated_energy_correlation(geometry, couplings, bonds, correlator=None):
     Args:
         correlator: optional two-point callable (defaults to the dense
             inverse; `spectral_vertical_correlator` scales further for
-            vertical bonds at criticality).
+            vertical bonds at criticality).  It is called once per ordered
+            pair of bond fields, at most m (2m - 1) times for m bonds.
     """
     bonds = list(bonds)
     if len(set(bonds)) != len(bonds):
@@ -204,9 +205,18 @@ def truncated_energy_correlation(geometry, couplings, bonds, correlator=None):
         raise ValueError("need at least one bond")
     if correlator is None:
         correlator = dense_correlator(geometry, couplings)
+    # every moment's Wick matrix draws on the same ordered field pairs
+    # (subsets keep the bond order): look each one up once
+    lookups = {}
+
+    def memo_correlator(field_a, field_b):
+        key = (field_a, field_b)
+        if key not in lookups:
+            lookups[key] = correlator(field_a, field_b)
+        return lookups[key]
 
     def moment(block):
-        return _energy_moment(geometry, couplings, block, correlator)
+        return _energy_moment(geometry, couplings, block, memo_correlator)
 
     return cumulant_from_moments(moment, bonds)
 

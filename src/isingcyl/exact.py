@@ -13,12 +13,36 @@ and vertical neighbors with weights t1 = tanh(beta J1), t2 = tanh(beta J2).
 The horizontal field is antiperiodic around the cylinder, H_{(L+1, y)} =
 -H_{(1, y)}, and the vertical coupling out of the top row is absent.
 
+The couplings are uniform, so A is invariant under z1 -> z1 + 1 with the
+antiperiodic wrap: A = 1 (x) A0 + T (x) A1 - T^T (x) A1^T, with A0 the
+4M x 4M action of one column (local monomials and vertical t2 hops), A1
+the t1 hop to the next column and T the antiperiodic shift.  T is
+diagonal in the ring momenta k = pi (2n + 1) / L; L is even, so the
+momenta come in pairs (k, -k) with 0 < k < pi and none is its own
+partner.  On the real orthonormal basis sqrt(2/L) cos(k z1),
+sqrt(2/L) sin(k z1) of a pair, T acts as the rotation R(k), and A
+becomes the direct sum of L/2 real skew 8M x 8M blocks
+
+    B_k = 1_2 (x) A0 + R(k) (x) A1 - R(k)^T (x) A1^T
+        = [[X_k, Y_k], [-Y_k, X_k]],   X_k + i Y_k = A0 + e^{ik} A1 - e^{-ik} A1^T,
+
+built by `ring_blocks` straight from the couplings.  The transform has
+determinant det(Q)^{4M} = +1, and the reordering of the flat
+(z2, z1, species) rows into (pair, cos/sin, z2, species) moves whole runs
+of four rows, so it is even: Pf A = prod_k Pf B_k.  Each block's sign,
+log|Pf| and smallest relative pivot come from the Parlett-Reid sweep of
+`skew`, for a cost of O(L M^3) instead of O((LM)^3).  The dense matrix
+itself (`build_action_matrix`) is kept as the oracle the tests compare
+against.
+
 Wick's rule reduces every even correlation to a Pfaffian of two-point
-functions <Phi_i Phi_j> = -[A^{-1}]_{ij}; `propagator_from_A` exposes the
-dense inverse.  The horizontal (xi) sector decouples from the vertical
-(phi) sector after a Schur reduction and has the explicit "massive"
-propagator computed by `massive_propagator` as an antiperiodized
-geometric kernel.
+functions <Phi_i Phi_j> = -[A^{-1}]_{ij}.  The same blocks give the
+inverse: -A^{-1} depends on z1 - z1' only and is the back-transform
+-(2/L) Re sum_k e^{ik(z1 - z1')} (X_k + i Y_k)^{-1}; `propagator_from_A`
+exposes it as a dense array.  The horizontal (xi) sector decouples from
+the vertical (phi) sector after a Schur reduction and has the explicit
+"massive" propagator computed by `massive_propagator` as an
+antiperiodized geometric kernel.
 """
 
 from __future__ import annotations
@@ -32,9 +56,13 @@ import numpy as np
 
 from .blocks import PropagatorBlock
 from .lattice import CylinderGeometry
-from .skew import SkewMatrix, pfaffian_sign_logabs, skew_inverse
+from .skew import SingularSkewError, SkewMatrix, _parlett_reid_sweep
+from .spectral import antiperiodic_momenta
 
 CRITICAL_TOL = 1e-14
+# smallest pivot, relative to the block's largest entry, that certifies
+# a ring block invertible (the threshold of `skew.skew_inverse`)
+PIVOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,6 +107,14 @@ class Species(IntEnum):
     H = 1
     VBAR = 2
     V = 3
+
+
+# the six local monomials Phi_i Phi_j of one site, each with coefficient 1
+_LOCAL_MONOMIALS = (
+    (Species.HBAR, Species.H), (Species.VBAR, Species.V),
+    (Species.VBAR, Species.HBAR), (Species.V, Species.HBAR),
+    (Species.H, Species.VBAR), (Species.V, Species.H),
+)
 
 
 def flat_index(geometry, z, species):
@@ -146,6 +182,47 @@ def build_action_matrix(geometry, couplings):
     return a
 
 
+def ring_momenta(L):
+    """One momentum of each antiperiodic pair (k, -k): the L/2 with k > 0."""
+    return antiperiodic_momenta(L)[L // 2:]
+
+
+def ring_blocks(geometry, couplings):
+    """The parts X_k, Y_k of the ring blocks B_k = [[X_k, Y_k], [-Y_k, X_k]].
+
+    X_k + i Y_k = A0 + e^{ik} A1 - e^{-ik} A1^T over `ring_momenta`, rows
+    and columns ordered (z2, species) as in `flat_index`.  X_k is built as
+    A0 + cos k (A1 - A1^T) and Y_k as sin k (A1 + A1^T), so X_k is exactly
+    antisymmetric and Y_k exactly symmetric in floating point.
+
+    Returns:
+        (X, Y), two real arrays of shape (L/2, 4M, 4M).
+    """
+    n = 4 * geometry.M
+    base = 4 * np.arange(geometry.M)
+    a0 = np.zeros((n, n))
+    for i, j in _LOCAL_MONOMIALS:
+        a0[base + i, base + j] = 1.0
+        a0[base + j, base + i] = -1.0
+    # vertical hopping Vbar_z V_{z+e2}, open at the top
+    a0[base[:-1] + Species.VBAR, base[1:] + Species.V] = couplings.t2
+    a0[base[1:] + Species.V, base[:-1] + Species.VBAR] = -couplings.t2
+    # horizontal hopping Hbar_z H_{z+e1} into the next column
+    a1 = np.zeros((n, n))
+    a1[base + Species.HBAR, base + Species.H] = couplings.t1
+    k = ring_momenta(geometry.L)[:, None, None]
+    return a0 + np.cos(k) * (a1 - a1.T), np.sin(k) * (a1 + a1.T)
+
+
+def _block_sweeps(x, y):
+    """Parlett-Reid sweep of each real 8M x 8M ring block.
+
+    Returns:
+        list of (sign, log|Pf B_k|, smallest relative pivot), one per pair.
+    """
+    return [_parlett_reid_sweep(b) for b in np.block([[x, y], [-y, x]])]
+
+
 @dataclass(frozen=True)
 class PartitionResult:
     """log Z split into its exactly known pieces plus the Pfaffian."""
@@ -158,6 +235,9 @@ class PartitionResult:
 def partition_function_log(geometry, beta, J1, J2):
     """Exact log partition function via the Pfaffian formula.
 
+    Pf A is the product of the ring-block Pfaffians (module docstring);
+    the dense action matrix is never formed.
+
     Args:
         geometry: CylinderGeometry.
         beta, J1, J2: inverse temperature and the two exchange couplings.
@@ -169,31 +249,63 @@ def partition_function_log(geometry, beta, J1, J2):
     """
     L, M = geometry.L, geometry.M
     couplings = Couplings.from_beta(beta, J1, J2)
-    a = build_action_matrix(geometry, couplings)
-    sign, log_pf = pfaffian_sign_logabs(a)
-    if sign == 0:
-        raise ArithmeticError("action matrix is singular; Z would vanish")
+    sign, log_pf = 1.0, 0.0
+    for block_sign, logabs, _ in _block_sweeps(*ring_blocks(geometry, couplings)):
+        if block_sign == 0:
+            raise ArithmeticError("action matrix is singular; Z would vanish")
+        sign *= block_sign
+        log_pf += logabs
     prefactor = (
         L * M * math.log(2.0)
         + L * M * math.log(math.cosh(beta * J1))
         + L * (M - 1) * math.log(math.cosh(beta * J2))
     )
-    return PartitionResult(prefactor + log_pf, float(np.real(sign)), log_pf)
+    return PartitionResult(prefactor + log_pf, float(sign), log_pf)
 
 
 class PropagatorCache:
     """Dense two-point function <Phi_i Phi_j> = -[A^{-1}]_{ij}.
 
-    Built once per (geometry, couplings) and immutable afterwards; all
-    accessors are reads of a fixed array, safe under concurrent use.
+    Built from the ring blocks: each block is certified invertible by its
+    Parlett-Reid pivots (a pivot below PIVOT_TOL relative to the block's
+    largest entry raises SingularSkewError), the complex 4M x 4M blocks
+    X_k + i Y_k are inverted, and the back-transform gives the 4M x 4M
+    kernel g(d) of every column offset d = z1 - z1' in (-L, L).  g is
+    antisymmetrized exactly, g(d) -> (g(d) - g(-d)^T)/2, after checking
+    that this moves it by no more than roundoff, and then tiled into the
+    dense 4LM x 4LM array `matrix` in the flat order of `flat_index`.
+    That array is exactly antisymmetric, read-only, and built once per
+    (geometry, couplings); all accessors are reads of it, safe under
+    concurrent use.
     """
 
     def __init__(self, geometry, couplings):
         self.geometry = geometry
         self.couplings = couplings
-        a = build_action_matrix(geometry, couplings)
-        inv = skew_inverse(a)
-        g = -inv.dense()
+        L, M = geometry.L, geometry.M
+        x, y = ring_blocks(geometry, couplings)
+        for sign, _, min_rel in _block_sweeps(x, y):
+            if sign == 0 or min_rel < PIVOT_TOL:
+                raise SingularSkewError(min_rel if sign != 0 else 0.0)
+        inv = np.linalg.inv(x + 1j * y)
+        offsets = np.arange(1 - L, L)
+        phase = np.exp(1j * np.outer(offsets, ring_momenta(L)))
+        g = (-2.0 / L) * (phase @ inv.reshape(L // 2, -1)).real
+        g = g.reshape(2 * L - 1, 4 * M, 4 * M)
+        anti = (g - g[::-1].transpose(0, 2, 1)) / 2.0
+        defect = np.max(np.abs(g - anti))
+        norm = np.max(np.abs(anti))
+        if defect > 1e-10 * norm:
+            raise AssertionError(
+                f"inverse symmetrization defect {defect:.3e} exceeds 1e-10 * {norm:.3e}"
+            )
+        # matrix[(z2, z1, s), (z2', z1', s')] = anti[z1 - z1' + L - 1][(z2, s), (z2', s')]
+        kernel = anti.reshape(2 * L - 1, M, 4, M, 4)
+        cols = np.arange(L)
+        full = np.empty((M, L, 4, M, L, 4))
+        for z1 in range(L):
+            full[:, z1] = kernel[z1 - cols + L - 1].transpose(1, 2, 3, 0, 4)
+        g = full.reshape(4 * L * M, 4 * L * M)
         g.setflags(write=False)
         self.matrix = g
 
@@ -212,7 +324,7 @@ class PropagatorCache:
 
 @lru_cache(maxsize=16)
 def propagator_from_A(geometry, couplings):
-    """Cached dense propagator for small lattices (dimension 4 L M)."""
+    """Cached dense propagator (dimension 4 L M)."""
     return PropagatorCache(geometry, couplings)
 
 
@@ -229,19 +341,11 @@ def horizontal_kernel_infinite(y, t1):
 def horizontal_kernel(y, L, t1):
     """Antiperiodized kernel s_+(y) = sum_n (-1)^n s_{infinity,+}(y + nL).
 
-    The series is geometric with ratio t1^L; terms are accumulated until
-    they drop below 1e-30 so the truncation is far below roundoff.
+    The terms start at the first n with y + nL >= 0 and form a geometric
+    series of ratio -(-t1)^L = -t1^L (L is even), summed in closed form.
     """
-    total = 0.0
-    n = math.ceil(-y / L)
-    while True:
-        yy = y + n * L
-        term = (-1.0) ** n * (-t1) ** yy
-        total += term
-        if t1 ** yy < 1e-30:
-            break
-        n += 1
-    return total
+    n = -(y // L)
+    return (-1.0) ** n * (-t1) ** (y + n * L) / (1.0 + t1 ** L)
 
 
 def horizontal_kernel_minus(y, L, t1):

@@ -12,9 +12,14 @@ the Pfaffian over perfect matchings.  It is exponential and restricted to
 dimension <= 8; its only purpose is to anchor the sign and value of the
 elimination code in tests.
 
-Partition functions need Pf A of matrices with thousands of rows, where
-the product of pivots over- or underflows double precision, so the sweep
-also exposes a (sign, log|Pf|) form.
+Partition functions need Pf A of the 4LM x 4LM action matrix.  `exact`
+block-diagonalizes A by ring translation invariance and runs the sweep on
+each real 8M x 8M block, using its sign, log|Pf| and smallest relative
+pivot; the blocks reach thousands of rows, where the product of pivots
+over- or underflows double precision, hence the (sign, log|Pf|) form.
+`pfaffian_sign_logabs` and `skew_inverse` on the dense matrix remain the
+oracles the tests check that route against, and `energy` evaluates its
+Wick minors with them.
 """
 
 from __future__ import annotations

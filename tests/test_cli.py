@@ -1,10 +1,11 @@
 """Command line contract: exit codes, CSV schema, determinism."""
 
 import json
+import math
 
 import pytest
 
-from isingcyl import scaling
+from isingcyl import exact, scaling
 from isingcyl.cli import main
 
 
@@ -194,6 +195,36 @@ def test_certificate_failure_exits_two_in_one_line(capsys, monkeypatch, exc):
     assert code == 2
     assert err.splitlines() == ["certificate failure: root residual 1.1e-13 too large"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["partition"],
+    ["propagator", "--z", "1,1", "--zp", "2,3"],
+    ["correlations", "--bonds", "[[1,1,2],[3,2,2]]"],
+])
+def test_singular_ring_block_exits_two_in_one_line(capsys, monkeypatch, command):
+    original = exact.ring_blocks
+
+    def zero_blocks(geometry, couplings):
+        x, y = original(geometry, couplings)
+        return 0.0 * x, 0.0 * y
+
+    monkeypatch.setattr(exact, "ring_blocks", zero_blocks)
+    code, _, err = run(capsys, *command, "--L", "4", "--M", "3",
+                       "--beta", "0.4", "--J1", "1", "--J2", "1")
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("certificate failure:")
+    assert "Traceback" not in err
+
+
+def test_partition_at_32_by_32(capsys):
+    code, out, _ = run(capsys, "partition", "--L", "32", "--M", "32",
+                       "--beta", "0.4", "--J1", "1", "--J2", "1")
+    assert code == 0
+    header, row = out.splitlines()[2].split(","), out.splitlines()[3].split(",")
+    assert float(row[header.index("pf_sign")]) == 1.0
+    assert math.isfinite(float(row[header.index("log_z")]))
 
 
 def test_correlations_bond_outside_cylinder(capsys):

@@ -8,6 +8,7 @@ import pytest
 from isingcyl.energy import (
     BruteForceGibbs,
     EnergyBond,
+    _energy_moment,
     cumulant_from_moments,
     dense_correlator,
     scal_energy_correlation,
@@ -66,6 +67,26 @@ def test_cumulant_computes_each_subset_moment_once(m):
 
     cumulant_from_moments(moment, tuple(range(m)))
     assert len(calls) == len(set(calls)) == 2 ** m - 1
+
+
+@pytest.mark.parametrize("route", ["dense", "spectral"])
+def test_cumulant_looks_up_each_field_pair_once(route):
+    g = CylinderGeometry(8, 6)
+    cpl = Couplings.isotropic_critical()
+    raw = (dense_correlator if route == "dense" else spectral_vertical_correlator)(g, cpl)
+    calls = []
+
+    def corr(field_a, field_b):
+        calls.append((field_a, field_b))
+        return raw(field_a, field_b)
+
+    bonds = [EnergyBond(1, 1, 2), EnergyBond(3, 2, 2), EnergyBond(6, 4, 2),
+             EnergyBond(8, 5, 2)]
+    value = truncated_energy_correlation(g, cpl, bonds, correlator=corr)
+    assert len(calls) == len(set(calls)) <= 28
+    # the same cumulant with every Wick entry fetched afresh
+    ref = cumulant_from_moments(lambda block: _energy_moment(g, cpl, block, raw), bonds)
+    assert value == ref
 
 
 @pytest.mark.parametrize("L,M", [(4, 3), (6, 2)])

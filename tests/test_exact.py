@@ -1,10 +1,12 @@
 """Action matrix, Pfaffian partition function, and the dense propagator."""
 
+import decimal
 import math
 
 import numpy as np
 import pytest
 
+from isingcyl import exact
 from isingcyl.energy import BruteForceGibbs
 from isingcyl.exact import (
     Couplings,
@@ -19,6 +21,7 @@ from isingcyl.exact import (
     site_of_index,
 )
 from isingcyl.lattice import CylinderGeometry
+from isingcyl.skew import SingularSkewError, pfaffian_sign_logabs, skew_inverse
 
 
 def test_couplings_validation_and_critical_line():
@@ -93,6 +96,116 @@ def test_propagator_cache_blocks():
     assert blk[0, 1] == cache.two_point(z, Species.VBAR, zp, Species.V)
     assert blk[1, 0] == cache.two_point(z, Species.V, zp, Species.VBAR)
     assert blk[1, 1] == cache.two_point(z, Species.V, zp, Species.V)
+
+
+def _log_z_prefactor(geometry, beta, J1, J2):
+    L, M = geometry.L, geometry.M
+    return (L * M * math.log(2.0) + L * M * math.log(math.cosh(beta * J1))
+            + L * (M - 1) * math.log(math.cosh(beta * J2)))
+
+
+def _random_draw(rng):
+    return (float(rng.uniform(0.1, 1.0)), float(rng.uniform(0.3, 1.5)),
+            float(rng.uniform(0.3, 1.5)))
+
+
+def _log_pf_close(value, ref):
+    # relative, with a floor of 1: on thin rings (M = 1) Pf A = 1 + O(t1^L)
+    # and log|Pf A| itself is a roundoff-sized number
+    return abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_ring_route_matches_parlett_reid_on_every_small_geometry():
+    rng = np.random.default_rng(64)
+    for L in range(2, 65, 2):
+        for M in range(1, 64 // L + 1):
+            g = CylinderGeometry(L, M)
+            draw = _random_draw(rng)
+            res = partition_function_log(g, *draw)
+            sign, logabs = pfaffian_sign_logabs(
+                build_action_matrix(g, Couplings.from_beta(*draw)))
+            assert res.pf_sign == sign, (L, M)
+            assert _log_pf_close(res.log_pf_abs, logabs), (L, M)
+            ref_log_z = _log_z_prefactor(g, *draw) + logabs
+            assert math.isclose(res.log_z, ref_log_z, rel_tol=1e-12), (L, M)
+
+
+@pytest.mark.parametrize("L,M", [(2, 128), (256, 1), (16, 16), (8, 32), (64, 4)])
+def test_ring_route_matches_slogdet(L, M):
+    g = CylinderGeometry(L, M)
+    draw = (0.45, 1.1, 0.8)
+    res = partition_function_log(g, *draw)
+    sign, logdet = np.linalg.slogdet(build_action_matrix(g, Couplings.from_beta(*draw)).dense())
+    assert sign == 1.0
+    assert _log_pf_close(res.log_pf_abs, 0.5 * logdet)
+
+
+@pytest.mark.parametrize("L,M", [(2, 1), (2, 5), (4, 3), (6, 4), (8, 8), (12, 3)])
+def test_propagator_cache_matches_skew_inverse(L, M):
+    g = CylinderGeometry(L, M)
+    for cpl in (Couplings(0.35, 0.45), Couplings.isotropic_critical(),
+                Couplings.from_beta(0.7, 1.0, 0.4)):
+        m = PropagatorCache(g, cpl).matrix
+        ref = -skew_inverse(build_action_matrix(g, cpl)).dense()
+        assert np.max(np.abs(m - ref)) <= 1e-12
+        assert np.max(np.abs(m + m.T)) == 0.0
+        assert not m.flags.writeable
+
+
+def _with_singular_block(scale):
+    """`ring_blocks` whose first block has row and column 0 scaled down."""
+    original = exact.ring_blocks
+
+    def blocks(geometry, couplings):
+        x, y = original(geometry, couplings)
+        for part in (x, y):
+            part[0, 0, :] *= scale
+            part[0, :, 0] *= scale
+        return x, y
+
+    return blocks
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-14])
+def test_singular_ring_block_is_rejected(monkeypatch, scale):
+    g = CylinderGeometry(4, 3)
+    cpl = Couplings(0.35, 0.45)
+    monkeypatch.setattr(exact, "ring_blocks", _with_singular_block(scale))
+    with pytest.raises(SingularSkewError) as info:
+        PropagatorCache(g, cpl)
+    assert info.value.pivot < 1e-12
+    if scale == 0.0:
+        with pytest.raises(ArithmeticError):
+            partition_function_log(g, 0.4, 1.0, 1.0)
+
+
+def _series_kernel(y, L, t1):
+    """The antiperiodized series term by term, cut once t1^(y + nL) < 1e-30.
+
+    Summed in 40-digit decimal arithmetic: in double precision the sum of
+    ~3,400 alternating terms at t1 = 0.99, L = 2 carries 2.6e-15 relative
+    rounding of its own.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        t = decimal.Decimal(t1)
+        total = decimal.Decimal(0)
+        n = math.ceil(-y / L)
+        while True:
+            yy = y + n * L
+            total += (-t) ** yy if n % 2 == 0 else -(-t) ** yy
+            if t1 ** yy < 1e-30:
+                break
+            n += 1
+        return float(total)
+
+
+@pytest.mark.parametrize("t1", [0.01, 0.2, math.sqrt(2.0) - 1.0, 0.5, 0.9, 0.99])
+def test_horizontal_kernel_closed_form_matches_series(t1):
+    for L in (2, 4, 8, 64):
+        for y in range(-2 * L, 2 * L + 1):
+            ref = _series_kernel(y, L, t1)
+            assert abs(horizontal_kernel(y, L, t1) - ref) <= 1e-15 * abs(ref), (L, y)
 
 
 def test_horizontal_kernel_antiperiodic_wrap():
