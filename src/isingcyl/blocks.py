@@ -8,7 +8,7 @@ forward-derivative orders applied to its first and second argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,3 @@ class PropagatorBlock:
 
     def __getitem__(self, key):
         return self.matrix[key]
-
-    @property
-    def sup_norm(self):
-        return float(np.max(np.abs(self.matrix)))

@@ -1,9 +1,15 @@
 """Energy-bond observables: lattice moments, cumulants, and their scaling limit.
 
 A bond energy is the product of the two spins across a lattice edge.  In
-the fermionic representation it becomes a quadratic monomial, so all of
-its moments follow from the Wick rule as Pfaffians of two-point minors,
-and truncated correlations (cumulants) follow from the moments by Moebius
+the fermionic representation it is the quadratic monomial
+eps_x = t_x + (1 - t_x^2) s_x psi_a psi_b, with s_x the seam sign of the
+bond's field pair (a, b), so every moment is one Pfaffian.  The bonds of
+a truncated correlation share one Wick matrix W over their fields
+a_1, b_1, ..., a_m, b_m, the two-point functions with the bond factors
+folded in; by the minor summation formula for the Pfaffian of a sum
+(Ishikawa and Wakayama, Linear Multilinear Algebra 39 (1995) 285), the
+moment of a bond subset is the Pfaffian of W restricted to its fields.
+Truncated correlations (cumulants) follow from the moments by Moebius
 inversion over set partitions.  A brute-force Gibbs enumeration on small
 cylinders serves as the independent oracle.
 
@@ -20,7 +26,7 @@ import numpy as np
 
 from .exact import Species, propagator_from_A
 from .scaling import IMAGE_TOL, cylinder_scal_block
-from .skew import pfaffian_combinatorial, pfaffian_sign_logabs
+from .skew import pfaffian, pfaffian_minor
 
 _BRUTE_FORCE_SITE_CAP = 24
 _BRUTE_FORCE_CHUNK = 1 << 18
@@ -107,13 +113,6 @@ def cumulant_from_moments(moment, items):
     return total
 
 
-def _pfaffian_value(mat):
-    if mat.shape[0] <= 8:
-        return pfaffian_combinatorial(mat)
-    sign, logabs = pfaffian_sign_logabs(mat)
-    return float(sign) * math.exp(logabs)
-
-
 def dense_correlator(geometry, couplings):
     """Two-point callable backed by the dense inverse (small lattices)."""
     cache = propagator_from_A(geometry, couplings)
@@ -146,44 +145,6 @@ def spectral_vertical_correlator(geometry, couplings):
     return corr
 
 
-def _wick_bond_moment(geometry, bonds, correlator):
-    """<prod_x E_x> by the fermionic Wick rule: a Pfaffian of two-points."""
-    fields = []
-    sign = 1.0
-    for bond in bonds:
-        fa, fb, s = bond.fields(geometry)
-        sign *= s
-        fields.append(fa)
-        fields.append(fb)
-    n = len(fields)
-    mat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = correlator(fields[i], fields[j])
-            mat[i, j] = v
-            mat[j, i] = -v
-    return sign * _pfaffian_value(mat)
-
-
-def _energy_moment(geometry, couplings, bonds, correlator):
-    """<prod_x eps_x>: expand eps = t + (1 - t^2) E over subsets."""
-    m = len(bonds)
-    total = 0.0
-    for mask in range(1 << m):
-        coef = 1.0
-        chosen = []
-        for i, bond in enumerate(bonds):
-            t = bond.tanh_coupling(couplings)
-            if (mask >> i) & 1:
-                coef *= 1.0 - t * t
-                chosen.append(bond)
-            else:
-                coef *= t
-        wick = _wick_bond_moment(geometry, chosen, correlator) if chosen else 1.0
-        total += coef * wick
-    return total
-
-
 def truncated_energy_correlation(geometry, couplings, bonds, correlator=None):
     """Truncated correlation (cumulant) of the listed energy bonds.
 
@@ -192,11 +153,16 @@ def truncated_energy_correlation(geometry, couplings, bonds, correlator=None):
     a polynomial of degree one in each eps_x, so repeated-bond cumulants
     are not defined by this representation.
 
+    The 2m x 2m Wick matrix of the m bonds has W_ij = d_i d_j <f_i f_j>
+    for i < j, with d = (1 - t_x^2) s_x on a_x and 1 on b_x, plus t_x on
+    (a_x, b_x).  It is built once; each of the 2^m - 1 subset moments is
+    a Pfaffian minor of it, its fields kept in bond order.
+
     Args:
         correlator: optional two-point callable (defaults to the dense
             inverse; `spectral_vertical_correlator` scales further for
             vertical bonds at criticality).  It is called once per ordered
-            pair of bond fields, at most m (2m - 1) times for m bonds.
+            pair of bond fields, m (2m - 1) times for m bonds.
     """
     bonds = list(bonds)
     if len(set(bonds)) != len(bonds):
@@ -205,20 +171,26 @@ def truncated_energy_correlation(geometry, couplings, bonds, correlator=None):
         raise ValueError("need at least one bond")
     if correlator is None:
         correlator = dense_correlator(geometry, couplings)
-    # every moment's Wick matrix draws on the same ordered field pairs
-    # (subsets keep the bond order): look each one up once
-    lookups = {}
-
-    def memo_correlator(field_a, field_b):
-        key = (field_a, field_b)
-        if key not in lookups:
-            lookups[key] = correlator(field_a, field_b)
-        return lookups[key]
+    fields = []
+    scale = []
+    for bond in bonds:
+        fa, fb, seam = bond.fields(geometry)
+        t = bond.tanh_coupling(couplings)
+        fields += [fa, fb]
+        scale += [(1.0 - t * t) * seam, 1.0]
+    n = len(fields)
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            w[i, j] = scale[i] * scale[j] * correlator(fields[i], fields[j])
+    for x, bond in enumerate(bonds):
+        w[2 * x, 2 * x + 1] += bond.tanh_coupling(couplings)
+    w = w - w.T
 
     def moment(block):
-        return _energy_moment(geometry, couplings, block, memo_correlator)
+        return pfaffian_minor(w, [2 * x + k for x in block for k in (0, 1)])
 
-    return cumulant_from_moments(moment, bonds)
+    return cumulant_from_moments(moment, range(len(bonds)))
 
 
 class BruteForceGibbs:
@@ -339,4 +311,4 @@ def scal_energy_correlation(cylinder, couplings, marked, tol=IMAGE_TOL):
             mat[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blk
             mat[2 * j:2 * j + 2, 2 * i:2 * i + 2] = -blk.T
     return ((2.0 * couplings.t2) ** m1 * (1.0 - couplings.t2 ** 2) ** m2
-            * _pfaffian_value(mat))
+            * pfaffian(mat))

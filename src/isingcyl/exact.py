@@ -56,13 +56,10 @@ import numpy as np
 
 from .blocks import PropagatorBlock
 from .lattice import CylinderGeometry
-from .skew import SingularSkewError, SkewMatrix, _parlett_reid_sweep
+from .skew import PIVOT_TOL, SingularSkewError, SkewMatrix, _parlett_reid_sweep
 from .spectral import antiperiodic_momenta
 
 CRITICAL_TOL = 1e-14
-# smallest pivot, relative to the block's largest entry, that certifies
-# a ring block invertible (the threshold of `skew.skew_inverse`)
-PIVOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -123,14 +123,6 @@ class Kernel:
                 out._data[k] = v
         return out
 
-    def bounding_box(self):
-        """((xmin, ymin), (xmax, ymax)) over the support, None if empty."""
-        if not self._data:
-            return None
-        xs = [z[0] for k in self._data for _, _, z in k]
-        ys = [z[1] for k in self._data for _, _, z in k]
-        return (min(xs), min(ys)), (max(xs), max(ys))
-
     def scaled(self, factor):
         out = Kernel(self.translation_invariant)
         if factor != 0.0:
@@ -328,17 +320,6 @@ def _reflect_entry(key, axes):
     return labels, factor
 
 
-def reflect(kernel, axis):
-    """Pushforward of the kernel under one axis reflection."""
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    buffer = {}
-    for key, v in kernel.items():
-        labels, factor = _reflect_entry(key, (axis,))
-        buffer.setdefault(kernel._bufkey(labels), []).append(factor * v)
-    return Kernel._from_buffer(buffer, kernel.translation_invariant)
-
-
 def antisymmetrize(kernel):
     """Projection onto the permutation-antisymmetric part."""
     buffer = {}
@@ -405,7 +386,7 @@ def _require_certified(kernel):
                          "kernel; run certify_translation_invariance first")
 
 
-def localization_operator(kernel, sector=None):
+def localization_operator(kernel):
     """The local part of a kernel, by output sector:
 
         (2, 0): the symmetrized collapse of the (2, 0) sector;
@@ -415,26 +396,33 @@ def localization_operator(kernel, sector=None):
         nonnegative scaling dimensions; the quartic local part cancels
         identically under antisymmetrization (two omega values cannot
         fill four coincident underived fields without repetition).
-
-    With sector given, returns only that output block.
     """
     _require_certified(kernel)
-    blocks = {}
-    if sector in (None, (2, 0)):
-        blocks[(2, 0)] = symmetrize(localize_collapse(kernel, 2, 0))
-    if sector in (None, (2, 1)):
-        spread = interpolate_remainder(kernel.sector(2, 0), 2, 0)
-        blocks[(2, 1)] = symmetrize(
-            localize_collapse(kernel, 2, 1).plus(localize_collapse(spread)))
-    if sector is not None and sector not in blocks:
-        return Kernel(translation_invariant=True)
-    out = Kernel(translation_invariant=True)
-    for block in blocks.values():
-        out = out.plus(block)
-    return out
+    local20 = symmetrize(localize_collapse(kernel, 2, 0))
+    spread = interpolate_remainder(kernel.sector(2, 0), 2, 0)
+    local21 = symmetrize(
+        localize_collapse(kernel, 2, 1).plus(localize_collapse(spread)))
+    return local20.plus(local21)
 
 
-def renormalization_operator(kernel, sector=None):
+def _interpolations(kernel):
+    """Interpolated remainders and the renormalized (2, 2), (4, 1) blocks.
+
+    Returns (once, twice, renormalized): the interpolated remainder of
+    each sector in INTERPOLATED_SECTORS, the (2, 0) sector interpolated
+    twice, and the symmetrized renormalized blocks keyed by sector.
+    """
+    once = {(n, p): interpolate_remainder(kernel.sector(n, p), n, p)
+            for n, p in INTERPOLATED_SECTORS}
+    twice = interpolate_remainder(once[(2, 0)], 2, 1)
+    renormalized = {
+        (2, 2): symmetrize(kernel.sector(2, 2).plus(once[(2, 1)]).plus(twice)),
+        (4, 1): symmetrize(kernel.sector(4, 1).plus(once[(4, 0)])),
+    }
+    return once, twice, renormalized
+
+
+def renormalization_operator(kernel):
     """The renormalized remainder, by output sector:
 
         (2,0), (2,1), (4,0): zero;
@@ -442,30 +430,15 @@ def renormalization_operator(kernel, sector=None):
                sector plus the twice-interpolated (2,0) sector;
         (4,1): symmetrized V_{4,1} plus the interpolated (4,0) sector;
         every other sector: passed through unchanged.
-
-    With sector given, returns only that output block.
     """
     _require_certified(kernel)
-    special = {(2, 0), (2, 1), (4, 0), (2, 2), (4, 1)}
+    _, _, renormalized = _interpolations(kernel)
     out = Kernel(translation_invariant=True)
-    if sector is None:
-        for n, p in kernel.sectors():
-            if (n, p) not in special:
-                out = out.plus(kernel.sector(n, p))
-    elif sector in ((2, 0), (2, 1), (4, 0)):
-        return out
-    elif sector not in special:
-        return kernel.sector(*sector)
-    if sector in (None, (2, 2)):
-        once = interpolate_remainder(kernel.sector(2, 1), 2, 1)
-        twice = interpolate_remainder(
-            interpolate_remainder(kernel.sector(2, 0), 2, 0), 2, 1)
-        block = kernel.sector(2, 2).plus(once).plus(twice)
-        out = out.plus(symmetrize(block))
-    if sector in (None, (4, 1)):
-        block = kernel.sector(4, 1).plus(
-            interpolate_remainder(kernel.sector(4, 0), 4, 0))
-        out = out.plus(symmetrize(block))
+    for n, p in kernel.sectors():
+        if (n, p) not in INTERPOLATED_SECTORS and (n, p) not in renormalized:
+            out = out.plus(kernel.sector(n, p))
+    for block in renormalized.values():
+        out = out.plus(block)
     return out
 
 
@@ -600,23 +573,18 @@ def interpolation_bound_reports(kernel, combos):
         nonnegative.
     """
     _require_certified(kernel)
+    once, twice, renormalized = _interpolations(kernel)
     single = {}
     input_tables = {}
     for n, p in INTERPOLATED_SECTORS:
-        sec = kernel.sector(n, p)
-        input_tables[(n, p)] = _norm_table(sec, n, p)
-        if len(sec):
-            single[(n, p)] = _norm_table(
-                interpolate_remainder(sec, n, p), n, p + 1)
-    sec20 = kernel.sector(2, 0)
-    double_table = None
-    if len(sec20):
-        twice = interpolate_remainder(interpolate_remainder(sec20, 2, 0), 2, 1)
-        double_table = _norm_table(twice, 2, 2)
+        input_tables[(n, p)] = _norm_table(kernel, n, p)
+        if input_tables[(n, p)]:
+            single[(n, p)] = _norm_table(once[(n, p)], n, p + 1)
+    double_table = _norm_table(twice, 2, 2) if input_tables[(2, 0)] else None
     input_tables[(2, 2)] = _norm_table(kernel, 2, 2)
     input_tables[(4, 1)] = _norm_table(kernel, 4, 1)
-    renorm22 = _norm_table(renormalization_operator(kernel, (2, 2)), 2, 2)
-    renorm41 = _norm_table(renormalization_operator(kernel, (4, 1)), 4, 1)
+    renorm22 = _norm_table(renormalized[(2, 2)], 2, 2)
+    renorm41 = _norm_table(renormalized[(4, 1)], 4, 1)
 
     reports = []
     for rate, rate_step in combos:
@@ -649,11 +617,6 @@ def interpolation_bound_reports(kernel, combos):
         report["renormalized_41"] = (lhs, rhs, rhs - lhs)
         reports.append(report)
     return reports
-
-
-def verify_interpolation_bounds(kernel, rate, rate_step):
-    """Single (rate, rate_step) form of `interpolation_bound_reports`."""
-    return interpolation_bound_reports(kernel, [(rate, rate_step)])[0]
 
 
 # ---------------------------------------------------------------------------

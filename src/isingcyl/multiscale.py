@@ -52,7 +52,10 @@ from .spectral import (
 )
 
 PLANE_TOL = 1e-11
+# trapezoid grid: first size, cap, and k1 rows per streamed chunk
+_PLANE_N_START = 32
 _PLANE_N_MAX = 4096
+_PLANE_CHUNK = 256
 
 
 def h_star(geometry):
@@ -137,7 +140,7 @@ def telescoping_residual(geometry, couplings, z, zp, h=None):
 # ---------------------------------------------------------------------------
 
 
-def _plane_batch_fixed(couplings, h, dzs, deriv_z, deriv_zp, N, chunk=256):
+def _plane_batch_fixed(couplings, h, dzs, deriv_z, deriv_zp, N):
     """Trapezoid evaluation of g_infinity^{(h)} at a batch of displacements.
 
     Streams over k1 rows so the (N x N) grid is never materialized whole;
@@ -154,8 +157,8 @@ def _plane_batch_fixed(couplings, h, dzs, deriv_z, deriv_zp, N, chunk=256):
     V = np.exp(-1j * np.outer(k, dz2)) * np.reshape(m2, (-1, 1))  # (N, P)
 
     out = np.zeros((P, 2, 2), dtype=complex)
-    for lo in range(0, N, chunk):
-        k1c = k[lo:lo + chunk]
+    for lo in range(0, N, _PLANE_CHUNK):
+        k1c = k[lo:lo + _PLANE_CHUNK]
         K1 = k1c[:, None]
         D = dispersion(couplings, K1, k[None, :])
         wD = _window_weight_over_dispersion(a, b, D)
@@ -172,11 +175,11 @@ def _plane_batch_fixed(couplings, h, dzs, deriv_z, deriv_zp, N, chunk=256):
     return out / (N * N)
 
 
-def plane_block_batch(couplings, h, dzs, deriv_z=(0, 0), deriv_zp=(0, 0), tol=PLANE_TOL, n_start=32):
+def plane_block_batch(couplings, h, dzs, deriv_z=(0, 0), deriv_zp=(0, 0)):
     """g_infinity^{(h)} at many displacements, with adaptive grid doubling.
 
-    Doubles the trapezoid grid from n_start until two successive grids
-    agree entrywise to `tol` on the whole batch.
+    Doubles the trapezoid grid from _PLANE_N_START until two successive
+    grids agree entrywise to PLANE_TOL on the whole batch.
 
     Returns:
         (P, 2, 2) real array.
@@ -186,14 +189,14 @@ def plane_block_batch(couplings, h, dzs, deriv_z=(0, 0), deriv_zp=(0, 0), tol=PL
     """
     if h > 0:
         raise ValueError("plane quadrature applies to h <= 0; h = 1 is the massive kernel")
-    N = n_start
+    N = _PLANE_N_START
     prev = _plane_batch_fixed(couplings, h, dzs, deriv_z, deriv_zp, N)
     while True:
         N *= 2
         if N > _PLANE_N_MAX:
-            raise RuntimeError(f"plane quadrature failed to reach {tol} by N={_PLANE_N_MAX}")
+            raise RuntimeError(f"plane quadrature failed to reach {PLANE_TOL} by N={_PLANE_N_MAX}")
         cur = _plane_batch_fixed(couplings, h, dzs, deriv_z, deriv_zp, N)
-        if np.max(np.abs(cur - prev)) <= tol:
+        if np.max(np.abs(cur - prev)) <= PLANE_TOL:
             resid = float(np.max(np.abs(cur.imag)))
             if resid > 1e-9:
                 raise AssertionError(f"imaginary residue {resid:.2e} in plane quadrature")
@@ -256,16 +259,14 @@ def _massive_plane_deriv(couplings, dz, deriv_z, deriv_zp):
 # ---------------------------------------------------------------------------
 
 
-def bulk_block(geometry, couplings, h, z, zp, plane=None):
+def bulk_block(geometry, couplings, h, z, zp):
     """Bulk part: ring_sign(dz1) * g_infinity^{(h)}(per(dz1), dz2)."""
     dz1 = z[0] - zp[0]
     s = ring_sign(dz1, geometry.L)
     if s == 0:
         return np.zeros((2, 2))
     folded = (per_range(dz1, geometry.L), z[1] - zp[1])
-    if plane is not None:
-        m = plane(folded)
-    elif h == 1:
+    if h == 1:
         m = massive_plane_block(couplings, folded)
     else:
         m = _plane_single_cached(couplings, h, folded, (0, 0), (0, 0))
@@ -295,17 +296,18 @@ def bulk_edge_split(geometry, couplings, h, z, zp):
 # ---------------------------------------------------------------------------
 
 
-def _fit_exponential(samples, shrink=0.95):
-    """Least squares c from log n = const - c x over (x, n) samples."""
+def _fit_exponential(samples):
+    """_FIT_SHRINK times the least-squares c in log n = const - c x."""
     xs = np.array([x for x, n in samples if n > 0.0])
     ys = np.log(np.array([n for x, n in samples if n > 0.0]))
     if xs.size < 3:
         raise ValueError("not enough nonzero samples for a decay fit")
     A = np.vstack([np.ones_like(xs), -xs]).T
     coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    return shrink * coef[1]
+    return _FIT_SHRINK * coef[1]
 
 
+_FIT_SHRINK = 0.9
 _FIT_X_RANGE = (0.5, 4.0)
 _FIT_NOISE_FLOOR = 1e-8
 
@@ -335,7 +337,7 @@ def _bulk_sample_displacements(h):
     return sorted(set(out))
 
 
-def bulk_decay_report(couplings, h_list, shrink=0.9):
+def bulk_decay_report(couplings, h_list):
     """Fit C, c in  sup|g_inf^{(h)}(dz)| <= C 2^h exp(-c 2^h |dz|_1).
 
     The rate c is fitted per scale by least squares and the smallest
@@ -358,7 +360,7 @@ def bulk_decay_report(couplings, h_list, shrink=0.9):
             x = 2.0 ** h * (abs(dz[0]) + abs(dz[1]))
             samples.append((x, n))
         per_h[h] = samples
-    c = min(_fit_exponential(s, shrink) for s in per_h.values())
+    c = min(_fit_exponential(s) for s in per_h.values())
     if c <= 0:
         raise AssertionError(f"fitted decay rate nonpositive: {c}")
     reports = []
@@ -443,7 +445,7 @@ def _edge_samples(geometry, couplings, h, pairs):
     return samples
 
 
-def edge_decay_report(geometry, couplings, h_list, seed=0, shrink=0.9):
+def edge_decay_report(geometry, couplings, h_list, seed=0):
     """Fit C, c in  sup|edge^{(h)}(z, z')| <= C 2^h exp(-c 2^h d_E(z, z')).
 
     The rate is fitted on the shallowest three scales over a wide
@@ -461,7 +463,7 @@ def edge_decay_report(geometry, couplings, h_list, seed=0, shrink=0.9):
         pairs = _edge_sample_pairs(geometry, h, rng, _EDGE_RATE_X_RANGE)
         samples = _edge_samples(geometry, couplings, h, pairs)
         rate_samples[h] = samples
-        c_fits.append(_fit_exponential(samples, shrink))
+        c_fits.append(_fit_exponential(samples))
     c = min(c_fits)
     if c <= 0:
         raise AssertionError(f"fitted edge decay rate nonpositive: {c}")

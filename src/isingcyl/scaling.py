@@ -25,6 +25,11 @@ import numpy as np
 from .lattice import CylinderGeometry
 
 IMAGE_TOL = 1e-10
+# Gaussian regulator, Gauss-Legendre panel width and nodes per panel of
+# `fourier_profile_check`
+_FOURIER_REGULATOR = 1e-3
+_FOURIER_PANEL_WIDTH = 2.0
+_FOURIER_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,7 @@ def rescaling_residual(cylinder, couplings, z, zp, xi, tol=IMAGE_TOL):
     return float(np.max(np.abs(xi * big - small)))
 
 
-def fourier_profile_check(couplings, points, regulator=1e-3, panel_width=2.0, nodes=16):
+def fourier_profile_check(couplings, points):
     """Cross-check the closed-form profile against its defining k-integral.
 
     Evaluates (1/(t2(1-t2))) * (2pi)^-2 * int e^{-ik.z} (-i k1)/|k|^2 with
@@ -184,21 +189,22 @@ def fourier_profile_check(couplings, points, regulator=1e-3, panel_width=2.0, no
 
     The profile z1/|z|^2 is harmonic away from the origin, so the
     Gaussian smoothing is exact up to heat leakage from the singularity,
-    which is negligible at |z| >= 1 for the default regulator.
+    which is negligible at |z| >= 1 for _FOURIER_REGULATOR.
 
     Returns:
         max absolute difference over the points.
     """
-    K = math.sqrt(34.0 / regulator)
-    n_panels = int(math.ceil(K / panel_width))
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    width = _FOURIER_PANEL_WIDTH
+    K = math.sqrt(34.0 / _FOURIER_REGULATOR)
+    n_panels = int(math.ceil(K / width))
+    xs, ws = np.polynomial.legendre.leggauss(_FOURIER_NODES)
     k = np.concatenate([
-        (xs + 1.0) * 0.5 * panel_width + i * panel_width for i in range(n_panels)
+        (xs + 1.0) * 0.5 * width + i * width for i in range(n_panels)
     ])
-    w = np.concatenate([ws * 0.5 * panel_width for _ in range(n_panels)])
+    w = np.concatenate([ws * 0.5 * width for _ in range(n_panels)])
     K1, K2 = np.meshgrid(k, k, indexing="ij")
     W = np.outer(w, w)
-    base = K1 / (K1 ** 2 + K2 ** 2) * np.exp(-regulator * (K1 ** 2 + K2 ** 2))
+    base = K1 / (K1 ** 2 + K2 ** 2) * np.exp(-_FOURIER_REGULATOR * (K1 ** 2 + K2 ** 2))
     worst = 0.0
     for z1, z2 in points:
         integrand = base * np.sin(K1 * z1) * np.cos(K2 * z2)

@@ -9,17 +9,17 @@ stable; the pivot magnitudes double as a singularity certificate for
 
 For cross-validation a combinatorial evaluator is provided that expands
 the Pfaffian over perfect matchings.  It is exponential and restricted to
-dimension <= 8; its only purpose is to anchor the sign and value of the
-elimination code in tests.
+dimension <= 8; it is a test oracle, never called by the library.
 
 Partition functions need Pf A of the 4LM x 4LM action matrix.  `exact`
 block-diagonalizes A by ring translation invariance and runs the sweep on
 each real 8M x 8M block, using its sign, log|Pf| and smallest relative
 pivot; the blocks reach thousands of rows, where the product of pivots
 over- or underflows double precision, hence the (sign, log|Pf|) form.
-`pfaffian_sign_logabs` and `skew_inverse` on the dense matrix remain the
-oracles the tests check that route against, and `energy` evaluates its
-Wick minors with them.
+On the dense action matrix, `pfaffian_sign_logabs` and `skew_inverse`
+are the oracles the tests check that route against.  `energy` folds its bond
+factors into one Wick matrix and takes each moment as a `pfaffian_minor`
+of it, so every Pfaffian the library evaluates is an elimination sweep.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+# smallest pivot, relative to the largest entry, that certifies a skew
+# matrix invertible
+PIVOT_TOL = 1e-12
 
 
 class SingularSkewError(ValueError):
@@ -215,21 +220,14 @@ def pfaffian_minor(m, indices):
     ix = np.asarray(indices, dtype=int)
     if ix.size % 2 != 0:
         raise ValueError(f"need an even number of indices, got {ix.size}")
-    if ix.size == 0:
-        return 1.0
-    sub = a[np.ix_(ix, ix)]
-    if ix.size == 2:
-        return sub[0, 1]
-    if ix.size <= 8:
-        return pfaffian_combinatorial(sub)
-    return pfaffian(sub)
+    return pfaffian(a[np.ix_(ix, ix)])
 
 
-def skew_inverse(m, pivot_threshold=1e-12):
+def skew_inverse(m):
     """Inverse of a skew-symmetric matrix, antisymmetrized in storage.
 
     The elimination sweep is run first purely to certify invertibility;
-    a pivot below `pivot_threshold` (relative to the largest entry)
+    a pivot below PIVOT_TOL (relative to the largest entry)
     raises SingularSkewError carrying the pivot magnitude.  The inverse
     itself comes from LAPACK and is then exactly antisymmetrized,
     x -> (x - x^T)/2, asserting the symmetrization defect is roundoff.
@@ -243,7 +241,7 @@ def skew_inverse(m, pivot_threshold=1e-12):
         # odd-dimensional skew matrices are always singular
         raise SingularSkewError(0.0)
     sign, _, min_rel = _parlett_reid_sweep(a)
-    if sign == 0 or min_rel < pivot_threshold:
+    if sign == 0 or min_rel < PIVOT_TOL:
         raise SingularSkewError(min_rel if sign != 0 else 0.0)
     inv = np.linalg.inv(a)
     anti = (inv - inv.T) / 2.0

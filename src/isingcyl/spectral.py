@@ -37,6 +37,10 @@ IMAG_RESIDUE_TOL = 1e-10
 # bound on a transverse root's forward error |resid / resid'|; measured
 # values stay at 1-2 eps pi for every M and critical coupling tried
 ROOT_TOL = 8.0 * np.finfo(float).eps * np.pi
+# bisection stops once every bracket is below this times pi / (M + 1);
+# Newton steps then polish each root, rejected whenever they leave it
+_BISECTION_TOL = 1e-14
+_NEWTON_STEPS = 3
 # complex entries per transient array in `mode_sum` (2 MB)
 _CHUNK_ENTRIES = 1 << 17
 
@@ -60,16 +64,13 @@ def b_of_k1_critical_form(k1, couplings):
     return 1.0 - kappa * (1.0 - np.cos(k1))
 
 
-def transverse_roots(B, M, tol=None, polish=True):
+def transverse_roots(B, M):
     """All M roots of sin(k2 (M+1)) = B sin(k2 M) in (0, pi).
 
     Args:
         B: coefficient in (0, 1] (the B = 1 edge case, k1 -> 0, is allowed
             and keeps its sign changes).
         M: number of rows.
-        tol: root location tolerance; default 1e-14 * pi / (M + 1).
-        polish: run Newton steps after bisection, rejected whenever they
-            step outside the bracket.
 
     Returns:
         Array of M roots, strictly increasing, root n inside
@@ -77,8 +78,7 @@ def transverse_roots(B, M, tol=None, polish=True):
     """
     if not 0.0 < B <= 1.0:
         raise ValueError(f"B must lie in (0, 1], got {B}")
-    if tol is None:
-        tol = 1e-14 * np.pi / (M + 1)
+    tol = _BISECTION_TOL * np.pi / (M + 1)
 
     def resid(k):
         return B * np.sin(M * k) - np.sin((M + 1) * k)
@@ -98,13 +98,12 @@ def transverse_roots(B, M, tol=None, polish=True):
         if np.max(hi - lo) < tol:
             break
     k = 0.5 * (lo + hi)
-    if polish:
-        for _ in range(3):
-            dr = B * M * np.cos(M * k) - (M + 1) * np.cos((M + 1) * k)
-            step = np.where(dr != 0, resid(k) / np.where(dr != 0, dr, 1.0), 0.0)
-            cand = k - step
-            inside = (cand > lo) & (cand < hi)
-            k = np.where(inside, cand, k)
+    for _ in range(_NEWTON_STEPS):
+        dr = B * M * np.cos(M * k) - (M + 1) * np.cos((M + 1) * k)
+        step = np.where(dr != 0, resid(k) / np.where(dr != 0, dr, 1.0), 0.0)
+        cand = k - step
+        inside = (cand > lo) & (cand < hi)
+        k = np.where(inside, cand, k)
     return k
 
 

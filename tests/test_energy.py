@@ -1,14 +1,15 @@
 """Truncated energy correlations against brute-force enumeration."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from isingcyl import energy, skew
 from isingcyl.energy import (
     BruteForceGibbs,
     EnergyBond,
-    _energy_moment,
     cumulant_from_moments,
     dense_correlator,
     scal_energy_correlation,
@@ -19,6 +20,41 @@ from isingcyl.energy import (
 from isingcyl.exact import Couplings
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.scaling import ContinuumCylinder
+from isingcyl.skew import pfaffian_combinatorial, pfaffian_sign_logabs
+
+
+def _subset_expansion_cumulant(geometry, couplings, bonds, correlator):
+    """Oracle: each moment expanded over the 2^|S| ways its bonds give
+    t_x or (1 - t_x^2) s_x psi_a psi_b, one Wick Pfaffian per way."""
+
+    def moment(block):
+        total = 0.0
+        for mask in range(1 << len(block)):
+            coef = 1.0
+            fields = []
+            for i, bond in enumerate(block):
+                t = bond.tanh_coupling(couplings)
+                if (mask >> i) & 1:
+                    fa, fb, seam = bond.fields(geometry)
+                    coef *= (1.0 - t * t) * seam
+                    fields += [fa, fb]
+                else:
+                    coef *= t
+            n = len(fields)
+            mat = np.zeros((n, n))
+            for i in range(n):
+                for j in range(i + 1, n):
+                    mat[i, j] = correlator(fields[i], fields[j])
+                    mat[j, i] = -mat[i, j]
+            if n <= 8:
+                pf = pfaffian_combinatorial(mat)
+            else:
+                sign, logabs = pfaffian_sign_logabs(mat)
+                pf = sign * math.exp(logabs)
+            total += coef * pf
+        return total
+
+    return cumulant_from_moments(moment, bonds)
 
 
 def test_bond_validation_and_wrap():
@@ -84,9 +120,66 @@ def test_cumulant_looks_up_each_field_pair_once(route):
              EnergyBond(8, 5, 2)]
     value = truncated_energy_correlation(g, cpl, bonds, correlator=corr)
     assert len(calls) == len(set(calls)) <= 28
-    # the same cumulant with every Wick entry fetched afresh
-    ref = cumulant_from_moments(lambda block: _energy_moment(g, cpl, block, raw), bonds)
-    assert value == ref
+    # the subset expansion with every Wick entry fetched afresh
+    ref = _subset_expansion_cumulant(g, cpl, bonds, raw)
+    assert abs(value - ref) <= 1e-13
+
+
+# a cluster of horizontal and vertical bonds on 8x8, the first across the seam
+_MIXED_BONDS = [EnergyBond(8, 3, 1), EnergyBond(1, 4, 2), EnergyBond(2, 3, 1),
+                EnergyBond(2, 5, 2), EnergyBond(3, 4, 1), EnergyBond(7, 5, 1)]
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_cumulant_matches_subset_expansion_past_brute_force_cap(m):
+    g = CylinderGeometry(8, 8)
+    cpl = Couplings.from_beta(0.4, 1.0, 0.9)
+    bonds = _MIXED_BONDS[:m]
+    got = truncated_energy_correlation(g, cpl, bonds)
+    ref = _subset_expansion_cumulant(g, cpl, bonds, dense_correlator(g, cpl))
+    assert abs(got - ref) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_cumulant_takes_one_pfaffian_per_subset_moment(m, monkeypatch):
+    g = CylinderGeometry(8, 8)
+    cpl = Couplings.from_beta(0.4, 1.0, 0.9)
+    raw = dense_correlator(g, cpl)
+    counts = {"minor": 0, "sweep": 0, "lookup": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(energy, "pfaffian_minor", counted("minor", energy.pfaffian_minor))
+    monkeypatch.setattr(skew, "pfaffian_sign_logabs",
+                        counted("sweep", skew.pfaffian_sign_logabs))
+    truncated_energy_correlation(g, cpl, _MIXED_BONDS[:m],
+                                 correlator=counted("lookup", raw))
+    assert counts == {"minor": 2 ** m - 1, "sweep": 2 ** m - 1,
+                      "lookup": m * (2 * m - 1)}
+
+
+def test_energy_never_calls_the_combinatorial_pfaffian(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("combinatorial Pfaffian called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("isingcyl") and \
+                getattr(module, "pfaffian_combinatorial", None) is pfaffian_combinatorial:
+            monkeypatch.setattr(module, "pfaffian_combinatorial", refuse)
+    g = CylinderGeometry(4, 3)
+    cpl = Couplings.from_beta(0.35, 0.9, 1.2)
+    bonds = [EnergyBond(4, 1, 1), EnergyBond(2, 2, 2), EnergyBond(1, 3, 1),
+             EnergyBond(3, 2, 2)]
+    assert math.isfinite(truncated_energy_correlation(g, cpl, bonds))
+    cyl = ContinuumCylinder(1.0, 1.0)
+    marked = [((0.1, 0.2), 1), ((0.4, 0.3), 2), ((0.6, 0.7), 2), ((0.9, 0.5), 1)]
+    for k in (2, 4):
+        assert math.isfinite(scal_energy_correlation(
+            cyl, Couplings.isotropic_critical(), marked[:k]))
 
 
 @pytest.mark.parametrize("L,M", [(4, 3), (6, 2)])

@@ -32,7 +32,6 @@ from isingcyl.kernels import (
     renormalization_operator,
     span_projection,
     symmetrize,
-    verify_interpolation_bounds,
     wedge_expansion,
     weighted_norm,
 )
@@ -213,12 +212,15 @@ def test_localization_lands_in_the_marginal_span():
 def test_renormalization_case_table():
     rng = np.random.default_rng(10)
     v = symmetrize(_mixed(rng, entries=4))
-    for sector in ((2, 0), (2, 1), (4, 0)):
-        assert renormalization_operator(v, sector).max_abs() == 0.0
     # sectors outside the special set pass through untouched
-    v22 = random_sparse_kernel(rng, 2, 2, entries=3)
-    extra = renormalization_operator(v22, (6, 0))
-    assert extra.max_abs_diff(v22.sector(6, 0)) == 0.0
+    v = v.plus(random_sparse_kernel(rng, 6, 0, entries=3)).plus(
+        random_sparse_kernel(rng, 2, 3, entries=3))
+    ren = renormalization_operator(v)
+    for sector in ((2, 0), (2, 1), (4, 0)):
+        assert ren.sector(*sector).max_abs() == 0.0
+    for sector in ((6, 0), (2, 3)):
+        assert len(v.sector(*sector))
+        assert ren.sector(*sector).max_abs_diff(v.sector(*sector)) == 0.0
 
 
 def test_operators_require_certificate():
@@ -272,17 +274,34 @@ def test_interpolation_bounds_parameter_validation():
     rng = np.random.default_rng(14)
     v = random_sparse_kernel(rng, 2, 0, entries=3)
     with pytest.raises(ValueError):
-        verify_interpolation_bounds(v, -0.1, 0.5)
+        interpolation_bound_reports(v, [(-0.1, 0.5)])
     with pytest.raises(ValueError):
-        verify_interpolation_bounds(v, 0.1, 0.0)
+        interpolation_bound_reports(v, [(0.1, 0.0)])
 
 
 def test_single_report_matches_batch():
     rng = np.random.default_rng(15)
     v = _mixed(rng, entries=3)
-    lone = verify_interpolation_bounds(v, 0.1, 0.25)
-    batch = interpolation_bound_reports(v, [(0.1, 0.25)])[0]
+    lone = interpolation_bound_reports(v, [(0.1, 0.25)])[0]
+    batch = interpolation_bound_reports(v, [(0.0, 0.5), (0.1, 0.25)])[1]
     assert lone == batch
+
+
+def test_bound_report_interpolates_each_sector_once(monkeypatch):
+    # three interpolated sectors plus the second (2, 0) step, shared by
+    # the single, double and renormalized bounds
+    rng = np.random.default_rng(17)
+    v = symmetrize(_mixed(rng, entries=3))
+    calls = []
+
+    def counted(kernel, n, p):
+        calls.append((n, p))
+        return interpolate_remainder(kernel, n, p)
+
+    monkeypatch.setattr(kernels, "interpolate_remainder", counted)
+    reports = interpolation_bound_reports(v, [(0.0, 0.5), (0.2, 0.1)])
+    assert len(calls) <= 4
+    assert len(reports) == 2 and len(reports[0]) == 6
 
 
 # ---------------------------------------------------------------------------
