@@ -30,6 +30,9 @@ from .skew import SingularSkewError
 
 SCHEMA_VERSION = "1"
 ORACLE_SITE_CAP = 20
+# largest arity for `kernels --random`: its draw enumerates 6^n splittings,
+# ~2 s at n = 8 and 36 times that at n = 10
+RANDOM_KERNEL_MAX_N = 8
 
 
 class UsageError(Exception):
@@ -458,13 +461,16 @@ def _load_kernel_arg(args):
         n, p = (int(tok) for tok in str(args.random).split(","))
     except ValueError:
         raise UsageError("--random: expected n,p (e.g. 2,1)")
+    if n > RANDOM_KERNEL_MAX_N:
+        raise UsageError(f"--random: n = {n} exceeds {RANDOM_KERNEL_MAX_N}; drawing "
+                         f"enumerates all 6^n derivative splittings")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     entries = args.entries if args.entries is not None else 6
     box = args.box if args.box is not None else 3
     try:
         return kernels.random_sparse_kernel(rng, n, p, entries=entries,
                                             box=box)
-    except (ValueError, IndexError):
+    except ValueError:
         raise UsageError(f"--random: no sector ({n}, {p})")
 
 

@@ -29,11 +29,24 @@ becomes the direct sum of L/2 real skew 8M x 8M blocks
 built by `ring_blocks` straight from the couplings.  The transform has
 determinant det(Q)^{4M} = +1, and the reordering of the flat
 (z2, z1, species) rows into (pair, cos/sin, z2, species) moves whole runs
-of four rows, so it is even: Pf A = prod_k Pf B_k.  Each block's sign,
-log|Pf| and smallest relative pivot come from the Parlett-Reid sweep of
-`skew`, for a cost of O(L M^3) instead of O((LM)^3).  The dense matrix
-itself (`build_action_matrix`) is kept as the oracle the tests compare
-against.
+of four rows, so it is even: Pf A = prod_k Pf B_k.
+
+Each block's Pfaffian is a complex determinant of half its size,
+Pf B_k = det C_k with C_k = X_k + i Y_k (n = 4M rows, n even):
+
+  - B is unitarily similar to diag(C, conj C).
+  - X is skew and Y symmetric, so conj C = -C^T and det conj C = det C:
+    det C is real and det B = (det C)^2.
+  - Pf B and det C are then polynomials in the entries of X and Y whose
+    squares agree, so they agree up to one global sign.
+  - At X = 0, Y = 1 both equal (-1)^{n(n-1)/2} = i^n, hence Pf B = det C.
+
+`partition_function_log` takes the sign and log|Pf| of every block from
+one batched LU (`numpy.linalg.slogdet`), for a cost of O(L M^3) instead
+of O((LM)^3).  The LU phase of a real determinant is +-1, so its
+imaginary part is a scale-free roundoff certificate, gated by
+PHASE_TOL.  The dense matrix itself (`build_action_matrix`) is kept as
+the oracle the tests compare against.
 
 Wick's rule reduces every even correlation to a Pfaffian of two-point
 functions <Phi_i Phi_j> = -[A^{-1}]_{ij}.  The same blocks give the
@@ -56,10 +69,13 @@ import numpy as np
 
 from .blocks import PropagatorBlock
 from .lattice import CylinderGeometry
-from .skew import PIVOT_TOL, SingularSkewError, SkewMatrix, _parlett_reid_sweep
+from .skew import PIVOT_TOL, SingularSkewError, SkewMatrix
 from .spectral import antiperiodic_momenta
 
 CRITICAL_TOL = 1e-14
+
+# largest |Im| of a ring block's determinant phase, which is +-1 exactly
+PHASE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -211,15 +227,6 @@ def ring_blocks(geometry, couplings):
     return a0 + np.cos(k) * (a1 - a1.T), np.sin(k) * (a1 + a1.T)
 
 
-def _block_sweeps(x, y):
-    """Parlett-Reid sweep of each real 8M x 8M ring block.
-
-    Returns:
-        list of (sign, log|Pf B_k|, smallest relative pivot), one per pair.
-    """
-    return [_parlett_reid_sweep(b) for b in np.block([[x, y], [-y, x]])]
-
-
 @dataclass(frozen=True)
 class PartitionResult:
     """log Z split into its exactly known pieces plus the Pfaffian."""
@@ -232,8 +239,8 @@ class PartitionResult:
 def partition_function_log(geometry, beta, J1, J2):
     """Exact log partition function via the Pfaffian formula.
 
-    Pf A is the product of the ring-block Pfaffians (module docstring);
-    the dense action matrix is never formed.
+    Pf A is the product of the ring-block determinants det C_k (module
+    docstring); the dense action matrix is never formed.
 
     Args:
         geometry: CylinderGeometry.
@@ -243,30 +250,40 @@ def partition_function_log(geometry, beta, J1, J2):
         PartitionResult with log Z = LM log 2 + LM log cosh(beta J1)
         + L(M-1) log cosh(beta J2) + log|Pf A| and the sign of Pf A under
         the canonical index ordering.
+
+    Raises:
+        ArithmeticError: a block determinant is exactly zero.
+        AssertionError: a block's determinant phase is off the real axis
+            by more than PHASE_TOL.
     """
     L, M = geometry.L, geometry.M
     couplings = Couplings.from_beta(beta, J1, J2)
-    sign, log_pf = 1.0, 0.0
-    for block_sign, logabs, _ in _block_sweeps(*ring_blocks(geometry, couplings)):
-        if block_sign == 0:
-            raise ArithmeticError("action matrix is singular; Z would vanish")
-        sign *= block_sign
-        log_pf += logabs
+    x, y = ring_blocks(geometry, couplings)
+    phase, logabs = np.linalg.slogdet(x + 1j * y)
+    if np.any(phase == 0):
+        raise ArithmeticError("action matrix is singular; Z would vanish")
+    imag = np.max(np.abs(phase.imag))
+    if imag > PHASE_TOL:
+        raise AssertionError(
+            f"ring-block determinant phase off the real axis by {imag:.3e} > {PHASE_TOL:.0e}"
+        )
+    sign = float(np.prod(np.sign(phase.real)))
+    log_pf = float(np.sum(logabs))
     prefactor = (
         L * M * math.log(2.0)
         + L * M * math.log(math.cosh(beta * J1))
         + L * (M - 1) * math.log(math.cosh(beta * J2))
     )
-    return PartitionResult(prefactor + log_pf, float(sign), log_pf)
+    return PartitionResult(prefactor + log_pf, sign, log_pf)
 
 
 class PropagatorCache:
     """Dense two-point function <Phi_i Phi_j> = -[A^{-1}]_{ij}.
 
-    Built from the ring blocks: each block is certified invertible by its
-    Parlett-Reid pivots (a pivot below PIVOT_TOL relative to the block's
-    largest entry raises SingularSkewError), the complex 4M x 4M blocks
-    X_k + i Y_k are inverted, and the back-transform gives the 4M x 4M
+    Built from the ring blocks: each complex 4M x 4M block C_k = X_k + i Y_k
+    is certified invertible by its reciprocal condition number
+    sigma_min / sigma_max (below PIVOT_TOL raises SingularSkewError), the
+    blocks are inverted, and the back-transform gives the 4M x 4M
     kernel g(d) of every column offset d = z1 - z1' in (-L, L).  g is
     antisymmetrized exactly, g(d) -> (g(d) - g(-d)^T)/2, after checking
     that this moves it by no more than roundoff, and then tiled into the
@@ -281,10 +298,13 @@ class PropagatorCache:
         self.couplings = couplings
         L, M = geometry.L, geometry.M
         x, y = ring_blocks(geometry, couplings)
-        for sign, _, min_rel in _block_sweeps(x, y):
-            if sign == 0 or min_rel < PIVOT_TOL:
-                raise SingularSkewError(min_rel if sign != 0 else 0.0)
-        inv = np.linalg.inv(x + 1j * y)
+        c = x + 1j * y
+        sv = np.linalg.svd(c, compute_uv=False)
+        # an all-zero block has sigma_max = 0 and counts as ratio 0
+        ratio = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
+        if ratio.min() < PIVOT_TOL:
+            raise SingularSkewError(float(ratio.min()))
+        inv = np.linalg.inv(c)
         offsets = np.arange(1 - L, L)
         phase = np.exp(1j * np.outer(offsets, ring_momenta(L)))
         g = (-2.0 / L) * (phase @ inv.reshape(L // 2, -1)).real

@@ -29,7 +29,6 @@ identical coefficient maps.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -399,7 +398,7 @@ def localization_operator(kernel):
     """
     _require_certified(kernel)
     local20 = symmetrize(localize_collapse(kernel, 2, 0))
-    spread = interpolate_remainder(kernel.sector(2, 0), 2, 0)
+    spread = interpolate_remainder(kernel, 2, 0)
     local21 = symmetrize(
         localize_collapse(kernel, 2, 1).plus(localize_collapse(spread)))
     return local20.plus(local21)
@@ -412,7 +411,7 @@ def _interpolations(kernel):
     each sector in INTERPOLATED_SECTORS, the (2, 0) sector interpolated
     twice, and the symmetrized renormalized blocks keyed by sector.
     """
-    once = {(n, p): interpolate_remainder(kernel.sector(n, p), n, p)
+    once = {(n, p): interpolate_remainder(kernel, n, p)
             for n, p in INTERPOLATED_SECTORS}
     twice = interpolate_remainder(once[(2, 0)], 2, 1)
     renormalized = {
@@ -433,12 +432,11 @@ def renormalization_operator(kernel):
     """
     _require_certified(kernel)
     _, _, renormalized = _interpolations(kernel)
+    replaced = set(INTERPOLATED_SECTORS) | set(renormalized)
+    passed = [kernel.sector(n, p) for n, p in kernel.sectors() if (n, p) not in replaced]
     out = Kernel(translation_invariant=True)
-    for n, p in kernel.sectors():
-        if (n, p) not in INTERPOLATED_SECTORS and (n, p) not in renormalized:
-            out = out.plus(kernel.sector(n, p))
-    for block in renormalized.values():
-        out = out.plus(block)
+    for part in passed + list(renormalized.values()):
+        out._data.update(part.items())
     return out
 
 
@@ -502,16 +500,8 @@ def span_projection(kernel, basis):
 
 
 def _tree_distance(ztuple):
-    distinct = sorted(set(ztuple))
-    if len(distinct) == 1:
-        return 0
-    x0, y0 = distinct[0]
-    return _steiner_cached(tuple((x - x0, y - y0) for x, y in distinct))
-
-
-@functools.lru_cache(maxsize=1 << 18)
-def _steiner_cached(shape):
-    return steiner_length(shape)
+    distinct = set(ztuple)
+    return steiner_length(distinct) if len(distinct) > 1 else 0
 
 
 def _norm_table(kernel, n, p):
@@ -732,8 +722,11 @@ def random_sparse_kernel(rng, n, p, entries=6, box=3, translation_invariant=True
 
     Positions are drawn from the centered box, derivative labels
     uniformly among the splittings of p over n fields, values uniform
-    in [-1, 1].
+    in [-1, 1].  The splittings are enumerated, 6^n label tuples, so
+    the sector is validated first.
     """
+    if n < 2 or n % 2 or not 0 <= p <= 2 * n:
+        raise ValueError(f"no sector ({n}, {p}): n must be even and >= 2, 0 <= p <= 2n")
     splittings = [ds for ds in itertools.product(DERIV_SET, repeat=n)
                   if sum(a + b for a, b in ds) == p]
     out = Kernel(translation_invariant=translation_invariant)

@@ -18,13 +18,14 @@ boundary: it is the minimum over (i) reflecting the pair off the top or
 bottom row and (ii) winding the long way around the cylinder.
 
 `steiner_length` is the exact rectilinear Steiner minimal tree length of
-up to four points, used as the decay exponent delta in weighted kernel
-norms.
+up to four points, in closed form (Hwang 1976): the bounding-box
+half-perimeter, plus for four points the shorter middle gap when the
+x- and y-median splits pair them differently.  It is the decay exponent
+delta in weighted kernel norms.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -83,48 +84,16 @@ def edge_distance(z, zp, L, M):
     return min(via_boundary, around)
 
 
-def _l1(p, q):
-    return abs(p[0] - q[0]) + abs(p[1] - q[1])
-
-
-def _mst_length(points):
-    """Prim's algorithm on the complete l1 graph (tiny point sets)."""
-    n = len(points)
-    if n <= 1:
-        return 0
-    in_tree = [False] * n
-    dist = [_l1(points[0], q) for q in points]
-    in_tree[0] = True
-    total = 0
-    for _ in range(n - 1):
-        best, best_d = -1, None
-        for i in range(n):
-            if not in_tree[i] and (best_d is None or dist[i] < best_d):
-                best, best_d = i, dist[i]
-        in_tree[best] = True
-        total += best_d
-        for i in range(n):
-            if not in_tree[i]:
-                d = _l1(points[best], points[i])
-                if d < dist[i]:
-                    dist[i] = d
-    return total
-
-
 def steiner_length(points):
     """Exact rectilinear Steiner minimal tree length for up to 4 points.
 
-    Candidate Steiner points are restricted to the Hanan grid (pairwise
-    intersections of horizontal/vertical lines through the terminals),
-    which is exact for the rectilinear metric.  A tree on n terminals
-    needs at most n - 2 Steiner points, so subsets of size <= 2 suffice.
-
-    Repeated points are collapsed first; a single distinct point has
-    length 0.  Three distinct points always meet at the coordinate-wise
-    median, giving the bounding-box half-perimeter; four points fall
-    back on the Hanan enumeration, stopped early when the half-perimeter
-    lower bound (any spanning tree projects onto the full extent of
-    both axes) is reached.
+    On the distinct points: one point has length 0; two or three points
+    have the bounding-box half-perimeter (three meet at the
+    coordinate-wise median).  Four points need the half-perimeter plus
+    min(x3 - x2, y3 - y2) (sorted coordinates) when the median splits
+    in x and in y pair them differently, and nothing more otherwise; a
+    tie at either median makes that extra term 0.  This is the degree-4
+    case of Hwang, SIAM J. Appl. Math. 30, 104 (1976).
 
     Args:
         points: iterable of 2 to 4 integer pairs (before deduplication).
@@ -136,26 +105,14 @@ def steiner_length(points):
     if not 2 <= len(pts) <= 4:
         raise ValueError(f"steiner_length supports 2..4 points, got {len(pts)}")
     terminals = sorted(set(pts))
-    n = len(terminals)
-    if n == 1:
-        return 0
-    if n == 2:
-        return _l1(terminals[0], terminals[1])
-    xs = sorted({p[0] for p in terminals})
-    ys = sorted({p[1] for p in terminals})
-    half_perimeter = xs[-1] - xs[0] + ys[-1] - ys[0]
-    if n == 3:
-        return half_perimeter
-    best = _mst_length(terminals)
-    if best == half_perimeter:
-        return best
-    hanan = [(x, y) for x in xs for y in ys if (x, y) not in set(terminals)]
-    for k in range(1, n - 1):
-        for extra in itertools.combinations(hanan, k):
-            best = min(best, _mst_length(terminals + list(extra)))
-            if best == half_perimeter:
-                return best
-    return best
+    xs = sorted(x for x, _ in terminals)
+    ys = sorted(y for _, y in terminals)
+    length = xs[-1] - xs[0] + ys[-1] - ys[0]
+    if len(terminals) == 4:
+        bottom = sorted(terminals, key=lambda p: (p[1], p[0]))[:2]
+        if len(set(terminals[:2]) & set(bottom)) == 1:
+            length += min(xs[2] - xs[1], ys[2] - ys[1])
+    return length
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,15 @@ the Pfaffian over perfect matchings.  It is exponential and restricted to
 dimension <= 8; it is a test oracle, never called by the library.
 
 Partition functions need Pf A of the 4LM x 4LM action matrix.  `exact`
-block-diagonalizes A by ring translation invariance and runs the sweep on
-each real 8M x 8M block, using its sign, log|Pf| and smallest relative
-pivot; the blocks reach thousands of rows, where the product of pivots
-over- or underflows double precision, hence the (sign, log|Pf|) form.
-On the dense action matrix, `pfaffian_sign_logabs` and `skew_inverse`
-are the oracles the tests check that route against.  `energy` folds its bond
-factors into one Wick matrix and takes each moment as a `pfaffian_minor`
-of it, so every Pfaffian the library evaluates is an elimination sweep.
+block-diagonalizes A by ring translation invariance and takes each real
+8M x 8M block's Pfaffian as the determinant of a complex 4M x 4M matrix,
+so the sweep is not on that path.  On the dense action matrix,
+`pfaffian_sign_logabs` and `skew_inverse` are the oracles the tests
+check that route against; the (sign, log|Pf|) form keeps them safe
+where the product of pivots over- or underflows double precision.
+`energy` folds its bond factors into one Wick matrix and takes each
+moment as a `pfaffian_minor` of it, so every Pfaffian the library
+evaluates outside `exact` is an elimination sweep.
 """
 
 from __future__ import annotations
@@ -29,22 +30,24 @@ import math
 import numpy as np
 
 
-# smallest pivot, relative to the largest entry, that certifies a skew
-# matrix invertible
+# smallest relative singularity measure that certifies a matrix invertible:
+# a sweep pivot over the largest entry (`skew_inverse`), or a ring block's
+# smallest over its largest singular value (`exact.PropagatorCache`)
 PIVOT_TOL = 1e-12
 
 
 class SingularSkewError(ValueError):
-    """Raised when elimination meets a pivot below the relative threshold.
+    """Raised when a matrix is numerically singular relative to PIVOT_TOL.
 
     Attributes:
-        pivot: magnitude of the offending pivot (relative to the largest
-            entry of the input matrix).
+        pivot: the offending relative measure: an elimination pivot over
+            the largest entry of the input matrix, or a block's smallest
+            over its largest singular value.
     """
 
     def __init__(self, pivot):
         self.pivot = pivot
-        super().__init__(f"skew matrix numerically singular, relative pivot {pivot:.3e}")
+        super().__init__(f"skew matrix numerically singular, relative measure {pivot:.3e}")
 
 
 class SkewMatrix:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -218,6 +219,22 @@ def test_singular_ring_block_exits_two_in_one_line(capsys, monkeypatch, command)
     assert "Traceback" not in err
 
 
+def test_imaginary_ring_determinant_exits_two_in_one_line(capsys, monkeypatch):
+    original = exact.ring_blocks
+    theta = math.pi / (2 * 4 * 3)  # det(e^{i theta} C_k) is imaginary for 4M = 12
+
+    def rotated_blocks(geometry, couplings):
+        x, y = original(geometry, couplings)
+        return math.cos(theta) * x - math.sin(theta) * y, math.sin(theta) * x + math.cos(theta) * y
+
+    monkeypatch.setattr(exact, "ring_blocks", rotated_blocks)
+    code, _, err = run(capsys, "partition", "--L", "4", "--M", "3",
+                       "--beta", "0.4", "--J1", "1", "--J2", "1")
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("certificate failure:") and "phase" in err
+
+
 def test_partition_at_32_by_32(capsys):
     code, out, _ = run(capsys, "partition", "--L", "32", "--M", "32",
                        "--beta", "0.4", "--J1", "1", "--J2", "1")
@@ -256,6 +273,15 @@ def test_kernels_bounds_report(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[2] == "rate,rate_step,name,value,bound,margin"
     assert all(float(line.split(",")[-1]) >= 0.0 for line in lines[3:])
+
+
+@pytest.mark.parametrize("sector", ["9,0", "12,0", "1,0", "3,1", "2,5", "4,-1"])
+def test_kernels_random_rejects_bad_sectors_quickly(capsys, sector):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "kernels", "--random", sector)
+    assert code == 1
+    assert err.startswith("error: --random:")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_kernels_input_and_random_exclusive(capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from isingcyl import exact
+from isingcyl import exact, skew
 from isingcyl.energy import BruteForceGibbs
 from isingcyl.exact import (
     Couplings,
@@ -177,6 +177,51 @@ def test_singular_ring_block_is_rejected(monkeypatch, scale):
     if scale == 0.0:
         with pytest.raises(ArithmeticError):
             partition_function_log(g, 0.4, 1.0, 1.0)
+
+
+def test_ring_route_runs_no_elimination_sweep(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense elimination on the ring-block path")
+
+    monkeypatch.setattr(skew, "_parlett_reid_sweep", forbidden)
+    monkeypatch.setattr(exact, "_parlett_reid_sweep", forbidden, raising=False)
+    monkeypatch.setattr(np, "block", forbidden)
+    g = CylinderGeometry(8, 5)
+    res = partition_function_log(g, 0.4, 1.0, 0.7)
+    assert res.pf_sign == 1.0 and math.isfinite(res.log_z)
+    PropagatorCache(g, Couplings(0.35, 0.45))
+
+
+def _with_rotated_blocks(theta):
+    """`ring_blocks` whose X_k + i Y_k are all multiplied by e^{i theta}."""
+    original = exact.ring_blocks
+
+    def blocks(geometry, couplings):
+        x, y = original(geometry, couplings)
+        c, s = math.cos(theta), math.sin(theta)
+        return c * x - s * y, s * x + c * y
+
+    return blocks
+
+
+def test_imaginary_ring_determinant_trips_the_phase_gate(monkeypatch):
+    g = CylinderGeometry(4, 3)
+    # det(e^{i theta} C) = e^{i n theta} det C with n = 4M rows: purely imaginary
+    monkeypatch.setattr(exact, "ring_blocks", _with_rotated_blocks(math.pi / (2 * 4 * g.M)))
+    with pytest.raises(AssertionError, match="phase"):
+        partition_function_log(g, 0.4, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 12, 16, 40])
+def test_real_block_pfaffian_is_complex_determinant(n):
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        a, b = rng.normal(size=(2, n, n))
+        x, y = a - a.T, b + b.T
+        sign, logabs = pfaffian_sign_logabs(np.block([[x, y], [-y, x]]))
+        det = np.linalg.det(x + 1j * y)
+        pf = sign * math.exp(logabs)
+        assert abs(det - pf) <= 1e-12 * abs(pf)
 
 
 def _series_kernel(y, L, t1):

@@ -1,5 +1,7 @@
 """Cylinder geometry, folded distances, and Steiner tree lengths."""
 
+import itertools
+
 import pytest
 
 from isingcyl.lattice import (
@@ -109,3 +111,49 @@ def test_steiner_four_corners_beats_mst():
 def test_steiner_collinear_and_duplicates():
     assert steiner_length(((0, 0), (3, 0), (7, 0))) == 7
     assert steiner_length(((1, 1), (1, 1), (4, 1))) == 3
+
+
+def _l1(p, q):
+    return abs(p[0] - q[0]) + abs(p[1] - q[1])
+
+
+def _mst_length(points):
+    """Prim's algorithm on the complete l1 graph of distinct points."""
+    dist = {p: _l1(points[0], p) for p in points[1:]}
+    total = 0
+    while dist:
+        q = min(dist, key=dist.get)
+        total += dist.pop(q)
+        for p in dist:
+            dist[p] = min(dist[p], _l1(q, p))
+    return total
+
+
+def _hanan_steiner_length(points):
+    """Steiner length by enumeration over the Hanan grid (the oracle).
+
+    Some minimal rectilinear tree takes its Steiner points from the grid
+    of lines through the terminals (Hanan 1966), and a tree on n
+    terminals needs at most n - 2 of them.  No tree is shorter than the
+    bounding-box half-perimeter, so the search stops once it is reached.
+    """
+    terminals = sorted(set(points))
+    xs = sorted({x for x, _ in terminals})
+    ys = sorted({y for _, y in terminals})
+    half_perimeter = xs[-1] - xs[0] + ys[-1] - ys[0]
+    hanan = [(x, y) for x in xs for y in ys if (x, y) not in terminals]
+    best = _mst_length(terminals)
+    for k in range(1, len(terminals) - 1):
+        for extra in itertools.combinations(hanan, k):
+            if best == half_perimeter:
+                return best
+            best = min(best, _mst_length(terminals + list(extra)))
+    return best
+
+
+def test_steiner_closed_form_matches_hanan_enumeration():
+    grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    multisets = list(itertools.combinations_with_replacement(grid, 4))
+    assert len(multisets) == 20475
+    for pts in multisets:
+        assert steiner_length(pts) == _hanan_steiner_length(pts), pts
