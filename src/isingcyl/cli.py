@@ -64,10 +64,17 @@ def _emit_csv(args, header, rows):
     text = buf.getvalue()
     out = getattr(args, "output", None)
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        _write_file(out, text, "--output")
     else:
         sys.stdout.write(text)
+
+
+def _write_file(path, text, flag):
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise UsageError(f"{flag}: cannot write: {err}")
 
 
 def _load_json_arg(value, flag):
@@ -144,10 +151,19 @@ def _resolve_geometry(args):
 
 
 def _parse_site(text, flag):
-    parts = str(text).replace(",", " ").split()
-    if len(parts) != 2:
+    try:
+        x, y = (int(tok) for tok in str(text).replace(",", " ").split())
+    except ValueError:
         raise UsageError(f"{flag}: expected two integers, got {text!r}")
-    return (int(parts[0]), int(parts[1]))
+    return (x, y)
+
+
+def _brute_force(geometry, beta, J1, J2):
+    n_sites = geometry.L * geometry.M
+    if n_sites > ORACLE_SITE_CAP:
+        raise UsageError(f"--oracle enumerates 2^(L*M) spin configurations; "
+                         f"L*M = {n_sites} exceeds the cap {ORACLE_SITE_CAP}")
+    return energy.BruteForceGibbs(geometry, beta, J1, J2)
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +181,7 @@ def cmd_partition(args):
            result.log_z, result.pf_sign, result.log_pf_abs]
     failed = False
     if args.oracle:
-        n_sites = geometry.L * geometry.M
-        if n_sites > ORACLE_SITE_CAP:
-            raise UsageError(
-                f"--oracle enumerates 2^(L*M) spin configurations; "
-                f"L*M = {n_sites} exceeds the cap {ORACLE_SITE_CAP}")
-        brute = energy.BruteForceGibbs(geometry, beta, J1, J2)
-        ref = brute.log_partition()
+        ref = _brute_force(geometry, beta, J1, J2).log_partition()
         abs_err = abs(result.log_z - ref)
         rel_err = abs_err / abs(ref)
         header += ["oracle_log_z", "abs_err", "rel_err"]
@@ -352,8 +362,13 @@ def cmd_scaling(args):
                  for z, zp in raw]
     except (TypeError, ValueError, IndexError):
         raise UsageError("--pairs: expected [[[x,y],[x',y']], ...]")
-    records = scaling.scaling_remainder_records(cylinder, couplings, pairs,
-                                                meshes)
+    try:
+        records = scaling.scaling_remainder_records(cylinder, couplings, pairs,
+                                                    meshes)
+    except (ValueError, ZeroDivisionError) as err:
+        # bad pairs: a point on a boundary row, or a pair coincident
+        # around the ring or with its mirror image
+        raise UsageError(f"--pairs: {err}")
     header = ["pair_id", "a", "L", "M", "residual_norm", "fitted_slope"]
     rows = [[rec["pair_id"], rec["a"], rec["L"], rec["M"],
              rec["residual_norm"], rec["fitted_slope"]] for rec in records]
@@ -401,7 +416,7 @@ def cmd_correlations(args):
             raise UsageError("--marked: expected [[x, y, direction], ...]")
         try:
             value = energy.scal_energy_correlation(cylinder, couplings, marked)
-        except ValueError as err:
+        except (ValueError, ZeroDivisionError) as err:
             raise UsageError(str(err))
         marked_txt = ";".join(f"{p[0]}:{p[1]}:{d}" for p, d in marked)
         _emit_csv(args, ["marked", "t1", "t2", "value"],
@@ -426,13 +441,7 @@ def cmd_correlations(args):
     row = [bonds_txt, beta, value]
     failed = False
     if args.oracle:
-        n_sites = geometry.L * geometry.M
-        if n_sites > ORACLE_SITE_CAP:
-            raise UsageError(
-                f"--oracle enumerates 2^(L*M) spin configurations; "
-                f"L*M = {n_sites} exceeds the cap {ORACLE_SITE_CAP}")
-        brute = energy.BruteForceGibbs(geometry, beta, J1, J2)
-        ref = brute.truncated(bonds)
+        ref = _brute_force(geometry, beta, J1, J2).truncated(bonds)
         abs_err = abs(value - ref)
         rel_err = abs_err / max(abs(ref), 1e-300)
         header += ["oracle_value", "abs_err", "rel_err"]
@@ -470,8 +479,8 @@ def _load_kernel_arg(args):
     try:
         return kernels.random_sparse_kernel(rng, n, p, entries=entries,
                                             box=box)
-    except ValueError:
-        raise UsageError(f"--random: no sector ({n}, {p})")
+    except ValueError as err:
+        raise UsageError(f"--random: {err}")
 
 
 def cmd_kernels(args):
@@ -491,8 +500,7 @@ def cmd_kernels(args):
         except ValueError as err:
             raise UsageError(str(err))
     if args.save is not None:
-        with open(args.save, "w", newline="") as fh:
-            fh.write(kernels.kernel_to_text(kernel))
+        _write_file(args.save, kernels.kernel_to_text(kernel), "--save")
     if args.bounds:
         rate_step = args.rate_step if args.rate_step is not None else 0.5
         rates_txt = args.rate if args.rate is not None else "0"
@@ -539,9 +547,8 @@ def cmd_verify(args):
     payload = {"schema": int(SCHEMA_VERSION), "seed": args.seed,
                "suite": suite, "records": records}
     if args.json is not None:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_file(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    "--json")
     elif failed:
         json.dump({"schema": int(SCHEMA_VERSION), "seed": args.seed,
                    "failed": failed}, sys.stderr, indent=2, sort_keys=True)

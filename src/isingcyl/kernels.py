@@ -14,9 +14,10 @@ certificate established by `certify_translation_invariance` (an
 exhaustive consistency test over the support), never an assumption.
 The localization and renormalization operators require the certificate.
 
-All merging steps accumulate contributions per target label and reduce
-them with `math.fsum`, dividing by symmetry-group sizes only at the
-end.  Structural cancellations (repeated labels under permutation
+All merging steps accumulate contributions per target label (for
+symmetrization, per canonical field ordering) and reduce them with
+`math.fsum`, dividing by the symmetry-group order only at the end.
+Structural cancellations (repeated labels under permutation
 antisymmetrization, reflection-odd components) therefore come out as
 exact floating-point zeros, not small residues.
 
@@ -29,6 +30,7 @@ identical coefficient maps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -78,10 +80,10 @@ class Kernel:
         self.translation_invariant = translation_invariant
 
     @classmethod
-    def _from_buffer(cls, buffer, translation_invariant, divisor=1.0):
+    def _from_buffer(cls, buffer, translation_invariant):
         out = cls(translation_invariant)
         for key, vals in buffer.items():
-            total = math.fsum(vals) / divisor
+            total = math.fsum(vals)
             if total != 0.0:
                 out._data[key] = total
         return out
@@ -122,13 +124,6 @@ class Kernel:
                 out._data[k] = v
         return out
 
-    def scaled(self, factor):
-        out = Kernel(self.translation_invariant)
-        if factor != 0.0:
-            for k, v in self._data.items():
-                out._data[k] = factor * v
-        return out
-
     def plus(self, other):
         if self.translation_invariant != other.translation_invariant:
             raise ValueError("cannot mix anchored and literal kernels")
@@ -138,9 +133,6 @@ class Kernel:
         for k, v in other._data.items():
             buffer.setdefault(k, []).append(v)
         return Kernel._from_buffer(buffer, self.translation_invariant)
-
-    def minus(self, other):
-        return self.plus(other.scaled(-1.0))
 
     def max_abs_diff(self, other):
         keys = set(self._data) | set(other._data)
@@ -319,50 +311,34 @@ def _reflect_entry(key, axes):
     return labels, factor
 
 
-def antisymmetrize(kernel):
-    """Projection onto the permutation-antisymmetric part."""
-    buffer = {}
-    for key, v in kernel.items():
-        for perm in itertools.permutations(range(len(key))):
-            permuted = kernel._bufkey(tuple(key[i] for i in perm))
-            buffer.setdefault(permuted, []).append(_perm_sign(perm) * v)
-    out = Kernel(kernel.translation_invariant)
-    for key, vals in buffer.items():
-        total = math.fsum(vals) / math.factorial(len(key))
-        if total != 0.0:
-            out._data[key] = total
-    return out
+def _perm_sign(items):
+    """Sign of the permutation sorting distinct items: (-1)^inversions."""
+    inversions = sum(a > b for a, b in itertools.combinations(items, 2))
+    return -1.0 if inversions % 2 else 1.0
 
 
-def _perm_sign(perm):
-    sign = 1.0
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _sorted_with_sign(items):
+    """Items in ascending order and the sorting sign; (None, 0.0) on a repeat."""
+    ordered = tuple(sorted(items))
+    if any(a == b for a, b in zip(ordered, ordered[1:])):
+        return None, 0.0
+    return ordered, _perm_sign(items)
 
 
-def reflection_average(kernel):
-    """Average over the four-element reflection group."""
-    buffer = {}
-    for axes in ((), (1,), (2,), (1, 2)):
-        for key, v in kernel.items():
-            labels, factor = _reflect_entry(key, axes)
-            buffer.setdefault(kernel._bufkey(labels), []).append(factor * v)
-    return Kernel._from_buffer(buffer, kernel.translation_invariant, divisor=4.0)
+@functools.cache
+def _signed_orderings(n):
+    return tuple((perm, _perm_sign(perm))
+                 for perm in itertools.permutations(range(n)))
 
 
 def symmetrize(kernel):
-    """Antisymmetrize over permutations, then average over reflections.
+    """Average over field permutations (signed) and the four reflections.
+
+    The group has order 4 n!.  Each reflected image of an entry is sorted
+    into canonical field order with the sorting sign, and dropped if a
+    label repeats.  Per canonical entry the sum is divided once by 4 n!
+    and written at all n! orderings with their signs.  Translation keeps
+    the order, so anchored canonical entries label whole orbits.
 
     On translation-invariant kernels this never increases the weighted
     norm of an underived sector, and never increases any sector norm at
@@ -372,7 +348,23 @@ def symmetrize(kernel):
     their difference order and lengthening the tree distance by at
     most p.
     """
-    return reflection_average(antisymmetrize(kernel))
+    buffer = {}
+    for key, v in kernel.items():
+        for axes in ((), (1,), (2,), (1, 2)):
+            labels, factor = _reflect_entry(key, axes)
+            ordered, sign = _sorted_with_sign(labels)
+            if ordered is not None:
+                buffer.setdefault(kernel._bufkey(ordered), []).append(
+                    sign * factor * v)
+    out = Kernel(kernel.translation_invariant)
+    for ordered, vals in buffer.items():
+        n = len(ordered)
+        total = math.fsum(vals) / (4 * math.factorial(n))
+        if total != 0.0:
+            for perm, sign in _signed_orderings(n):
+                out._data[kernel._bufkey(tuple(ordered[i] for i in perm))] = (
+                    sign * total)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +521,11 @@ def _evaluate_norm(table, rate):
                 for entries in table.values()), default=0.0)
 
 
+def _check_rate(rate):
+    if not (rate >= 0 and math.isfinite(rate)):
+        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
+
+
 def weighted_norm(kernel, n, p, rate):
     """Weighted mass of the (n, p) sector:
 
@@ -538,8 +535,7 @@ def weighted_norm(kernel, n, p, rate):
 
     with delta the rectilinear Steiner length of the distinct points.
     """
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
+    _check_rate(rate)
     return _evaluate_norm(_norm_table(kernel, n, p), rate)
 
 
@@ -563,6 +559,11 @@ def interpolation_bound_reports(kernel, combos):
         nonnegative.
     """
     _require_certified(kernel)
+    for rate, rate_step in combos:
+        _check_rate(rate)
+        if not (rate_step > 0 and math.isfinite(rate_step)):
+            raise ValueError(
+                f"rate_step must be finite and positive, got {rate_step}")
     once, twice, renormalized = _interpolations(kernel)
     single = {}
     input_tables = {}
@@ -578,10 +579,6 @@ def interpolation_bound_reports(kernel, combos):
 
     reports = []
     for rate, rate_step in combos:
-        if rate < 0:
-            raise ValueError("rate must be nonnegative")
-        if rate_step <= 0:
-            raise ValueError("rate_step must be positive")
         report = {}
         for (n, p), table in single.items():
             lhs = _evaluate_norm(table, rate)
@@ -644,15 +641,12 @@ def wedge_expansion(kernel):
             factor_lists.append([((om, site), c)
                                  for site, c in _difference_expansion(d, z)])
         for combo in itertools.product(*factor_lists):
-            fields = [f for f, _ in combo]
-            if len(set(fields)) != len(fields):
+            mono, sign = _sorted_with_sign([f for f, _ in combo])
+            if mono is None:
                 continue
             coef = v
             for _, c in combo:
                 coef *= c
-            order = sorted(range(len(fields)), key=lambda i: fields[i])
-            sign = _perm_sign(tuple(order))
-            mono = tuple(fields[i] for i in order)
             buffer.setdefault(mono, []).append(sign * coef)
     out = {}
     for mono, vals in buffer.items():
@@ -727,6 +721,10 @@ def random_sparse_kernel(rng, n, p, entries=6, box=3, translation_invariant=True
     """
     if n < 2 or n % 2 or not 0 <= p <= 2 * n:
         raise ValueError(f"no sector ({n}, {p}): n must be even and >= 2, 0 <= p <= 2n")
+    if entries < 0:
+        raise ValueError(f"entries must be nonnegative, got {entries}")
+    if box < 0:
+        raise ValueError(f"box must be nonnegative, got {box}")
     splittings = [ds for ds in itertools.product(DERIV_SET, repeat=n)
                   if sum(a + b for a, b in ds) == p]
     out = Kernel(translation_invariant=translation_invariant)

@@ -308,3 +308,63 @@ def test_no_command_prints_usage(capsys):
     code, _, err = run(capsys)
     assert code == 1
     assert "usage" in err
+
+
+def assert_one_usage_line(code, err):
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,word", [("--box", "box"), ("--entries", "entries")])
+def test_kernels_random_reports_bad_draw_sizes(capsys, flag, word):
+    code, out, err = run(capsys, "kernels", "--random", "2,1", flag, "-1")
+    assert_one_usage_line(code, err)
+    assert word in err and "no sector" not in err
+    assert out == ""
+
+
+def test_non_integer_site_is_usage_error(capsys):
+    code, _, err = run(capsys, "propagator", "--L", "4", "--M", "3",
+                       "--beta", "0.3", "--J1", "1", "--J2", "1",
+                       "--z", "a,b", "--zp", "1,1")
+    assert_one_usage_line(code, err)
+    assert "--z" in err
+
+
+@pytest.mark.parametrize("command,flag", [
+    (["partition", "--L", "4", "--M", "3", "--beta", "0.3", "--J1", "1",
+      "--J2", "1"], "--output"),
+    (["kernels", "--random", "2,1"], "--save"),
+    (["verify", "--suite", "telescoping"], "--json"),
+])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, command, flag):
+    code, _, err = run(capsys, *command, flag, str(tmp_path / "missing" / "f"))
+    assert_one_usage_line(code, err)
+    assert err.startswith(f"error: {flag}:")
+
+
+@pytest.mark.parametrize("pair", [
+    "[[[0.25, 0.25], [1.25, 0.25]]]",  # coincident around the ring
+    "[[[0.25, 0.0], [0.75, 0.5]]]",    # a point on the boundary row
+])
+def test_scaling_bad_pair_is_usage_error(capsys, pair):
+    code, _, err = run(capsys, "scaling", "--l1", "1", "--l2", "1",
+                       "--meshes", "8,16", "--pairs", pair)
+    assert_one_usage_line(code, err)
+
+
+def test_correlations_mirror_coincident_points_is_usage_error(capsys):
+    code, _, err = run(capsys, "correlations", "--l1", "1", "--l2", "1",
+                       "--marked", "[[0.3,0.5,2],[0.3,1.5,2]]")
+    assert_one_usage_line(code, err)
+    assert "coincident" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--rate", "nan"), ("--rate", "inf"),
+                                        ("--rate-step", "nan")])
+def test_kernels_bounds_reject_non_finite_rates(capsys, flag, value):
+    code, out, err = run(capsys, "kernels", "--random", "2,1", "--bounds",
+                         flag, value)
+    assert_one_usage_line(code, err)
+    assert out == ""

@@ -5,6 +5,7 @@ exact zeros) are checked through the wedge-expansion oracle, which
 reduces every kernel to its canonical antisymmetric coefficients.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from isingcyl import kernels
 from isingcyl.kernels import (
     Kernel,
-    antisymmetrize,
     canonical_path,
     certify_translation_invariance,
     derivative_expansion,
@@ -28,7 +28,6 @@ from isingcyl.kernels import (
     localize_collapse,
     mass_monomial,
     random_sparse_kernel,
-    reflection_average,
     renormalization_operator,
     span_projection,
     symmetrize,
@@ -41,6 +40,40 @@ def _mixed(rng, entries=4):
     out = Kernel(translation_invariant=True)
     for n, p in ((2, 0), (2, 1), (2, 2), (4, 0), (4, 1)):
         out = out.plus(random_sparse_kernel(rng, n, p, entries=entries))
+    return out
+
+
+# The two-stage symmetrization (every ordering of every entry, then every
+# reflection of that), kept as the oracle for the one-pass `symmetrize`.
+
+
+def antisymmetrize(kernel):
+    """Projection onto the permutation-antisymmetric part."""
+    buffer = {}
+    for key, v in kernel.items():
+        for perm in itertools.permutations(range(len(key))):
+            permuted = kernel._bufkey(tuple(key[i] for i in perm))
+            buffer.setdefault(permuted, []).append(kernels._perm_sign(perm) * v)
+    out = Kernel(kernel.translation_invariant)
+    for key, vals in buffer.items():
+        total = math.fsum(vals) / math.factorial(len(key))
+        if total != 0.0:
+            out._data[key] = total
+    return out
+
+
+def reflection_average(kernel):
+    """Average over the four-element reflection group."""
+    buffer = {}
+    for axes in ((), (1,), (2,), (1, 2)):
+        for key, v in kernel.items():
+            labels, factor = kernels._reflect_entry(key, axes)
+            buffer.setdefault(kernel._bufkey(labels), []).append(factor * v)
+    out = Kernel(kernel.translation_invariant)
+    for key, vals in buffer.items():
+        total = math.fsum(vals) / 4.0
+        if total != 0.0:
+            out._data[key] = total
     return out
 
 
@@ -178,6 +211,57 @@ def test_symmetrize_is_projection():
     assert symmetrize(reflection_average(v)).max_abs_diff(s) < 1e-13
 
 
+def _assert_matches_two_stage(v):
+    # same support; on these draws quadratic sectors agree bit for bit and
+    # the rest within one ulp (one division by 4 n! instead of n!, then 4)
+    got = symmetrize(v)
+    want = reflection_average(antisymmetrize(v))
+    assert got.translation_invariant == want.translation_invariant
+    assert set(dict(got.items())) == set(dict(want.items()))
+    for key, w in want.items():
+        g = got.value(key)
+        if len(key) == 2:
+            assert g == w, key
+        else:
+            assert abs(g - w) <= math.ulp(w), key
+
+
+def test_symmetrize_matches_two_stage_projection():
+    for seed in range(25):
+        v = _mixed(np.random.default_rng(seed))
+        _assert_matches_two_stage(v)
+        _assert_matches_two_stage(symmetrize(v))
+    # sectors never mix, so the (6, 0) and (2, 3) ones (drawing a (6, 0)
+    # kernel enumerates 6^6 splittings) are checked once, together
+    rng = np.random.default_rng(25)
+    extra = random_sparse_kernel(rng, 6, 0, entries=5).plus(
+        random_sparse_kernel(rng, 2, 3, entries=10))
+    _assert_matches_two_stage(extra.plus(_mixed(rng)))
+
+
+def test_symmetrize_rounds_each_orbit_once():
+    # the orbit sum is 2^-60 exactly; rounding it per ordering first, as
+    # the two-stage projection does, loses the 2^-60 and leaves zero
+    l1, l2 = (1, (0, 0), (0, 0)), (-1, (0, 0), (1, 0))
+    v = Kernel()
+    v.add((l1, l2), 1.0)
+    v.add((l2, l1), -2.0 ** -60)
+    mirrored, factor = kernels._reflect_entry((l1, l2), (1,))
+    v.add(mirrored, -factor)
+    s = symmetrize(v)
+    assert len(s) == 8
+    assert {abs(x) for _, x in s.items()} == {2.0 ** -63}
+
+
+def test_symmetrize_matches_two_stage_on_literal_kernels():
+    rng = np.random.default_rng(25)
+    for n, p in ((2, 0), (2, 1), (4, 0), (4, 2)):
+        lit = random_sparse_kernel(rng, n, p, entries=6, box=1,
+                                   translation_invariant=False)
+        _assert_matches_two_stage(lit)
+        assert not symmetrize(lit).translation_invariant
+
+
 def test_quartic_collapse_vanishes_identically():
     # collapsing a quartic repeats field labels, which the antisymmetric
     # projection kills exactly, raw or symmetrized
@@ -277,6 +361,26 @@ def test_interpolation_bounds_parameter_validation():
         interpolation_bound_reports(v, [(-0.1, 0.5)])
     with pytest.raises(ValueError):
         interpolation_bound_reports(v, [(0.1, 0.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_rates_rejected(bad):
+    rng = np.random.default_rng(14)
+    v = random_sparse_kernel(rng, 2, 0, entries=3)
+    with pytest.raises(ValueError):
+        weighted_norm(v, 2, 0, bad)
+    with pytest.raises(ValueError):
+        interpolation_bound_reports(v, [(bad, 0.5)])
+    with pytest.raises(ValueError):
+        interpolation_bound_reports(v, [(0.1, bad)])
+
+
+def test_random_kernel_rejects_negative_draw_sizes():
+    rng = np.random.default_rng(18)
+    with pytest.raises(ValueError, match="entries"):
+        random_sparse_kernel(rng, 2, 1, entries=-3)
+    with pytest.raises(ValueError, match="box"):
+        random_sparse_kernel(rng, 2, 1, box=-1)
 
 
 def test_single_report_matches_batch():
