@@ -211,22 +211,16 @@ def cmd_propagator(args):
         if not (geometry.contains(z) and geometry.contains(zp)):
             raise UsageError(f"site pair {z} {zp} is outside the cylinder")
     route = args.route or "dense"
-    if route == "spectral":
-        if not couplings.is_critical:
-            raise UsageError("the spectral route requires critical couplings")
-        blocks = spectral.critical_propagator(
-            geometry, couplings, [z for z, _ in pairs], [zp for _, zp in pairs])
-    elif route == "dense":
-        cache = exact.PropagatorCache(geometry, couplings)
-        blocks = [cache.vertical_block(z, zp) for z, zp in pairs]
-    else:
+    # a config file can name a route that argparse never sees
+    propagate = {"dense": exact.dense_propagator,
+                 "spectral": spectral.critical_propagator}.get(route)
+    if propagate is None:
         raise UsageError(f"unknown route {route!r}")
+    if route == "spectral" and not couplings.is_critical:
+        raise UsageError("the spectral route requires critical couplings")
+    blocks = propagate(geometry, couplings, [z for z, _ in pairs], [zp for _, zp in pairs])
     header = ["z1", "z2", "zp1", "zp2", "g_pp", "g_pm", "g_mp", "g_mm"]
-    rows = []
-    for (z, zp), blk in zip(pairs, blocks):
-        rows.append([z[0], z[1], zp[0], zp[1],
-                     float(blk[0, 0]), float(blk[0, 1]),
-                     float(blk[1, 0]), float(blk[1, 1])])
+    rows = [[*z, *zp, *map(float, blk.ravel())] for (z, zp), blk in zip(pairs, blocks)]
     _emit_csv(args, header, rows)
     return 0
 
@@ -290,6 +284,8 @@ def cmd_multiscale(args):
         return 0
 
     n_pairs = args.n_pairs if args.n_pairs is not None else 20
+    if n_pairs < 1:
+        raise UsageError(f"--n-pairs: need at least one pair, got {n_pairs}")
     rep = multiscale.gram_report(geometry, couplings, h_list,
                                  n_pairs=n_pairs, seed=seed)
     header = ["max_reconstruction_error", "min_cauchy_schwarz_margin",
@@ -316,6 +312,10 @@ def _parse_h_list(args, geometry):
         raise UsageError("--h-list: expected comma-separated integers")
     if not hs:
         raise UsageError("--h-list: empty")
+    deepest = multiscale.h_star(geometry)
+    if min(hs) < deepest:
+        raise UsageError(f"--h-list: h = {min(hs)} lies below h* = {deepest} on "
+                         f"{geometry.L} x {geometry.M}; allowed depths are 0..{-deepest}")
     return hs
 
 
@@ -354,6 +354,11 @@ def cmd_scaling(args):
     if args.meshes is None:
         raise UsageError("need --meshes (e.g. 16,32,64)")
     meshes = _parse_meshes(args.meshes)
+    try:
+        for a in meshes:
+            cylinder.lattice_sizes(a)
+    except ValueError as err:
+        raise UsageError(f"--meshes: {err}")
     if args.pairs is None:
         raise UsageError("need --pairs (JSON list of continuum point pairs)")
     raw = _load_json_arg(args.pairs, "--pairs")

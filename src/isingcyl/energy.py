@@ -9,6 +9,7 @@ a_1, b_1, ..., a_m, b_m, the two-point functions with the bond factors
 folded in; by the minor summation formula for the Pfaffian of a sum
 (Ishikawa and Wakayama, Linear Multilinear Algebra 39 (1995) 285), the
 moment of a bond subset is the Pfaffian of W restricted to its fields.
+The two-point functions of W come from one batched correlator call.
 Truncated correlations (cumulants) follow from the moments by Moebius
 inversion over set partitions.  A brute-force Gibbs enumeration on small
 cylinders serves as the independent oracle.
@@ -114,33 +115,30 @@ def cumulant_from_moments(moment, items):
 
 
 def dense_correlator(geometry, couplings):
-    """Two-point callable backed by the dense inverse (small lattices)."""
+    """Two-point callable gathered from the offset kernel of -A^{-1}: any
+    couplings, all four species.  `corr(z, s, zp, sp)` maps (P, 2) site
+    and (P,) `Species` arrays to the P values <Phi_{z,s} Phi_{z',s'}>."""
     cache = propagator_from_A(geometry, couplings)
 
-    def corr(field_a, field_b):
-        (z, sa), (zp, sb) = field_a, field_b
-        return cache.two_point(z, sa, zp, sb)
+    def corr(z, s, zp, sp):
+        return cache.species_block(z, zp)[np.arange(len(s)), s, sp]
 
     return corr
 
 
 def spectral_vertical_correlator(geometry, couplings):
-    """Two-point callable from the critical mode sum.
-
-    Covers the vertical-bond species only (Vbar, V); the horizontal
-    species would need the massive Schur complement on top.  Works at
-    any lattice size the mode sum supports, unlike the dense route.
+    """Two-point callable like `dense_correlator`, one `critical_propagator`
+    batch per call.  Covers the vertical-bond species only (Vbar, V); the
+    horizontal species would need the massive Schur complement on top.
+    Works at any lattice size the mode sum supports, unlike the dense route.
     """
     from .spectral import critical_propagator
 
-    row = {Species.VBAR: 0, Species.V: 1}
-
-    def corr(field_a, field_b):
-        (z, sa), (zp, sb) = field_a, field_b
-        if sa not in row or sb not in row:
+    def corr(z, s, zp, sp):
+        row, col = np.asarray(s) - Species.VBAR, np.asarray(sp) - Species.VBAR
+        if min(row.min(), col.min()) < 0:
             raise ValueError("spectral correlator covers vertical bonds only")
-        return float(critical_propagator(geometry, couplings, z, zp)
-                     .matrix[row[sa], row[sb]])
+        return critical_propagator(geometry, couplings, z, zp)[np.arange(len(row)), row, col]
 
     return corr
 
@@ -155,14 +153,15 @@ def truncated_energy_correlation(geometry, couplings, bonds, correlator=None):
 
     The 2m x 2m Wick matrix of the m bonds has W_ij = d_i d_j <f_i f_j>
     for i < j, with d = (1 - t_x^2) s_x on a_x and 1 on b_x, plus t_x on
-    (a_x, b_x).  It is built once; each of the 2^m - 1 subset moments is
-    a Pfaffian minor of it, its fields kept in bond order.
+    (a_x, b_x).  Its upper triangle comes from one correlator call on
+    the m (2m - 1) field pairs; each of the 2^m - 1 subset moments is
+    then a Pfaffian minor of W, its fields kept in bond order.
 
     Args:
-        correlator: optional two-point callable (defaults to the dense
-            inverse; `spectral_vertical_correlator` scales further for
-            vertical bonds at criticality).  It is called once per ordered
-            pair of bond fields, m (2m - 1) times for m bonds.
+        correlator: optional batched two-point callable (defaults to the
+            dense inverse; `spectral_vertical_correlator` scales further
+            for vertical bonds at criticality), called once with the
+            sites and species of the fields of every pair i < j.
     """
     bonds = list(bonds)
     if len(set(bonds)) != len(bonds):
@@ -179,10 +178,12 @@ def truncated_energy_correlation(geometry, couplings, bonds, correlator=None):
         fields += [fa, fb]
         scale += [(1.0 - t * t) * seam, 1.0]
     n = len(fields)
+    sites, species = np.array([z for z, _ in fields]), np.array([s for _, s in fields])
+    scale = np.array(scale)
+    rows, cols = np.triu_indices(n, 1)
     w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i, j] = scale[i] * scale[j] * correlator(fields[i], fields[j])
+    w[rows, cols] = scale[rows] * scale[cols] * correlator(
+        sites[rows], species[rows], sites[cols], species[cols])
     for x, bond in enumerate(bonds):
         w[2 * x, 2 * x + 1] += bond.tanh_coupling(couplings)
     w = w - w.T

@@ -52,7 +52,8 @@ Wick's rule reduces every even correlation to a Pfaffian of two-point
 functions <Phi_i Phi_j> = -[A^{-1}]_{ij}.  The same blocks give the
 inverse: -A^{-1} depends on z1 - z1' only and is the back-transform
 -(2/L) Re sum_k e^{ik(z1 - z1')} (X_k + i Y_k)^{-1}; `propagator_from_A`
-exposes it as a dense array.  The horizontal (xi) sector decouples from
+keeps only this offset kernel and gathers site pairs from it in batches.
+The horizontal (xi) sector decouples from
 the vertical (phi) sector after a Schur reduction and has the explicit
 "massive" propagator computed by `massive_propagator` as an
 antiperiodized geometric kernel.
@@ -63,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,16 +140,6 @@ def flat_index(geometry, z, species):
     if not geometry.contains(z):
         raise ValueError(f"site {z} outside {geometry.L} x {geometry.M} lattice")
     return 4 * ((z2 - 1) * geometry.L + (z1 - 1)) + int(species)
-
-
-def site_of_index(geometry, idx):
-    """Inverse of `flat_index`: returns ((z1, z2), Species)."""
-    n = 4 * geometry.n_sites
-    if not 0 <= idx < n:
-        raise ValueError(f"index {idx} outside 0..{n - 1}")
-    site, sp = divmod(idx, 4)
-    z2, z1 = divmod(site, geometry.L)
-    return (z1 + 1, z2 + 1), Species(sp)
 
 
 def build_action_matrix(geometry, couplings):
@@ -278,7 +269,7 @@ def partition_function_log(geometry, beta, J1, J2):
 
 
 class PropagatorCache:
-    """Dense two-point function <Phi_i Phi_j> = -[A^{-1}]_{ij}.
+    """Two-point function <Phi_i Phi_j> = -[A^{-1}]_{ij} as its ring-offset kernel.
 
     Built from the ring blocks: each complex 4M x 4M block C_k = X_k + i Y_k
     is certified invertible by its reciprocal condition number
@@ -286,11 +277,10 @@ class PropagatorCache:
     blocks are inverted, and the back-transform gives the 4M x 4M
     kernel g(d) of every column offset d = z1 - z1' in (-L, L).  g is
     antisymmetrized exactly, g(d) -> (g(d) - g(-d)^T)/2, after checking
-    that this moves it by no more than roundoff, and then tiled into the
-    dense 4LM x 4LM array `matrix` in the flat order of `flat_index`.
-    That array is exactly antisymmetric, read-only, and built once per
-    (geometry, couplings); all accessors are reads of it, safe under
-    concurrent use.
+    that this moves it by no more than roundoff.  The read-only array
+    `kernel` of shape (2L - 1, 4M, 4M), rows and columns ordered (z2,
+    species), is all the cache stores.  The dense 4LM x 4LM `matrix` is a
+    test oracle view, built only on request.
     """
 
     def __init__(self, geometry, couplings):
@@ -316,33 +306,46 @@ class PropagatorCache:
             raise AssertionError(
                 f"inverse symmetrization defect {defect:.3e} exceeds 1e-10 * {norm:.3e}"
             )
-        # matrix[(z2, z1, s), (z2', z1', s')] = anti[z1 - z1' + L - 1][(z2, s), (z2', s')]
-        kernel = anti.reshape(2 * L - 1, M, 4, M, 4)
-        cols = np.arange(L)
-        full = np.empty((M, L, 4, M, L, 4))
-        for z1 in range(L):
-            full[:, z1] = kernel[z1 - cols + L - 1].transpose(1, 2, 3, 0, 4)
-        g = full.reshape(4 * L * M, 4 * L * M)
-        g.setflags(write=False)
-        self.matrix = g
+        anti.setflags(write=False)
+        self.kernel = anti
 
-    def two_point(self, z, species, zp, species_p):
-        i = flat_index(self.geometry, z, species)
-        j = flat_index(self.geometry, zp, species_p)
-        return self.matrix[i, j]
+    def species_block(self, z, zp):
+        """<Phi_{z,s} Phi_{z',s'}> indexed [s, s'] by `Species`: (4, 4) for
+        one site pair, (P, 4, 4) for (P, 2) site arrays."""
+        single = np.shape(z) == (2,)
+        z, zp = self.geometry.site_arrays(z, zp)
+        L, M = self.geometry.L, self.geometry.M
+        kernel = self.kernel.reshape(2 * L - 1, M, 4, M, 4)
+        out = kernel[z[:, 0] - zp[:, 0] + L - 1, z[:, 1] - 1, :, zp[:, 1] - 1]
+        return out[0] if single else out
 
     def vertical_block(self, z, zp):
-        """The (Vbar, V) 2x2 block: rows/cols ordered (+, -) = (Vbar, V)."""
-        i = flat_index(self.geometry, z, Species.VBAR)
-        j = flat_index(self.geometry, zp, Species.VBAR)
-        # Vbar and V sit at consecutive flat indices
-        return self.matrix[i:i + 2, j:j + 2].copy()
+        """The (Vbar, V) block: rows/cols ordered (+, -) = (Vbar, V)."""
+        return self.species_block(z, zp)[..., Species.VBAR:, Species.VBAR:]
+
+    @cached_property
+    def matrix(self):
+        """Dense read-only -A^{-1} in `flat_index` order: a test oracle,
+        gathered from `kernel` on first access; the library never builds it."""
+        L, M = self.geometry.L, self.geometry.M
+        cols = np.arange(L)
+        # full[z1, z1', z2, s, z2', s'] = kernel[z1 - z1' + L - 1][(z2, s), (z2', s')]
+        full = self.kernel.reshape(2 * L - 1, M, 4, M, 4)[cols[:, None] - cols + L - 1]
+        g = full.transpose(2, 0, 3, 4, 1, 5).reshape(4 * L * M, 4 * L * M)
+        g.setflags(write=False)
+        return g
 
 
 @lru_cache(maxsize=16)
 def propagator_from_A(geometry, couplings):
-    """Cached dense propagator (dimension 4 L M)."""
+    """Cached offset-kernel propagator of (geometry, couplings)."""
     return PropagatorCache(geometry, couplings)
+
+
+def dense_propagator(geometry, couplings, z, zp):
+    """The (Vbar, V) block of -A^{-1} at any couplings, called and batched
+    like `spectral.critical_propagator`: (2, 2) or (P, 2, 2)."""
+    return propagator_from_A(geometry, couplings).vertical_block(z, zp)
 
 
 def horizontal_kernel_infinite(y, t1):
@@ -365,15 +368,11 @@ def horizontal_kernel(y, L, t1):
     return (-1.0) ** n * (-t1) ** (y + n * L) / (1.0 + t1 ** L)
 
 
-def horizontal_kernel_minus(y, L, t1):
-    return horizontal_kernel(-y, L, t1)
-
-
 def massive_propagator(geometry, couplings, z, zp):
     """Two-point block of the horizontal (xi) sector.
 
     <xi_omega,z xi_omega',z'> is diagonal in the row index and couples
-    only opposite species:
+    only opposite species, with the mirrored kernel s_-(y) = s_+(-y):
 
         [[0,               s_+(z1 - z1')],
          [-s_-(z1 - z1'),  0            ]] * delta_{z2, z2'}.
@@ -390,5 +389,5 @@ def massive_propagator(geometry, couplings, z, zp):
     if z[1] == zp[1]:
         dz1 = z[0] - zp[0]
         m[0, 1] = horizontal_kernel(dz1, geometry.L, couplings.t1)
-        m[1, 0] = -horizontal_kernel_minus(dz1, geometry.L, couplings.t1)
+        m[1, 0] = -horizontal_kernel(-dz1, geometry.L, couplings.t1)
     return PropagatorBlock(m)

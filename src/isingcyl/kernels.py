@@ -34,7 +34,7 @@ import functools
 import itertools
 import math
 
-from .lattice import steiner_length
+from .lattice import STEINER_MAX_POINTS, steiner_length
 
 DERIV_SET = tuple((a, b) for a in range(3) for b in range(3) if a + b <= 2)
 
@@ -497,7 +497,8 @@ def _tree_distance(ztuple):
 
 
 def _norm_table(kernel, n, p):
-    """Rate-independent norm data for one sector.
+    """Rate-independent norm data for one sector, checked to lie in the
+    domain of `weighted_norm` before any Steiner length is taken.
 
     Returns {(omega-tuple, z1): [(delta, magnitude), ...]} with the sup
     over derivative labels already folded into the magnitudes.
@@ -508,6 +509,9 @@ def _norm_table(kernel, n, p):
             continue
         om = tuple(l[0] for l in key)
         zt = tuple(l[2] for l in key)
+        if len(set(zt)) > STEINER_MAX_POINTS:
+            raise ValueError(f"sector ({n}, {p}) has an entry on {len(set(zt))} distinct sites; "
+                             f"the closed-form Steiner length covers at most {STEINER_MAX_POINTS}")
         k = (om, zt)
         sup_over_derivs[k] = max(sup_over_derivs.get(k, 0.0), abs(v))
     groups = {}
@@ -534,6 +538,9 @@ def weighted_norm(kernel, n, p, rate):
         derivative labels of |V|,
 
     with delta the rectilinear Steiner length of the distinct points.
+    Defined when every entry of the sector sits on at most
+    STEINER_MAX_POINTS = 4 distinct sites (the closed form of
+    `lattice.steiner_length`), as all n <= 4 sectors do; ValueError else.
     """
     _check_rate(rate)
     return _evaluate_norm(_norm_table(kernel, n, p), rate)

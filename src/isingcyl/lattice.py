@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def per_range(z1, L):
     """Fold a horizontal displacement into the window (-L/2, L/2].
@@ -84,6 +86,10 @@ def edge_distance(z, zp, L, M):
     return min(via_boundary, around)
 
 
+# the most distinct points `steiner_length` has a closed form for
+STEINER_MAX_POINTS = 4
+
+
 def steiner_length(points):
     """Exact rectilinear Steiner minimal tree length for up to 4 points.
 
@@ -102,8 +108,8 @@ def steiner_length(points):
         Integer tree length.
     """
     pts = [tuple(p) for p in points]
-    if not 2 <= len(pts) <= 4:
-        raise ValueError(f"steiner_length supports 2..4 points, got {len(pts)}")
+    if not 2 <= len(pts) <= STEINER_MAX_POINTS:
+        raise ValueError(f"steiner_length supports 2..{STEINER_MAX_POINTS} points, got {len(pts)}")
     terminals = sorted(set(pts))
     xs = sorted(x for x, _ in terminals)
     ys = sorted(y for _, y in terminals)
@@ -156,9 +162,17 @@ class CylinderGeometry:
     def contains(self, z):
         return 1 <= z[0] <= self.L and 1 <= z[1] <= self.M
 
-    def contains_extended(self, z):
-        """Extended range including the virtual rows z2 = 0 and M + 1."""
-        return 1 <= z[0] <= self.L and 0 <= z[1] <= self.M + 1
+    def site_arrays(self, z, zp, extended=False):
+        """Two site arguments (one site or a batch) as (P, 2) integer arrays,
+        checked to lie on the lattice, or also on its extended rows."""
+        z, zp = (np.asarray(s, dtype=int).reshape(-1, 2) for s in (z, zp))
+        both, pad = np.stack([z, zp], axis=1), int(extended)
+        bad = ~np.all((both >= (1, 1 - pad)) & (both <= (self.L, self.M + pad)), axis=(1, 2))
+        if np.any(bad):
+            p = int(np.argmax(bad))
+            raise ValueError(f"sites {tuple(z[p].tolist())}, {tuple(zp[p].tolist())} outside "
+                             f"the {'extended ' if extended else ''}lattice")
+        return z, zp
 
     def per(self, dz1):
         return per_range(dz1, self.L)

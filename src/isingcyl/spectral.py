@@ -245,20 +245,6 @@ def forward_difference(k, order):
     return 1.0 if order == 0 else (np.exp(1j * k) - 1.0) ** order
 
 
-def _sites(data, z, zp):
-    """Both arguments as (P, 2) integer arrays inside the extended lattice."""
-    z = np.asarray(z, dtype=int).reshape(-1, 2)
-    zp = np.asarray(zp, dtype=int).reshape(-1, 2)
-    L, M = data.geometry.L, data.geometry.M
-    both = np.stack([z, zp], axis=1)
-    bad = ~np.all((both >= (1, 0)) & (both <= (L, M + 1)), axis=(1, 2))
-    if np.any(bad):
-        p = int(np.argmax(bad))
-        raise ValueError(f"sites {tuple(z[p].tolist())}, {tuple(zp[p].tolist())} "
-                         "outside the extended lattice")
-    return z, zp
-
-
 def _row_sums(data, coef, mult, values):
     """S[i, n, a] = sum over q2 in row i of e^{-i q2 values[n]} mult coef[i, q2, a].
 
@@ -299,7 +285,7 @@ def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
         Complex (2, 2) block for one pair, (P, 2, 2) for a batch.
     """
     single = np.shape(z) == (2,)
-    z, zp = _sites(data, z, zp)
+    z, zp = data.geometry.site_arrays(z, zp, extended=True)
     q2 = data.q2
     lead = (1.0 if weight is None else weight) * forward_difference(-q2, deriv_z[1])
     mult_trans = lead * forward_difference(q2, deriv_zp[1])

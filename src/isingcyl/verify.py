@@ -78,12 +78,11 @@ def check_spectral_vs_inverse():
     for L, M in ((4, 3), (6, 4), (8, 8)):
         geom = CylinderGeometry(L, M)
         for cpl in couplings_list:
-            cache = exact.propagator_from_A(geom, cpl)
             sites = list(geom.sites())
             zs = [z for z in sites for _ in sites]
             zps = [zp for _ in sites for zp in sites]
             blocks = spectral.critical_propagator(geom, cpl, zs, zps)
-            ref = np.array([cache.vertical_block(z, zp) for z, zp in zip(zs, zps)])
+            ref = exact.dense_propagator(geom, cpl, zs, zps)
             worst = max(worst, float(np.max(np.abs(blocks - ref))))
             n_entries += blocks.size
     elapsed = time.perf_counter() - t0
@@ -170,51 +169,40 @@ def check_boundary_and_symmetry(seed=1):
         return (z[0], M + 1 - z[1])
 
     n_pairs = 200
+    rows = np.arange(n_pairs)
     for cc in (cpl, Couplings.critical_from_t1(0.4)):
         cache = exact.propagator_from_A(geom, cc)
-        for _ in range(n_pairs):
-            z = (int(rng.integers(1, L + 1)), int(rng.integers(1, M + 1)))
-            zp = (int(rng.integers(1, L + 1)), int(rng.integers(1, M + 1)))
+        draws = [((int(rng.integers(1, L + 1)), int(rng.integers(1, M + 1))),
+                  (int(rng.integers(1, L + 1)), int(rng.integers(1, M + 1))),
+                  int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+                 for _ in range(n_pairs)]
+        zs, zps, sp, spp = (list(col) for col in zip(*draws))
+        block = cache.species_block(zs, zps)
 
-            # species-level covariance of the dense propagator
-            sp = Species(int(rng.integers(0, 4)))
-            spp = Species(int(rng.integers(0, 4)))
-            val = cache.two_point(z, sp, zp, spp)
-            for theta, table in ((th1, _HORIZONTAL_SPECIES),
-                                 (th2, _VERTICAL_SPECIES)):
-                im_a, sg_a = table[sp]
-                im_b, sg_b = table[spp]
-                ref = -sg_a * sg_b * cache.two_point(
-                    theta(z), im_a, theta(zp), im_b)
-                worst = max(worst, abs(val - ref))
+        # species-level covariance of the dense propagator
+        mirrored = []
+        for theta, table in ((th1, _HORIZONTAL_SPECIES), (th2, _VERTICAL_SPECIES)):
+            image = np.array([table[s][0] for s in Species])
+            sign = np.array([table[s][1] for s in Species])
+            moved = cache.species_block([theta(z) for z in zs], [theta(zp) for zp in zps])
+            ref = -sign[sp] * sign[spp] * moved[rows, image[sp], image[spp]]
+            worst = max(worst, float(np.max(np.abs(block[rows, sp, spp] - ref))))
+            mirrored.append(moved)
 
-            # induced 2x2 relations on the critical block
-            g = cache.vertical_block(z, zp)
-            g1 = cache.vertical_block(th1(z), th1(zp))
-            worst = max(
-                worst,
-                abs(g[0, 0] + g1[0, 0]), abs(g[0, 1] - g1[0, 1]),
-                abs(g[1, 0] - g1[1, 0]), abs(g[1, 1] + g1[1, 1]),
-            )
-            g2 = cache.vertical_block(th2(z), th2(zp))
-            worst = max(
-                worst,
-                abs(g[0, 0] + g2[1, 1]), abs(g[0, 1] + g2[1, 0]),
-                abs(g[1, 0] + g2[0, 1]), abs(g[1, 1] + g2[0, 0]),
-            )
+        # induced 2x2 relations on the critical block: the horizontal
+        # reflection flips the diagonal, the vertical one reverses both axes
+        g, g1, g2 = (b[:, Species.VBAR:, Species.VBAR:] for b in [block] + mirrored)
+        worst = max(worst, float(np.max(np.abs(g - g1 * [[-1.0, 1.0], [1.0, -1.0]]))),
+                    float(np.max(np.abs(g + g2[:, ::-1, ::-1]))))
 
+        for z, zp, _, _ in draws:
             # massive block: swap-and-negate under the horizontal
             # reflection, diagonal negation under the vertical one
             gm = exact.massive_propagator(geom, cc, z, zp).matrix
             m1 = exact.massive_propagator(geom, cc, th1(z), th1(zp)).matrix
             m2 = exact.massive_propagator(geom, cc, th2(z), th2(zp)).matrix
-            worst = max(
-                worst,
-                abs(gm[0, 0] + m1[1, 1]), abs(gm[0, 1] + m1[1, 0]),
-                abs(gm[1, 0] + m1[0, 1]), abs(gm[1, 1] + m1[0, 0]),
-                abs(gm[0, 0] + m2[0, 0]), abs(gm[0, 1] - m2[0, 1]),
-                abs(gm[1, 0] - m2[1, 0]), abs(gm[1, 1] + m2[1, 1]),
-            )
+            worst = max(worst, float(np.max(np.abs(gm + m1[::-1, ::-1]))),
+                        float(np.max(np.abs(gm - m2 * [[-1.0, 1.0], [1.0, -1.0]]))))
 
     # momentum-space symbol and normalization relations
     momenta = spectral.antiperiodic_momenta(L)

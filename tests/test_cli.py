@@ -6,8 +6,9 @@ import time
 
 import pytest
 
-from isingcyl import exact, scaling
+from isingcyl import energy, exact, scaling, verify
 from isingcyl.cli import main
+from isingcyl.lattice import CylinderGeometry
 
 
 def run(capsys, *argv):
@@ -368,3 +369,54 @@ def test_kernels_bounds_reject_non_finite_rates(capsys, flag, value):
                          flag, value)
     assert_one_usage_line(code, err)
     assert out == ""
+
+
+@pytest.mark.parametrize("mode", [["--gram"], ["--decay", "tail"], ["--decay", "bulk"]])
+def test_multiscale_h_list_below_h_star_is_usage_error(capsys, mode):
+    code, out, err = run(capsys, "multiscale", "--L", "8", "--M", "8", "--critical",
+                         "--t1", "isotropic", *mode, "--h-list", "1,9")
+    assert_one_usage_line(code, err)
+    assert err.startswith("error: --h-list:") and "h* = -3" in err and "0..3" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_multiscale_gram_needs_a_pair(capsys, n):
+    code, out, err = run(capsys, "multiscale", "--L", "8", "--M", "8", "--critical",
+                         "--t1", "isotropic", "--gram", f"--n-pairs={n}")
+    assert_one_usage_line(code, err)
+    assert err.startswith("error: --n-pairs:")
+    assert out == ""
+
+
+def test_scaling_coarse_mesh_blames_meshes(capsys):
+    code, out, err = run(capsys, "scaling", "--l1", "1", "--l2", "1", "--meshes", "2,4",
+                         "--pairs", "[[[0.3,0.3],[0.6,0.6]]]")
+    assert_one_usage_line(code, err)
+    assert err.startswith("error: --meshes: mesh a=0.5 too coarse")
+    assert out == ""
+
+
+def test_dense_paths_never_build_the_oracle_matrix(capsys, monkeypatch):
+    built = []
+    init = exact.PropagatorCache.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(exact.PropagatorCache, "__init__", recording)
+    exact.propagator_from_A.cache_clear()
+    code, _, _ = run(capsys, "propagator", "--L", "6", "--M", "4", "--beta", "0.3",
+                     "--J1", "1", "--J2", "0.8", "--route", "dense",
+                     "--pairs", "[[[1,1],[4,3]],[[6,2],[2,4]]]")
+    assert code == 0
+    cpl = exact.Couplings.from_beta(0.4, 1.0, 0.9)
+    bonds = [energy.EnergyBond(8, 3, 1), energy.EnergyBond(1, 4, 2),
+             energy.EnergyBond(2, 5, 2)]
+    assert math.isfinite(energy.truncated_energy_correlation(
+        CylinderGeometry(8, 8), cpl, bonds))
+    assert verify.check_spectral_vs_inverse()["passed"]
+    assert verify.check_boundary_and_symmetry()["passed"]
+    assert len(built) == 1 + 1 + 6 + 2
+    assert not [cache for cache in built if "matrix" in cache.__dict__]

@@ -44,7 +44,8 @@ def _subset_expansion_cumulant(geometry, couplings, bonds, correlator):
             mat = np.zeros((n, n))
             for i in range(n):
                 for j in range(i + 1, n):
-                    mat[i, j] = correlator(fields[i], fields[j])
+                    (z, s), (zp, sp) = fields[i], fields[j]
+                    mat[i, j] = correlator([z], [s], [zp], [sp])[0]
                     mat[j, i] = -mat[i, j]
             if n <= 8:
                 pf = pfaffian_combinatorial(mat)
@@ -112,14 +113,16 @@ def test_cumulant_looks_up_each_field_pair_once(route):
     raw = (dense_correlator if route == "dense" else spectral_vertical_correlator)(g, cpl)
     calls = []
 
-    def corr(field_a, field_b):
-        calls.append((field_a, field_b))
-        return raw(field_a, field_b)
+    def corr(z, s, zp, sp):
+        calls.append(list(zip(map(tuple, z), s, map(tuple, zp), sp)))
+        return raw(z, s, zp, sp)
 
     bonds = [EnergyBond(1, 1, 2), EnergyBond(3, 2, 2), EnergyBond(6, 4, 2),
              EnergyBond(8, 5, 2)]
     value = truncated_energy_correlation(g, cpl, bonds, correlator=corr)
-    assert len(calls) == len(set(calls)) <= 28
+    # one batched call carrying the m (2m - 1) = 28 distinct field pairs
+    assert len(calls) == 1
+    assert len(calls[0]) == len(set(calls[0])) == 28
     # the subset expansion with every Wick entry fetched afresh
     ref = _subset_expansion_cumulant(g, cpl, bonds, raw)
     assert abs(value - ref) <= 1e-13
@@ -146,6 +149,7 @@ def test_cumulant_takes_one_pfaffian_per_subset_moment(m, monkeypatch):
     cpl = Couplings.from_beta(0.4, 1.0, 0.9)
     raw = dense_correlator(g, cpl)
     counts = {"minor": 0, "sweep": 0, "lookup": 0}
+    pairs = []
 
     def counted(key, fn):
         def wrapper(*args):
@@ -153,13 +157,17 @@ def test_cumulant_takes_one_pfaffian_per_subset_moment(m, monkeypatch):
             return fn(*args)
         return wrapper
 
+    def lookup(z, s, zp, sp):
+        pairs.extend(zip(map(tuple, z), s, map(tuple, zp), sp))
+        return raw(z, s, zp, sp)
+
     monkeypatch.setattr(energy, "pfaffian_minor", counted("minor", energy.pfaffian_minor))
     monkeypatch.setattr(skew, "pfaffian_sign_logabs",
                         counted("sweep", skew.pfaffian_sign_logabs))
     truncated_energy_correlation(g, cpl, _MIXED_BONDS[:m],
-                                 correlator=counted("lookup", raw))
-    assert counts == {"minor": 2 ** m - 1, "sweep": 2 ** m - 1,
-                      "lookup": m * (2 * m - 1)}
+                                 correlator=counted("lookup", lookup))
+    assert counts == {"minor": 2 ** m - 1, "sweep": 2 ** m - 1, "lookup": 1}
+    assert len(pairs) == len(set(pairs)) == m * (2 * m - 1)
 
 
 def test_energy_never_calls_the_combinatorial_pfaffian(monkeypatch):

@@ -18,7 +18,6 @@ from isingcyl.exact import (
     horizontal_kernel_infinite,
     massive_propagator,
     partition_function_log,
-    site_of_index,
 )
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.skew import SingularSkewError, pfaffian_sign_logabs, skew_inverse
@@ -46,7 +45,8 @@ def test_flat_index_roundtrip():
     for z in g.sites():
         for sp in Species:
             idx = flat_index(g, z, sp)
-            assert site_of_index(g, idx) == (z, sp)
+            # site-major in (z2, z1), species-minor
+            assert divmod(idx, 4) == ((z[1] - 1) * g.L + z[0] - 1, sp)
             seen.add(idx)
     assert seen == set(range(4 * g.n_sites))
 
@@ -92,10 +92,44 @@ def test_propagator_cache_blocks():
         m[0, 0] = 1.0  # the cache is read-only
     z, zp = (2, 1), (4, 3)
     blk = cache.vertical_block(z, zp)
-    assert blk[0, 0] == cache.two_point(z, Species.VBAR, zp, Species.VBAR)
-    assert blk[0, 1] == cache.two_point(z, Species.VBAR, zp, Species.V)
-    assert blk[1, 0] == cache.two_point(z, Species.V, zp, Species.VBAR)
-    assert blk[1, 1] == cache.two_point(z, Species.V, zp, Species.V)
+    species = cache.species_block(z, zp)
+    assert blk.shape == (2, 2) and species.shape == (4, 4)
+    for a, sa in enumerate((Species.VBAR, Species.V)):
+        for b, sb in enumerate((Species.VBAR, Species.V)):
+            assert blk[a, b] == species[sa, sb] == m[flat_index(g, z, sa), flat_index(g, zp, sb)]
+
+
+@pytest.mark.parametrize("L,M", [(2, 1), (4, 3), (6, 4)])
+def test_species_blocks_gather_the_dense_oracle(L, M):
+    g = CylinderGeometry(L, M)
+    cache = PropagatorCache(g, Couplings.from_beta(0.7, 1.0, 0.4))
+    sites = list(g.sites())
+    zs = [z for z in sites for _ in sites]
+    zps = [zp for _ in sites for zp in sites]
+    blocks = cache.species_block(zs, zps)
+    assert blocks.shape == (len(zs), 4, 4)
+    rows = [[flat_index(g, z, s) for s in Species] for z in zs]
+    cols = [[flat_index(g, zp, s) for s in Species] for zp in zps]
+    oracle = cache.matrix[np.array(rows)[:, :, None], np.array(cols)[:, None, :]]
+    assert np.array_equal(blocks, oracle)
+    assert np.array_equal(cache.vertical_block(zs, zps), blocks[:, 2:, 2:])
+    assert np.array_equal(exact.dense_propagator(g, cache.couplings, zs, zps),
+                          blocks[:, 2:, 2:])
+    for bad in ((0, 1), (L + 1, 1), (1, 0), (1, M + 1)):
+        with pytest.raises(ValueError, match="outside"):
+            cache.species_block([sites[0], bad], [sites[0], sites[0]])
+        with pytest.raises(ValueError, match="outside"):
+            cache.species_block(sites[0], bad)
+
+
+def test_propagator_cache_stores_only_the_offset_kernel():
+    g = CylinderGeometry(8, 6)
+    cache = PropagatorCache(g, Couplings(0.35, 0.45))
+    assert set(vars(cache)) == {"geometry", "couplings", "kernel"}
+    assert cache.kernel.shape == (2 * 8 - 1, 4 * 6, 4 * 6)
+    assert not cache.kernel.flags.writeable
+    dense = cache.matrix
+    assert "matrix" in vars(cache) and cache.matrix is dense
 
 
 def _log_z_prefactor(geometry, beta, J1, J2):

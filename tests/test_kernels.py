@@ -375,6 +375,22 @@ def test_non_finite_rates_rejected(bad):
         interpolation_bound_reports(v, [(0.1, bad)])
 
 
+def _six_field_kernel(positions):
+    k = Kernel()
+    k.add(tuple((1 if i % 2 else -1, (0, 0), z) for i, z in enumerate(positions)), 0.5)
+    return k
+
+
+def test_weighted_norm_domain_is_four_distinct_sites():
+    # n = 6 on the corners of a unit square: the Steiner length is 3
+    on_four = _six_field_kernel([(0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (1, 1)])
+    assert weighted_norm(on_four, 6, 0, 0.5) == pytest.approx(0.5 * math.exp(1.5))
+    on_five = _six_field_kernel([(0, 0), (0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
+    with pytest.raises(ValueError, match=r"sector \(6, 0\) has an entry on 5 distinct "
+                                         r"sites.*at most 4"):
+        weighted_norm(on_five, 6, 0, 0.5)
+
+
 def test_random_kernel_rejects_negative_draw_sizes():
     rng = np.random.default_rng(18)
     with pytest.raises(ValueError, match="entries"):

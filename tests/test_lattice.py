@@ -41,8 +41,13 @@ def test_contains_and_extended_rows():
     assert not g.contains((0, 1)) and not g.contains((1, 0))
     assert not g.contains((1, 4))
     # virtual boundary rows belong to the extended range only
-    assert g.contains_extended((2, 0)) and g.contains_extended((2, 4))
-    assert not g.contains_extended((2, 5))
+    z, zp = g.site_arrays([(2, 0), (1, 1)], [(2, 4), (4, 3)], extended=True)
+    assert z.tolist() == [[2, 0], [1, 1]] and zp.tolist() == [[2, 4], [4, 3]]
+    for bad in ((2, 0), (2, 5), (0, 1), (5, 1)):
+        with pytest.raises(ValueError, match="outside the lattice"):
+            g.site_arrays(bad, (1, 1))
+    with pytest.raises(ValueError, match="outside the extended lattice"):
+        g.site_arrays((1, 1), (2, 5), extended=True)
 
 
 def test_per_range_window():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from isingcyl import spectral
+from isingcyl import exact, spectral
 from isingcyl.exact import Couplings, PropagatorCache
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.multiscale import scale_weight, tail_weight
@@ -97,6 +97,17 @@ def test_critical_propagator_matches_dense_inverse():
                 dense = cache.vertical_block(z, zp)
                 worst = max(worst, float(np.max(np.abs(spec - dense))))
         assert worst < 1e-10
+
+
+@pytest.mark.parametrize("cpl", [ISO, Couplings.critical_from_t1(0.5)])
+def test_dense_batch_route_matches_critical_propagator_at_32(cpl):
+    g = CylinderGeometry(32, 32)
+    rng = np.random.default_rng(32)
+    zs, zps = (rng.integers(1, 33, size=(600, 2)) for _ in range(2))
+    dense = exact.dense_propagator(g, cpl, zs, zps)
+    spectral = critical_propagator(g, cpl, zs, zps)
+    assert dense.shape == spectral.shape == (600, 2, 2)
+    assert np.max(np.abs(dense - spectral)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_boundary_rows_vanish():
