@@ -267,16 +267,19 @@ def cmd_multiscale(args):
     h_list = _parse_h_list(args, geometry)
     if args.decay is not None:
         kind = args.decay
-        if kind == "bulk":
-            report = multiscale.bulk_decay_report(couplings, h_list)
-        elif kind == "edge":
-            report = multiscale.edge_decay_report(geometry, couplings,
-                                                  h_list, seed=seed)
-        elif kind == "tail":
-            report = multiscale.tail_bound_report(geometry, couplings,
-                                                  h_list, seed=seed)
-        else:
+        if kind not in ("bulk", "edge", "tail"):
             raise UsageError("--decay takes bulk, edge, or tail")
+        try:
+            if kind == "bulk":
+                report = multiscale.bulk_decay_report(couplings, h_list)
+            elif kind == "edge":
+                report = multiscale.edge_decay_report(geometry, couplings,
+                                                      h_list, seed=seed)
+            else:
+                report = multiscale.tail_bound_report(geometry, couplings,
+                                                      h_list, seed=seed)
+        except multiscale.SampleDepthError as err:
+            raise UsageError(f"--h-list: {err}")
         header = ["h", "fitted_C", "fitted_c", "max_residual", "n_samples"]
         rows = [[rec["h"], rec["fitted_C"], rec["fitted_c"],
                  rec["max_residual"], rec["n_samples"]] for rec in report]

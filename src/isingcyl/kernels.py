@@ -8,24 +8,30 @@ marginal and relevant monomials and an interpolated remainder carrying
 one extra discrete derivative, with norm inequalities (checked here
 exactly on the finite support) controlling the remainder.
 
+Storage: each sector (n, p) (n fields, p derivative units) is an int16
+label array of shape (N, n, 5), one row (omega, d1, d2, x, y) per field,
+and a float64 value array; rows are distinct and values nonzero.  Site
+coordinates lie in [-COORD_LIMIT, COORD_LIMIT), so a field packs into a
+31-bit key ordered like its label tuple and two fields into one int64;
+operators sort and group rows by these keys.  A coordinate outside the
+range raises ValueError.  Python tuples appear only at the edges:
+`add` stages entries in a dict, and `items`, `value` and the text
+format read or write tuples.
+
 Translation-invariant kernels are stored anchored: every multilabel is
 shifted so the first position is the origin, and the invariance is a
 certificate established by `certify_translation_invariance` (an
 exhaustive consistency test over the support), never an assumption.
 The localization and renormalization operators require the certificate.
 
-All merging steps accumulate contributions per target label (for
-symmetrization, per canonical field ordering) and reduce them with
-`math.fsum`, dividing by the symmetry-group order only at the end.
-Structural cancellations (repeated labels under permutation
-antisymmetrization, reflection-odd components) therefore come out as
-exact floating-point zeros, not small residues.
-
-The module also carries an independent oracle for kernel equivalence:
-multilabels are expanded into elementary wedge monomials (finite
-differences written out pointwise, fields sorted with permutation
-signs, repeated fields dropped), under which equivalent kernels have
-identical coefficient maps.
+Every merge groups the contributions per target label (for
+symmetrization, per canonical field ordering) and reduces each group to
+its `math.fsum`: one or two terms by IEEE addition, which is the same
+number, three or more by `math.fsum` itself.  Symmetrization divides by
+the group order 4 n! once, after the sum.  Structural cancellations
+(repeated labels under permutation antisymmetrization, reflection-odd
+components) therefore come out as exact floating-point zeros, not small
+residues.
 """
 
 from __future__ import annotations
@@ -34,13 +40,23 @@ import functools
 import itertools
 import math
 
+import numpy as np
+
 from .lattice import STEINER_MAX_POINTS, steiner_length
 
 DERIV_SET = tuple((a, b) for a in range(3) for b in range(3) if a + b <= 2)
 
 INTERPOLATED_SECTORS = ((2, 0), (2, 1), (4, 0))
 
+# stored site coordinates lie in [-COORD_LIMIT, COORD_LIMIT)
+COORD_LIMIT = 1 << 12
+
 _ORIGIN = (0, 0)
+
+
+def _range_error():
+    return ValueError(f"site coordinates must lie in [{-COORD_LIMIT}, {COORD_LIMIT - 1}] "
+                      "to be packed into kernel keys")
 
 
 def _check_label(label):
@@ -49,6 +65,8 @@ def _check_label(label):
         raise ValueError(f"omega must be +-1, got {omega}")
     if tuple(d) not in DERIV_SET:
         raise ValueError(f"derivative label {d} outside the allowed set")
+    if not all(-COORD_LIMIT <= c < COORD_LIMIT for c in z):
+        raise _range_error()
     return (omega, (int(d[0]), int(d[1])), (int(z[0]), int(z[1])))
 
 
@@ -60,10 +78,94 @@ def _anchor(multilabel):
     return tuple((om, d, (z[0] - x0, z[1] - y0)) for om, d, z in multilabel)
 
 
-def _sector_of(multilabel):
-    n = len(multilabel)
-    p = sum(d[0] + d[1] for _, d, _ in multilabel)
-    return n, p
+# ---------------------------------------------------------------------------
+# label arrays: packed keys, grouping and the exact group sums
+
+
+def _site_keys(labels):
+    """Per-field 26-bit keys of the sites, ordered like (x, y)."""
+    x = labels[..., 3].astype(np.int64) + COORD_LIMIT
+    y = labels[..., 4].astype(np.int64) + COORD_LIMIT
+    if np.any((x | y) >> 13):
+        raise _range_error()
+    return (x << 13) | y
+
+
+def _field_keys(labels, derivs=True):
+    """Per-field keys >= 1 (0 is free for padding) that order like the
+    label tuples (omega, D, z); without derivs they ignore D."""
+    head = 9 * (labels[..., 0] > 0) + 1
+    if derivs:
+        head = head + 3 * labels[..., 1] + labels[..., 2]
+    return (head.astype(np.int64) << 26) | _site_keys(labels)
+
+
+def _row_keys(fkeys):
+    """Key columns holding two field keys each: rows compare lexicographically."""
+    return [(fkeys[:, i] << 31) | fkeys[:, i + 1] for i in range(0, fkeys.shape[1], 2)]
+
+
+def _group(columns):
+    """Lexicographic order of the rows of a list of key columns and the
+    first position of each run of equal rows."""
+    order = np.lexsort(columns[::-1])
+    new = np.ones(len(order), bool)
+    new[1:] = False
+    for column in columns:
+        ranked = column[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    return order, np.flatnonzero(new)
+
+
+def _reduce(values, order, starts):
+    """`math.fsum` of every group: IEEE addition for one or two terms
+    (the same number), `math.fsum` for three or more."""
+    ranked = values[order]
+    counts = np.append(starts[1:], len(ranked)) - starts
+    total = ranked[starts]
+    two = counts == 2
+    total[two] += ranked[starts[two] + 1]
+    for g in np.flatnonzero(counts > 2).tolist():
+        total[g] = math.fsum(ranked[starts[g]:starts[g] + counts[g]].tolist())
+    return total
+
+
+def _anchored(labels):
+    out = labels.copy()
+    out[..., 3:5] -= labels[:, :1, 3:5]
+    return out
+
+
+def _collect(parts, translation_invariant):
+    """A kernel from (sector, labels, values) parts: equal labels of a
+    sector summed by `_reduce`, zero sums dropped."""
+    pieces = {}
+    for sector, labels, values in parts:
+        pieces.setdefault(sector, []).append((labels, values))
+    blocks = {}
+    for sector, chunk in pieces.items():
+        labels = np.concatenate([lab for lab, _ in chunk])
+        order, starts = _group(_row_keys(_field_keys(labels)))
+        total = _reduce(np.concatenate([v for _, v in chunk]), order, starts)
+        keep = total != 0.0
+        blocks[sector] = (labels[order[starts[keep]]], total[keep])
+    return Kernel._of(blocks, translation_invariant)
+
+
+def _parts_of(pairs):
+    """(sector, labels, values) parts from (multilabel, value) pairs."""
+    rows = {}
+    for key, v in pairs:
+        sector = (len(key), sum(d[0] + d[1] for _, d, _ in key))
+        rows.setdefault(sector, []).append((key, v))
+    return [(sector, np.array([[(om, *d, *z) for om, d, z in key] for key, _ in chunk],
+                              dtype=np.int16).reshape(-1, sector[0], 5),
+             np.array([v for _, v in chunk], dtype=float))
+            for sector, chunk in rows.items()]
+
+
+def _label_tuples(labels):
+    return [tuple((f[0], (f[1], f[2]), (f[3], f[4])) for f in row) for row in labels.tolist()]
 
 
 class Kernel:
@@ -73,74 +175,87 @@ class Kernel:
     of a translation-invariant kernel.  The flag is set by anchored
     construction or by `certify_translation_invariance`, and every
     operator here preserves it, re-anchoring after label motions.
+    Entries given to `add` are staged in a dict and packed into the
+    sector arrays when an operator first reads them; `value` keeps such
+    a dict as its lookup table.
     """
 
     def __init__(self, translation_invariant=False):
-        self._data = {}
         self.translation_invariant = translation_invariant
+        self._blocks = {}
+        self._entries = None  # {multilabel: value}, authoritative while _blocks is None
 
     @classmethod
-    def _from_buffer(cls, buffer, translation_invariant):
+    def _of(cls, blocks, translation_invariant):
         out = cls(translation_invariant)
-        for key, vals in buffer.items():
-            total = math.fsum(vals)
-            if total != 0.0:
-                out._data[key] = total
+        out._blocks = {s: b for s, b in blocks.items() if len(b[1])}
         return out
 
-    def _bufkey(self, multilabel):
-        return _anchor(multilabel) if self.translation_invariant else multilabel
+    def _arrays(self):
+        """The sector blocks: {(n, p): (labels, values)}."""
+        if self._blocks is None:
+            parts = _parts_of(self._entries.items())
+            for _, labels, _ in parts:
+                _site_keys(labels)  # raises unless every anchored site packs
+            self._blocks = {s: (labels, values) for s, labels, values in parts}
+        return self._blocks
 
     def add(self, multilabel, value):
         labels = tuple(_check_label(l) for l in multilabel)
         if len(labels) % 2:
             raise ValueError("multilabels must have even length")
-        labels = self._bufkey(labels)
-        new = self._data.get(labels, 0.0) + value
+        if self.translation_invariant:
+            labels = _anchor(labels)
+        if self._entries is None:
+            self._entries = dict(self.items())
+        self._blocks = None
+        new = self._entries.get(labels, 0.0) + value
         if new == 0.0:
-            self._data.pop(labels, None)
+            self._entries.pop(labels, None)
         else:
-            self._data[labels] = new
+            self._entries[labels] = new
 
     def items(self):
-        return self._data.items()
+        if self._entries is not None:
+            return self._entries.items()
+        return dict(pair for labels, values in self._blocks.values()
+                    for pair in zip(_label_tuples(labels), values.tolist())).items()
 
     def __len__(self):
-        return len(self._data)
+        if self._entries is not None:
+            return len(self._entries)
+        return sum(len(values) for _, values in self._blocks.values())
 
     def value(self, multilabel):
         key = tuple(multilabel)
         if self.translation_invariant:
             key = _anchor(key)
-        return self._data.get(key, 0.0)
+        if self._entries is None:
+            self._entries = dict(self.items())
+        return self._entries.get(key, 0.0)
 
     def sectors(self):
-        return sorted({_sector_of(k) for k in self._data})
+        return sorted(self._arrays())
 
     def sector(self, n, p):
-        out = Kernel(self.translation_invariant)
-        for k, v in self._data.items():
-            if _sector_of(k) == (n, p):
-                out._data[k] = v
-        return out
+        block = self._arrays().get((n, p))
+        return Kernel._of({(n, p): block} if block else {}, self.translation_invariant)
+
+    def _parts(self, negate=False):
+        return [(s, labels, -values if negate else values)
+                for s, (labels, values) in self._arrays().items()]
 
     def plus(self, other):
         if self.translation_invariant != other.translation_invariant:
             raise ValueError("cannot mix anchored and literal kernels")
-        buffer = {}
-        for k, v in self._data.items():
-            buffer.setdefault(k, []).append(v)
-        for k, v in other._data.items():
-            buffer.setdefault(k, []).append(v)
-        return Kernel._from_buffer(buffer, self.translation_invariant)
+        return _collect(self._parts() + other._parts(), self.translation_invariant)
 
     def max_abs_diff(self, other):
-        keys = set(self._data) | set(other._data)
-        return max((abs(self._data.get(k, 0.0) - other._data.get(k, 0.0))
-                    for k in keys), default=0.0)
+        return _collect(self._parts() + other._parts(negate=True), False).max_abs()
 
     def max_abs(self):
-        return max(map(abs, self._data.values()), default=0.0)
+        return max((float(np.max(np.abs(v))) for _, v in self._arrays().values()),
+                   default=0.0)
 
 
 def certify_translation_invariance(kernel):
@@ -152,19 +267,24 @@ def certify_translation_invariance(kernel):
     """
     if kernel.translation_invariant:
         return kernel
-    out = Kernel(translation_invariant=True)
-    for key, v in kernel.items():
-        ak = _anchor(key)
-        prev = out._data.get(ak)
-        if prev is not None and prev != v:
-            raise ValueError(f"translation-inconsistent values at {ak}: "
-                             f"{prev} vs {v}")
-        out._data[ak] = v
-    return out
+    blocks = {}
+    for sector, (labels, values) in kernel._arrays().items():
+        anchored = _anchored(labels)
+        order, starts = _group(_row_keys(_field_keys(anchored)))
+        ranked = values[order]
+        first = np.repeat(ranked[starts], np.diff(starts, append=len(ranked)))
+        bad = np.flatnonzero(ranked != first)
+        if len(bad):
+            i = bad[0]
+            raise ValueError(f"translation-inconsistent values at "
+                             f"{_label_tuples(anchored[order[i:i + 1]])[0]}: "
+                             f"{first[i]} vs {ranked[i]}")
+        blocks[sector] = (anchored[order[starts]], ranked[starts])
+    return Kernel._of(blocks, True)
 
 
 # ---------------------------------------------------------------------------
-# collapse and the canonical interpolation paths
+# collapse and interpolation along canonical paths
 
 
 def localize_collapse(kernel, n=None, p=None):
@@ -174,171 +294,109 @@ def localize_collapse(kernel, n=None, p=None):
     position tuples sharing z1 (with the same omega and derivative
     labels).  With n, p given, only that sector is collapsed.
     """
-    buffer = {}
-    for key, v in kernel.items():
-        if n is not None and _sector_of(key) != (n, p):
-            continue
-        z1 = key[0][2]
-        collapsed = kernel._bufkey(tuple((om, d, z1) for om, d, _ in key))
-        buffer.setdefault(collapsed, []).append(v)
-    return Kernel._from_buffer(buffer, kernel.translation_invariant)
-
-
-def canonical_path(z, zp):
-    """Staircase from z to z': horizontal segment first, then vertical.
-
-    Coincident endpoints give the empty path.
-    """
-    if tuple(z) == tuple(zp):
-        return ()
-    x, y = z
-    path = [(x, y)]
-    step = 1 if zp[0] > x else -1
-    while x != zp[0]:
-        x += step
-        path.append((x, y))
-    step = 1 if zp[1] > y else -1
-    while y != zp[1]:
-        y += step
-        path.append((x, y))
-    return tuple(path)
-
-
-def _int_steps(z, zp):
-    """Interpolation elements along the canonical path.
-
-    Yields (sigma, d, y): one per path step, where d is the unit
-    derivative label, y the site carrying it, and sigma +1 when the
-    step runs along +d (the difference at y spans the step), -1 when
-    it runs along -d (the difference at the far endpoint does).
-    """
-    path = canonical_path(z, zp)
-    for a, b in zip(path, path[1:]):
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        if dx + dy > 0:
-            yield 1.0, (abs(dx), abs(dy)), a
-        else:
-            yield -1.0, (abs(dx), abs(dy)), b
-
-
-def interpolation_elements(ztuple):
-    """The interpolation set of a position tuple: (sigma, D', y) triples.
-
-    For a pair, the second field is interpolated along the canonical
-    path from z1 to z2.  For a quadruple, the collapse telescopes one
-    field at a time: field 2 with fields 3 and 4 in place, then field 3
-    with field 2 already collapsed, then field 4 with everything else
-    collapsed.  Fields already at z1 contribute nothing (empty paths).
-    """
-    n = len(ztuple)
-    z1 = ztuple[0]
-    if n == 2:
-        for sig, d, y in _int_steps(z1, ztuple[1]):
-            yield sig, (_ORIGIN, d), (z1, y)
-    elif n == 4:
-        z2, z3, z4 = ztuple[1], ztuple[2], ztuple[3]
-        for sig, d, y in _int_steps(z1, z2):
-            yield sig, (_ORIGIN, d, _ORIGIN, _ORIGIN), (z1, y, z3, z4)
-        for sig, d, y in _int_steps(z1, z3):
-            yield sig, (_ORIGIN, _ORIGIN, d, _ORIGIN), (z1, z1, y, z4)
-        for sig, d, y in _int_steps(z1, z4):
-            yield sig, (_ORIGIN, _ORIGIN, _ORIGIN, d), (z1, z1, z1, y)
-    else:
-        raise ValueError(f"interpolation is defined for n in {{2, 4}}, not {n}")
+    parts = []
+    for sector, labels, values in kernel._parts():
+        if n is None or sector == (n, p):
+            moved = labels.copy()
+            moved[..., 3:5] = labels[:, :1, 3:5]
+            parts.append((sector, moved, values))
+    return _collect(parts, kernel.translation_invariant)
 
 
 def interpolate_remainder(kernel, n, p):
     """The interpolated remainder of the collapse on the (n, p) sector.
 
-    Every support entry is spread over its interpolation elements with
-    the step sign, the unit derivative landing on top of the moved
-    field's own label; the output lies entirely in sector (n, p+1) and
-    is equivalent (as a Grassmann form) to the sector minus its
-    collapse.
+    The collapse telescopes one field at a time: field j moves to z1
+    along the canonical staircase (horizontal leg first, then vertical)
+    with fields 2..j-1 already at z1 and the later ones in place.  Each
+    path step gives one output row: the unit difference lands on top of
+    the moved field's own label, at the step's near end with sign +1 if
+    the step runs along +d, at its far end with sign -1 otherwise.  The
+    output lies entirely in sector (n, p+1) and is equivalent (as a
+    Grassmann form) to the sector minus its collapse.  The first
+    position never moves, so anchoring holds.
     """
     if (n, p) not in INTERPOLATED_SECTORS:
         raise ValueError(f"interpolation not defined on sector {(n, p)}")
-    buffer = {}
-    for key, v in kernel.items():
-        if _sector_of(key) != (n, p):
-            continue
-        zt = tuple(z for _, _, z in key)
-        for sig, dprime, yt in interpolation_elements(zt):
-            labels = tuple(
-                (om, (d[0] + dp[0], d[1] + dp[1]), y)
-                for (om, d, _), dp, y in zip(key, dprime, yt)
-            )
-            buffer.setdefault(kernel._bufkey(labels), []).append(sig * v)
-    return Kernel._from_buffer(buffer, kernel.translation_invariant)
+    block = kernel._arrays().get((n, p))
+    if block is None:
+        return Kernel(kernel.translation_invariant)
+    labels, values = block
+    z1 = labels[:, 0, 3:5].astype(np.int64)
+    parts = []
+    for j in range(1, n):
+        delta = labels[:, j, 3:5] - z1
+        legs = np.abs(delta)
+        steps = legs.sum(axis=1)
+        row = np.repeat(np.arange(len(labels)), steps)
+        k = np.arange(len(row)) - np.repeat(np.cumsum(steps) - steps, steps)
+        vertical = k >= legs[row, 0]
+        k -= vertical * legs[row, 0]
+        along = delta[row, vertical.astype(int)]
+        back = along < 0
+        # the leg starts at z1 (horizontal) or at (x_j, y1) (vertical);
+        # a backward step carries the difference at its far end
+        site = np.where(vertical, z1[row, 1], z1[row, 0]) + np.sign(along) * (k + back)
+        moved = labels[row]
+        moved[:, 1:j, 3:5] = z1[row, None]
+        moved[:, j, 3] = np.where(vertical, labels[row, j, 3], site)
+        moved[:, j, 4] = np.where(vertical, site, z1[row, 1])
+        moved[np.arange(len(row)), j, 1 + vertical] += 1
+        parts.append(((n, p + 1), moved, np.where(back, -values[row], values[row])))
+    return _collect(parts, kernel.translation_invariant)
 
 
 # ---------------------------------------------------------------------------
 # the symmetrization operator
 
 
-def _reflect_label(label, axis):
-    """Reflect one field label; returns (label', scalar factor).
-
-    Axis 1 flips the first coordinate (omega unchanged, factor -1 for
-    omega = -1 times (-1)^d1); axis 2 flips the second and swaps omega
-    (factor (-1)^d2).  Forward differences reflect to backward ones,
-    hence the extra -d offset in the flipped coordinate.
-    """
-    om, d, z = label
-    if axis == 1:
-        factor = (-1.0 if om == -1 else 1.0) * (-1.0) ** d[0]
-        return (om, d, (-z[0] - d[0], z[1])), factor
-    factor = (-1.0) ** d[1]
-    return (-om, d, (z[0], -z[1] - d[1])), factor
-
-
-def _reflect_entry(key, axes):
-    """Pushforward of one entry under a product of axis reflections.
-
-    Each reflection contributes the per-field factors and a global sign
-    (-1)^(n/2), the real value of i^n for even n.
-    """
-    factor = 1.0
-    labels = key
-    for axis in axes:
-        factor *= (-1.0) ** (len(key) // 2)
-        moved = []
-        for label in labels:
-            lab, f = _reflect_label(label, axis)
-            factor *= f
-            moved.append(lab)
-        labels = tuple(moved)
-    return labels, factor
-
-
-def _perm_sign(items):
-    """Sign of the permutation sorting distinct items: (-1)^inversions."""
-    inversions = sum(a > b for a, b in itertools.combinations(items, 2))
-    return -1.0 if inversions % 2 else 1.0
-
-
-def _sorted_with_sign(items):
-    """Items in ascending order and the sorting sign; (None, 0.0) on a repeat."""
-    ordered = tuple(sorted(items))
-    if any(a == b for a, b in zip(ordered, ordered[1:])):
-        return None, 0.0
-    return ordered, _perm_sign(items)
+def _inversion_parity(keys):
+    """Parity of the inversion count of every row of an (N, n) array."""
+    inversions = np.zeros(len(keys), np.int64)
+    for i, j in itertools.combinations(range(keys.shape[1]), 2):
+        inversions += keys[:, i] > keys[:, j]
+    return inversions % 2
 
 
 @functools.cache
-def _signed_orderings(n):
-    return tuple((perm, _perm_sign(perm))
-                 for perm in itertools.permutations(range(n)))
+def _orderings(n):
+    """All n! orderings as an index table, with their signs."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    return perms, 1.0 - 2.0 * _inversion_parity(perms)
+
+
+def _reflections(labels):
+    """Images of every entry under {1, R1, R2, R1 R2}, stacked as (4N, n, 5),
+    with the parity of each image's scalar factor.
+
+    R1 flips the first coordinate (factor -1 for omega = -1 times
+    (-1)^d1 per field); R2 flips the second and swaps omega (factor
+    (-1)^d2 per field).  Forward differences reflect to backward ones,
+    hence the extra -d offset in the flipped coordinate.  Each reflection
+    also carries (-1)^(n/2), the real value of i^n for even n.
+    """
+    om, d1, d2 = labels[..., 0], labels[..., 1], labels[..., 2]
+    images = np.repeat(labels[None], 4, axis=0)
+    images[1::2, ..., 3] = -labels[..., 3] - d1
+    images[2:, ..., 0] = -om
+    images[2:, ..., 4] = -labels[..., 4] - d2
+    half = labels.shape[1] // 2
+    p1 = np.sum((om < 0) + d1, axis=1) + half
+    p2 = np.sum(d2, axis=1) + half
+    parity = np.stack([np.zeros_like(p1), p1, p2, p1 + p2])
+    return images.reshape(-1, *labels.shape[1:]), parity.ravel()
 
 
 def symmetrize(kernel):
     """Average over field permutations (signed) and the four reflections.
 
     The group has order 4 n!.  Each reflected image of an entry is sorted
-    into canonical field order with the sorting sign, and dropped if a
-    label repeats.  Per canonical entry the sum is divided once by 4 n!
-    and written at all n! orderings with their signs.  Translation keeps
-    the order, so anchored canonical entries label whole orbits.
+    into canonical field order (an argsort of its packed field keys) with
+    the sign of the sorting permutation, and dropped if a label repeats.
+    Per canonical entry the contributions are summed as in `_reduce`,
+    divided once by 4 n! and written at all n! orderings with their
+    signs.  Translation keeps the order, so anchored canonical entries
+    label whole orbits.
 
     On translation-invariant kernels this never increases the weighted
     norm of an underived sector, and never increases any sector norm at
@@ -348,23 +406,32 @@ def symmetrize(kernel):
     their difference order and lengthening the tree distance by at
     most p.
     """
-    buffer = {}
-    for key, v in kernel.items():
-        for axes in ((), (1,), (2,), (1, 2)):
-            labels, factor = _reflect_entry(key, axes)
-            ordered, sign = _sorted_with_sign(labels)
-            if ordered is not None:
-                buffer.setdefault(kernel._bufkey(ordered), []).append(
-                    sign * factor * v)
-    out = Kernel(kernel.translation_invariant)
-    for ordered, vals in buffer.items():
-        n = len(ordered)
-        total = math.fsum(vals) / (4 * math.factorial(n))
-        if total != 0.0:
-            for perm, sign in _signed_orderings(n):
-                out._data[kernel._bufkey(tuple(ordered[i] for i in perm))] = (
-                    sign * total)
-    return out
+    ti = kernel.translation_invariant
+    blocks = {}
+    for (n, p), (labels, values) in kernel._arrays().items():
+        images, parity = _reflections(labels)
+        fkeys = _field_keys(images)
+        order = np.argsort(fkeys, axis=1, kind="stable")
+        ranked = np.take_along_axis(fkeys, order, axis=1)
+        keep = np.all(ranked[:, 1:] != ranked[:, :-1], axis=1)
+        canon = np.take_along_axis(images, order[..., None], axis=1)[keep]
+        if ti:
+            canon = _anchored(canon)
+            ranked = _field_keys(canon)
+        else:
+            ranked = ranked[keep]
+        odd = (parity + _inversion_parity(fkeys))[keep] % 2 == 1
+        signed = np.tile(values, 4)[keep]
+        rows, starts = _group(_row_keys(ranked))
+        total = _reduce(np.where(odd, -signed, signed), rows, starts) / (4 * math.factorial(n))
+        nonzero = total != 0.0
+        perms, signs = _orderings(n)
+        out = canon[rows[starts[nonzero]]][:, perms]
+        if ti:
+            out[..., 3:5] -= out[:, :, :1, 3:5].copy()
+            _site_keys(out)  # raises unless every re-anchored site packs
+        blocks[(n, p)] = (out.reshape(-1, n, 5), (total[nonzero][:, None] * signs).ravel())
+    return Kernel._of(blocks, ti)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +492,10 @@ def renormalization_operator(kernel):
     _require_certified(kernel)
     _, _, renormalized = _interpolations(kernel)
     replaced = set(INTERPOLATED_SECTORS) | set(renormalized)
-    passed = [kernel.sector(n, p) for n, p in kernel.sectors() if (n, p) not in replaced]
-    out = Kernel(translation_invariant=True)
-    for part in passed + list(renormalized.values()):
-        out._data.update(part.items())
-    return out
+    blocks = {s: b for s, b in kernel._arrays().items() if s not in replaced}
+    for part in renormalized.values():
+        blocks.update(part._arrays())
+    return Kernel._of(blocks, True)
 
 
 # ---------------------------------------------------------------------------
@@ -466,63 +532,50 @@ def kinetic_monomial(direction):
     return symmetrize(k)
 
 
-def span_projection(kernel, basis):
-    """Least-squares coefficients of the kernel in the given basis.
-
-    Returns (coefficients, sup-norm residual), exact on the finite
-    union support.
-    """
-    import numpy as np
-
-    keys = set(k for k, _ in kernel.items())
-    for b in basis:
-        keys |= set(k for k, _ in b.items())
-    if not keys:
-        return [0.0] * len(basis), 0.0
-    keys = sorted(keys)
-    a = np.array([[b.value(k) for b in basis] for k in keys])
-    y = np.array([kernel.value(k) for k in keys])
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    resid = float(np.max(np.abs(a @ coef - y)))
-    return [float(c) for c in coef], resid
-
-
 # ---------------------------------------------------------------------------
 # weighted norms and the interpolation bounds
-
-
-def _tree_distance(ztuple):
-    distinct = set(ztuple)
-    return steiner_length(distinct) if len(distinct) > 1 else 0
 
 
 def _norm_table(kernel, n, p):
     """Rate-independent norm data for one sector, checked to lie in the
     domain of `weighted_norm` before any Steiner length is taken.
 
-    Returns {(omega-tuple, z1): [(delta, magnitude), ...]} with the sup
-    over derivative labels already folded into the magnitudes.
+    Returns None for an empty sector, else (deltas, which, magnitudes,
+    bounds): one magnitude per (omega-tuple, z-tuple), the sup over
+    derivative labels already folded in, with its Steiner length
+    deltas[which], sorted so that bounds delimit the (omega-tuple, z1)
+    groups.
     """
-    sup_over_derivs = {}
-    for key, v in kernel.items():
-        if _sector_of(key) != (n, p):
-            continue
-        om = tuple(l[0] for l in key)
-        zt = tuple(l[2] for l in key)
-        if len(set(zt)) > STEINER_MAX_POINTS:
-            raise ValueError(f"sector ({n}, {p}) has an entry on {len(set(zt))} distinct sites; "
-                             f"the closed-form Steiner length covers at most {STEINER_MAX_POINTS}")
-        k = (om, zt)
-        sup_over_derivs[k] = max(sup_over_derivs.get(k, 0.0), abs(v))
-    groups = {}
-    for (om, zt), mag in sup_over_derivs.items():
-        groups.setdefault((om, zt[0]), []).append((_tree_distance(zt), mag))
-    return groups
+    block = kernel._arrays().get((n, p))
+    if block is None:
+        return None
+    labels, values = block
+    sites = _site_keys(labels)
+    if n > STEINER_MAX_POINTS:
+        ranked = np.sort(sites, axis=1)
+        distinct = 1 + np.count_nonzero(ranked[:, 1:] != ranked[:, :-1], axis=1)
+        over = np.flatnonzero(distinct > STEINER_MAX_POINTS)
+        if len(over):
+            raise ValueError(f"sector ({n}, {p}) has an entry on {distinct[over[0]]} distinct "
+                             f"sites; the closed-form Steiner length covers at most "
+                             f"{STEINER_MAX_POINTS}")
+    # rows keyed by (omega-tuple, z1), then z2 ... zn: equal keys differ in D only
+    lead = ((labels[..., 0] > 0) @ (1 << np.arange(n))) << 26 | sites[:, 0]
+    order, starts = _group([lead] + [sites[:, i] << 26 | sites[:, i + 1]
+                                     for i in range(1, n - 1, 2)] + [sites[:, -1]])
+    magnitudes = np.maximum.reduceat(np.abs(values[order]), starts)
+    reps = order[starts]
+    deltas, which = np.unique(steiner_length(labels[reps, :, 3:5]), return_inverse=True)
+    bounds = np.flatnonzero(np.append(True, lead[reps[1:]] != lead[reps[:-1]]))
+    return deltas.tolist(), which, magnitudes, bounds.tolist() + [len(reps)]
 
 
 def _evaluate_norm(table, rate):
-    return max((math.fsum(math.exp(rate * d) * m for d, m in entries)
-                for entries in table.values()), default=0.0)
+    if table is None:
+        return 0.0
+    deltas, which, magnitudes, bounds = table
+    weights = (np.array([math.exp(rate * d) for d in deltas])[which] * magnitudes).tolist()
+    return max(math.fsum(weights[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def _check_rate(rate):
@@ -538,9 +591,12 @@ def weighted_norm(kernel, n, p, rate):
         derivative labels of |V|,
 
     with delta the rectilinear Steiner length of the distinct points.
-    Defined when every entry of the sector sits on at most
-    STEINER_MAX_POINTS = 4 distinct sites (the closed form of
-    `lattice.steiner_length`), as all n <= 4 sectors do; ValueError else.
+    The sup over derivative labels is a group max over rows with equal
+    (omega-tuple, z-tuple) keys; every inner sum is a `math.fsum`, and
+    e^(rate * delta) is taken once per distinct delta.  Defined when
+    every entry of the sector sits on at most STEINER_MAX_POINTS = 4
+    distinct sites (the closed form of `lattice.steiner_length`), as
+    all n <= 4 sectors do; ValueError else.
     """
     _check_rate(rate)
     return _evaluate_norm(_norm_table(kernel, n, p), rate)
@@ -576,9 +632,9 @@ def interpolation_bound_reports(kernel, combos):
     input_tables = {}
     for n, p in INTERPOLATED_SECTORS:
         input_tables[(n, p)] = _norm_table(kernel, n, p)
-        if input_tables[(n, p)]:
+        if input_tables[(n, p)] is not None:
             single[(n, p)] = _norm_table(once[(n, p)], n, p + 1)
-    double_table = _norm_table(twice, 2, 2) if input_tables[(2, 0)] else None
+    double_table = _norm_table(twice, 2, 2)
     input_tables[(2, 2)] = _norm_table(kernel, 2, 2)
     input_tables[(4, 1)] = _norm_table(kernel, 4, 1)
     renorm22 = _norm_table(renormalized[(2, 2)], 2, 2)
@@ -592,7 +648,7 @@ def interpolation_bound_reports(kernel, combos):
             rhs = (n - 1) / rate_step * _evaluate_norm(
                 input_tables[(n, p)], rate + rate_step)
             report[f"single_{n}{p}_to_{n}{p + 1}"] = (lhs, rhs, rhs - lhs)
-        if double_table is not None:
+        if input_tables[(2, 0)] is not None:
             lhs = _evaluate_norm(double_table, rate)
             rhs = rate_step ** -2 * _evaluate_norm(
                 input_tables[(2, 0)], rate + 2 * rate_step)
@@ -614,108 +670,15 @@ def interpolation_bound_reports(kernel, combos):
 
 
 # ---------------------------------------------------------------------------
-# equivalence oracle: expansion into elementary wedge monomials
-
-
-def _difference_expansion(d, z):
-    """Pointwise expansion of a forward-difference label at z.
-
-    Yields (site, coefficient), the coefficients being products of two
-    binomial rows with alternating signs.
-    """
-    d1, d2 = d
-    for k1 in range(d1 + 1):
-        c1 = math.comb(d1, k1) * (-1.0) ** (d1 - k1)
-        for k2 in range(d2 + 1):
-            c2 = math.comb(d2, k2) * (-1.0) ** (d2 - k2)
-            yield (z[0] + k1, z[1] + k2), c1 * c2
-
-
-def wedge_expansion(kernel):
-    """Expand a literal kernel into elementary wedge monomials.
-
-    Every field label becomes a signed sum of underived fields;
-    products are sorted into canonical field order with the permutation
-    sign; monomials with a repeated field vanish.  Two kernels are
-    equivalent exactly when their expansions agree.  (For an anchored
-    translation-invariant kernel this expands the representative, not
-    the infinite sum of translates.)
-    """
-    buffer = {}
-    for key, v in kernel.items():
-        factor_lists = []
-        for om, d, z in key:
-            factor_lists.append([((om, site), c)
-                                 for site, c in _difference_expansion(d, z)])
-        for combo in itertools.product(*factor_lists):
-            mono, sign = _sorted_with_sign([f for f, _ in combo])
-            if mono is None:
-                continue
-            coef = v
-            for _, c in combo:
-                coef *= c
-            buffer.setdefault(mono, []).append(sign * coef)
-    out = {}
-    for mono, vals in buffer.items():
-        total = math.fsum(vals)
-        if total != 0.0:
-            out[mono] = total
-    return out
-
-
-def kernels_equivalent(a, b, tol=1e-12):
-    """Whether two kernels have the same wedge expansion within tol."""
-    ea = wedge_expansion(a)
-    eb = wedge_expansion(b)
-    keys = set(ea) | set(eb)
-    return all(abs(ea.get(k, 0.0) - eb.get(k, 0.0)) <= tol for k in keys)
-
-
-def formal_pairing(kernel, coefficients):
-    """Pair the kernel against a test family on canonical monomials.
-
-    The coefficient map is read on sorted wedge monomials; its
-    antisymmetric extension is implied by the canonical sign applied
-    during expansion.  Equivalent kernels pair identically with every
-    family.
-    """
-    expansion = wedge_expansion(kernel)
-    return math.fsum(v * coefficients.get(mono, 0.0)
-                     for mono, v in expansion.items())
-
-
-def derivative_expansion(kernel, index, direction):
-    """The derivative-rewriting move at (field index, direction).
-
-    Every entry whose chosen field carries a positive difference order
-    in the chosen direction is rewritten through the defining identity
-    of the forward difference: the order drops by one and the entry
-    splits into the shifted-position value minus the in-place value.
-    Zero-order entries pass through.  The wedge expansion is unchanged.
-    """
-    if direction not in (1, 2):
-        raise ValueError("direction must be 1 or 2")
-    j = direction - 1
-    step = (1 - j, j)
-    buffer = {}
-    for key, v in kernel.items():
-        if index >= len(key):
-            buffer.setdefault(kernel._bufkey(key), []).append(v)
-            continue
-        om, d, z = key[index]
-        if d[j] == 0:
-            buffer.setdefault(kernel._bufkey(key), []).append(v)
-            continue
-        lowered = (d[0] - step[0], d[1] - step[1])
-        shifted = (z[0] + step[0], z[1] + step[1])
-        for zz, sign in ((shifted, 1.0), (z, -1.0)):
-            moved = key[:index] + ((om, lowered, zz),) + key[index + 1:]
-            buffer.setdefault(kernel._bufkey(moved), []).append(sign * v)
-    return Kernel._from_buffer(buffer, kernel.translation_invariant)
-
-
-# ---------------------------------------------------------------------------
 # random kernels for property tests
+
+
+@functools.cache
+def _splittings(n, p):
+    """Derivative labels of n fields with p units in all, in product order."""
+    if n == 0:
+        return [()] if p == 0 else []
+    return [(d,) + rest for d in DERIV_SET if sum(d) <= p for rest in _splittings(n - 1, p - sum(d))]
 
 
 def random_sparse_kernel(rng, n, p, entries=6, box=3, translation_invariant=True):
@@ -732,8 +695,7 @@ def random_sparse_kernel(rng, n, p, entries=6, box=3, translation_invariant=True
         raise ValueError(f"entries must be nonnegative, got {entries}")
     if box < 0:
         raise ValueError(f"box must be nonnegative, got {box}")
-    splittings = [ds for ds in itertools.product(DERIV_SET, repeat=n)
-                  if sum(a + b for a, b in ds) == p]
+    splittings = _splittings(n, p)
     out = Kernel(translation_invariant=translation_invariant)
     for _ in range(entries):
         ds = splittings[int(rng.integers(len(splittings)))]
@@ -766,13 +728,22 @@ _TEXT_FORMAT_VERSION = 1
 def kernel_to_text(kernel):
     """Serialize a kernel to the line-oriented text format."""
     mode = "anchored" if kernel.translation_invariant else "literal"
-    lines = ["kernel %d %s" % (_TEXT_FORMAT_VERSION, mode)]
-    for labels, value in sorted(kernel.items()):
-        omegas = ",".join(str(om) for om, _, _ in labels)
-        ds = ",".join("%d:%d" % d for _, d, _ in labels)
-        zs = ",".join("%d:%d" % z for _, _, z in labels)
-        lines.append("%d %s %s %s %s" % (len(labels), omegas, ds, zs, repr(value)))
-    return "\n".join(lines) + "\n"
+    lines, keys = [], []
+    blocks = kernel._arrays()
+    width = max((n for n, _ in blocks), default=0)
+    for (n, _), (labels, values) in blocks.items():
+        fmt = " ".join([str(n), ",".join(["%d"] * n), ",".join(["%d:%d"] * n),
+                        ",".join(["%d:%d"] * n), "%r"])
+        cols = np.concatenate([labels[..., 0], labels[..., 1:3].reshape(len(labels), -1),
+                               labels[..., 3:5].reshape(len(labels), -1)], axis=1)
+        for a in range(0, len(cols), 4096):  # chunked: no nested list of the whole block
+            lines += [fmt % (*row, v) for row, v in zip(cols[a:a + 4096].tolist(),
+                                                        values[a:a + 4096].tolist())]
+        # pad shorter multilabels with key 0, so a prefix sorts first
+        keys.append(np.pad(_field_keys(labels), ((0, 0), (0, width - n))))
+    order = _group(_row_keys(np.concatenate(keys)))[0].tolist() if keys else []
+    header = "kernel %d %s" % (_TEXT_FORMAT_VERSION, mode)
+    return "\n".join([header] + [lines[i] for i in order]) + "\n"
 
 
 def kernel_from_text(text):

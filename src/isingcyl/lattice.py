@@ -18,10 +18,11 @@ boundary: it is the minimum over (i) reflecting the pair off the top or
 bottom row and (ii) winding the long way around the cylinder.
 
 `steiner_length` is the exact rectilinear Steiner minimal tree length of
-up to four points, in closed form (Hwang 1976): the bounding-box
+up to four distinct points, in closed form (Hwang 1976): the bounding-box
 half-perimeter, plus for four points the shorter middle gap when the
-x- and y-median splits pair them differently.  It is the decay exponent
-delta in weighted kernel norms.
+x- and y-median splits pair them differently.  It takes one point set or
+a batch of them, and is the decay exponent delta in weighted kernel
+norms.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ STEINER_MAX_POINTS = 4
 
 
 def steiner_length(points):
-    """Exact rectilinear Steiner minimal tree length for up to 4 points.
+    """Exact rectilinear Steiner minimal tree length of point sets with at
+    most 4 distinct points, for one set or a batch of them.
 
     On the distinct points: one point has length 0; two or three points
     have the bounding-box half-perimeter (three meet at the
@@ -99,26 +101,46 @@ def steiner_length(points):
     min(x3 - x2, y3 - y2) (sorted coordinates) when the median splits
     in x and in y pair them differently, and nothing more otherwise; a
     tie at either median makes that extra term 0.  This is the degree-4
-    case of Hwang, SIAM J. Appl. Math. 30, 104 (1976).
+    case of Hwang, SIAM J. Appl. Math. 30, 104 (1976).  Each set is
+    deduplicated by sorting packed (x, y) keys, and the 4-point term is
+    taken only on the sets with exactly 4 distinct points.
 
     Args:
-        points: iterable of 2 to 4 integer pairs (before deduplication).
+        points: integer pairs, shape (k, 2) for one set or (..., k, 2)
+            for a batch of sets, k >= 2 (before deduplication).
 
     Returns:
-        Integer tree length.
+        Integer tree length, or an integer array of shape (...).
     """
-    pts = [tuple(p) for p in points]
-    if not 2 <= len(pts) <= STEINER_MAX_POINTS:
-        raise ValueError(f"steiner_length supports 2..{STEINER_MAX_POINTS} points, got {len(pts)}")
-    terminals = sorted(set(pts))
-    xs = sorted(x for x, _ in terminals)
-    ys = sorted(y for _, y in terminals)
-    length = xs[-1] - xs[0] + ys[-1] - ys[0]
-    if len(terminals) == 4:
-        bottom = sorted(terminals, key=lambda p: (p[1], p[0]))[:2]
-        if len(set(terminals[:2]) & set(bottom)) == 1:
-            length += min(xs[2] - xs[1], ys[2] - ys[1])
-    return length
+    pts = np.asarray(points, dtype=np.int64)
+    if pts.ndim < 2 or pts.shape[-1] != 2 or pts.shape[-2] < 2:
+        raise ValueError(f"steiner_length needs sets of 2 or more points, got shape {pts.shape}")
+    # coordinate-major layout (2, k, sets): reductions over the points run
+    # along contiguous rows
+    xy = np.ascontiguousarray(pts.reshape(-1, *pts.shape[-2:]).transpose(2, 1, 0))
+    low = xy.min(axis=1)
+    span = xy.max(axis=1) - low
+    length = span[0] + span[1]
+    if pts.shape[-2] < 4:
+        return int(length[0]) if pts.ndim == 2 else length.reshape(pts.shape[:-2])
+    # per set, key (x, y) relative to the lower-left corner, in (x, y) order
+    width = int(span[1].max()) + 1
+    keys = np.sort(((xy[0] - low[0]) * width + xy[1] - low[1]).T, axis=1)
+    new = np.ones(keys.shape, bool)
+    new[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    distinct = new.sum(axis=1)
+    if distinct.max() > STEINER_MAX_POINTS:
+        raise ValueError(f"steiner_length supports at most {STEINER_MAX_POINTS} distinct "
+                         f"points, got {distinct.max()}")
+    four = distinct == 4
+    if four.any():
+        xs, ys = np.divmod(keys[four][new[four]].reshape(-1, 4), width)
+        bottom = np.argsort(ys * (int(span[0].max()) + 1) + xs, axis=1)[:, :2]
+        xs.sort(axis=1)
+        ys.sort(axis=1)
+        split = np.count_nonzero(bottom < 2, axis=1) == 1
+        length[four] += split * np.minimum(xs[:, 2] - xs[:, 1], ys[:, 2] - ys[:, 1])
+    return int(length[0]) if pts.ndim == 2 else length.reshape(pts.shape[:-2])
 
 
 @dataclass(frozen=True)

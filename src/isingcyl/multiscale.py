@@ -380,6 +380,11 @@ def bulk_decay_report(couplings, h_list):
     return reports
 
 
+class SampleDepthError(ValueError):
+    """A decay fit cannot place its sample pairs at a requested depth h:
+    the cylinder is too small for distances of order 2^-h."""
+
+
 _EDGE_RATE_X_RANGE = (1.0, 2.5)
 _EDGE_AMP_X_RANGE = (1.0, 1.5)
 
@@ -423,7 +428,8 @@ def _edge_sample_pairs(geometry, h, rng, window, per_distance=5):
             pairs.append((z, zp))
             placed += 1
     if len(pairs) < 12:
-        raise ValueError(f"could not place enough edge samples at h={h}")
+        raise SampleDepthError(f"could not place enough edge samples at h = {h} on "
+                               f"{L} x {M}; use shallower depths")
     return pairs
 
 
@@ -518,7 +524,8 @@ def _tail_sample_pairs(geometry, h, rng, per_distance=6):
             pairs.append((z, zp))
             placed += 1
     if len(pairs) < 12:
-        raise ValueError(f"could not place enough tail samples at h={h}")
+        raise SampleDepthError(f"could not place enough tail samples at h = {h} on "
+                               f"{L} x {M}; use shallower depths")
     return pairs
 
 

@@ -1,8 +1,13 @@
 """Command line contract: exit codes, CSV schema, determinism."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +290,26 @@ def test_kernels_random_rejects_bad_sectors_quickly(capsys, sector):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_kernels_eight_field_symmetrize_output_and_memory():
+    # 2 entries x 4 reflections x 8! orderings: the dump is pinned by its
+    # SHA-1, and the array route keeps the child's peak RSS well below
+    # the 283 MB that a Python tuple per ordering took
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "isingcyl.cli", "kernels", "--random", "8,0",
+         "--apply", "symmetrize", "--entries", "2"],
+        stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)))
+    with child.stdout:
+        out = child.stdout.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert out.count(b"\n") == 161281
+    assert hashlib.sha1(out).hexdigest() == "4ab2276dbf4fa75e6625ea2334ae9d55799d6924"
+    if sys.platform.startswith("linux"):  # ru_maxrss is in KiB there
+        assert usage.ru_maxrss < 220 * 1024
+
+
 def test_kernels_input_and_random_exclusive(capsys):
     code, _, err = run(capsys, "kernels")
     assert code == 1
@@ -378,6 +403,19 @@ def test_multiscale_h_list_below_h_star_is_usage_error(capsys, mode):
     assert_one_usage_line(code, err)
     assert err.startswith("error: --h-list:") and "h* = -3" in err and "0..3" in err
     assert out == ""
+
+
+def test_multiscale_edge_decay_too_deep_is_usage_error(capsys):
+    # on 8 x 8 the edge windows at h* = -3 reach edge distances of 8..20,
+    # past the longest edge distance the cylinder has
+    code, out, err = run(capsys, "multiscale", "--L", "8", "--M", "8", "--critical",
+                         "--t1", "isotropic", "--decay", "edge", "--h-list", "3")
+    assert_one_usage_line(code, err)
+    assert err.startswith("error: --h-list: could not place enough edge samples at h = -3")
+    assert out == ""
+    code, out, _ = run(capsys, "multiscale", "--L", "8", "--M", "8", "--critical",
+                       "--t1", "isotropic", "--decay", "edge", "--h-list", "2")
+    assert code == 0 and out.splitlines()[3].startswith("-2,")
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])

@@ -2,10 +2,11 @@
 
 The structural identities (remainder equivalence, operator algebra,
 exact zeros) are checked through the wedge-expansion oracle, which
-reduces every kernel to its canonical antisymmetric coefficients.
+reduces every kernel to its canonical antisymmetric coefficients; the
+array operators are checked against the tuple oracles of
+tests/kernel_oracle.py.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -14,25 +15,31 @@ import pytest
 from isingcyl import kernels
 from isingcyl.kernels import (
     Kernel,
-    canonical_path,
     certify_translation_invariance,
-    derivative_expansion,
-    formal_pairing,
     interpolate_remainder,
     interpolation_bound_reports,
     kernel_from_text,
     kernel_to_text,
-    kernels_equivalent,
     kinetic_monomial,
     localization_operator,
     localize_collapse,
     mass_monomial,
     random_sparse_kernel,
     renormalization_operator,
-    span_projection,
     symmetrize,
-    wedge_expansion,
     weighted_norm,
+)
+import kernel_oracle
+from kernel_oracle import (
+    antisymmetrize,
+    canonical_path,
+    derivative_expansion,
+    formal_pairing,
+    kernels_equivalent,
+    reflect_entry,
+    reflection_average,
+    span_projection,
+    wedge_expansion,
 )
 
 
@@ -40,40 +47,6 @@ def _mixed(rng, entries=4):
     out = Kernel(translation_invariant=True)
     for n, p in ((2, 0), (2, 1), (2, 2), (4, 0), (4, 1)):
         out = out.plus(random_sparse_kernel(rng, n, p, entries=entries))
-    return out
-
-
-# The two-stage symmetrization (every ordering of every entry, then every
-# reflection of that), kept as the oracle for the one-pass `symmetrize`.
-
-
-def antisymmetrize(kernel):
-    """Projection onto the permutation-antisymmetric part."""
-    buffer = {}
-    for key, v in kernel.items():
-        for perm in itertools.permutations(range(len(key))):
-            permuted = kernel._bufkey(tuple(key[i] for i in perm))
-            buffer.setdefault(permuted, []).append(kernels._perm_sign(perm) * v)
-    out = Kernel(kernel.translation_invariant)
-    for key, vals in buffer.items():
-        total = math.fsum(vals) / math.factorial(len(key))
-        if total != 0.0:
-            out._data[key] = total
-    return out
-
-
-def reflection_average(kernel):
-    """Average over the four-element reflection group."""
-    buffer = {}
-    for axes in ((), (1,), (2,), (1, 2)):
-        for key, v in kernel.items():
-            labels, factor = kernels._reflect_entry(key, axes)
-            buffer.setdefault(kernel._bufkey(labels), []).append(factor * v)
-    out = Kernel(kernel.translation_invariant)
-    for key, vals in buffer.items():
-        total = math.fsum(vals) / 4.0
-        if total != 0.0:
-            out._data[key] = total
     return out
 
 
@@ -118,6 +91,35 @@ def test_mixing_anchored_and_literal_rejected():
         a.plus(b)
 
 
+def test_labels_outside_the_packed_range_raise():
+    # a coordinate must pack into 13 bits, a derivative into the allowed set;
+    # nothing wraps silently, at entry or after a label motion
+    limit = kernels.COORD_LIMIT
+    for z in ((limit, 0), (0, -limit - 1), (2 ** 40, 0), (0, -2 ** 63)):
+        with pytest.raises(ValueError, match="packed"):
+            Kernel().add(((1, (0, 0), (0, 0)), (-1, (0, 0), z)), 1.0)
+    for d in ((3, 0), (0, 3), (-1, 0), (2, 1)):
+        with pytest.raises(ValueError, match="derivative"):
+            Kernel().add(((1, d, (0, 0)), (-1, (0, 0), (1, 0))), 1.0)
+    edge = Kernel()
+    edge.add(((1, (0, 0), (-limit, limit - 1)), (-1, (0, 0), (limit - 1, -limit))), 1.0)
+    assert len(kernel_from_text(kernel_to_text(edge))) == 1
+    with pytest.raises(ValueError, match="packed"):
+        kernel_from_text(f"kernel 1 literal\n2 1,-1 0:0,0:0 0:0,{limit}:0 1.0\n")
+    # anchoring at the far field doubles the span
+    wide = Kernel(translation_invariant=True)
+    wide.add(((1, (0, 0), (-3000, 0)), (-1, (0, 0), (3000, 0))), 1.0)
+    with pytest.raises(ValueError, match="packed"):
+        symmetrize(wide)
+    # in range when stored, out of range once reflected and re-anchored
+    spread = Kernel(translation_invariant=True)
+    spread.add(((1, (0, 0), (0, 0)), (1, (0, 0), (3000, 0)), (-1, (0, 0), (-3000, 0)),
+                (-1, (0, 0), (0, 1))), 1.0)
+    assert len(localize_collapse(spread)) == 1
+    with pytest.raises(ValueError, match="packed"):
+        symmetrize(spread)
+
+
 # ---------------------------------------------------------------------------
 # collapse and interpolation
 
@@ -156,6 +158,22 @@ def test_remainder_equivalence_oracle(n, p):
         v = random_sparse_kernel(rng, n, p, entries=5)
         rebuilt = localize_collapse(v, n, p).plus(interpolate_remainder(v, n, p))
         assert kernels_equivalent(v, rebuilt)
+
+
+@pytest.mark.parametrize("translation_invariant", [True, False])
+def test_interpolation_matches_entry_by_entry_oracle(translation_invariant):
+    # the array spread over path steps equals the tuple one bit for bit
+    rng = np.random.default_rng(31)
+    for n, p in ((2, 0), (2, 1), (4, 0)):
+        for _ in range(4):
+            v = random_sparse_kernel(rng, n, p, entries=8, box=4,
+                                     translation_invariant=translation_invariant)
+            v = v.plus(random_sparse_kernel(rng, 4, 1, entries=2,
+                                            translation_invariant=translation_invariant))
+            got = interpolate_remainder(v, n, p)
+            want = kernel_oracle.interpolate_remainder(v, n, p)
+            assert got.translation_invariant == translation_invariant
+            assert dict(got.items()) == dict(want.items())
 
 
 def test_interpolation_rejects_other_sectors():
@@ -239,6 +257,16 @@ def test_symmetrize_matches_two_stage_projection():
     _assert_matches_two_stage(extra.plus(_mixed(rng)))
 
 
+def test_symmetrize_matches_two_stage_at_six_fields():
+    # 6! orderings per entry, with derivative labels and repeated sites,
+    # anchored and literal
+    rng = np.random.default_rng(26)
+    for ti in (True, False):
+        for p in (0, 1, 2):
+            _assert_matches_two_stage(random_sparse_kernel(
+                rng, 6, p, entries=3, box=1, translation_invariant=ti))
+
+
 def test_symmetrize_rounds_each_orbit_once():
     # the orbit sum is 2^-60 exactly; rounding it per ordering first, as
     # the two-stage projection does, loses the 2^-60 and leaves zero
@@ -246,7 +274,7 @@ def test_symmetrize_rounds_each_orbit_once():
     v = Kernel()
     v.add((l1, l2), 1.0)
     v.add((l2, l1), -2.0 ** -60)
-    mirrored, factor = kernels._reflect_entry((l1, l2), (1,))
+    mirrored, factor = reflect_entry((l1, l2), (1,))
     v.add(mirrored, -factor)
     s = symmetrize(v)
     assert len(s) == 8

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from isingcyl.lattice import (
@@ -157,8 +158,23 @@ def _hanan_steiner_length(points):
 
 
 def test_steiner_closed_form_matches_hanan_enumeration():
+    # one batched call over every 4-point multiset of a 5 x 5 grid
     grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
     multisets = list(itertools.combinations_with_replacement(grid, 4))
     assert len(multisets) == 20475
-    for pts in multisets:
-        assert steiner_length(pts) == _hanan_steiner_length(pts), pts
+    lengths = steiner_length(multisets)
+    assert lengths.shape == (20475,)
+    for pts, length in zip(multisets, lengths.tolist()):
+        assert length == _hanan_steiner_length(pts), pts
+
+
+def test_steiner_batches_keep_their_shape_and_count_distinct_points():
+    square = ((0, 0), (0, 2), (5, 0), (5, 2))
+    line = ((0, 0), (3, 0), (7, 0), (7, 0))
+    batch = np.array([[square, line], [line, square]])
+    assert steiner_length(batch).tolist() == [[9, 7], [7, 9]]
+    # six points on four distinct sites: the length of the four
+    assert steiner_length(square + square[:2]) == 9
+    assert steiner_length(((1, 1),) * 6) == 0
+    with pytest.raises(ValueError, match="at most 4 distinct"):
+        steiner_length(square + ((9, 9), (0, 0)))
