@@ -54,9 +54,8 @@ COORD_LIMIT = 1 << 12
 _ORIGIN = (0, 0)
 
 
-def _range_error():
-    return ValueError(f"site coordinates must lie in [{-COORD_LIMIT}, {COORD_LIMIT - 1}] "
-                      "to be packed into kernel keys")
+_RANGE_ERROR = (f"site coordinates must lie in [{-COORD_LIMIT}, {COORD_LIMIT - 1}] "
+                "to be packed into kernel keys")
 
 
 def _check_label(label):
@@ -66,7 +65,7 @@ def _check_label(label):
     if tuple(d) not in DERIV_SET:
         raise ValueError(f"derivative label {d} outside the allowed set")
     if not all(-COORD_LIMIT <= c < COORD_LIMIT for c in z):
-        raise _range_error()
+        raise ValueError(_RANGE_ERROR)
     return (omega, (int(d[0]), int(d[1])), (int(z[0]), int(z[1])))
 
 
@@ -87,7 +86,7 @@ def _site_keys(labels):
     x = labels[..., 3].astype(np.int64) + COORD_LIMIT
     y = labels[..., 4].astype(np.int64) + COORD_LIMIT
     if np.any((x | y) >> 13):
-        raise _range_error()
+        raise ValueError(_RANGE_ERROR)
     return (x << 13) | y
 
 
@@ -241,17 +240,20 @@ class Kernel:
         block = self._arrays().get((n, p))
         return Kernel._of({(n, p): block} if block else {}, self.translation_invariant)
 
-    def _parts(self, negate=False):
-        return [(s, labels, -values if negate else values)
-                for s, (labels, values) in self._arrays().items()]
-
     def plus(self, other):
         if self.translation_invariant != other.translation_invariant:
             raise ValueError("cannot mix anchored and literal kernels")
-        return _collect(self._parts() + other._parts(), self.translation_invariant)
+        mine, theirs = self._arrays(), other._arrays()
+        shared = mine.keys() & theirs.keys()
+        # a sector that only one side holds is already reduced
+        blocks = {s: b for s, b in {**mine, **theirs}.items() if s not in shared}
+        blocks.update(_collect([(s, *d[s]) for s in shared for d in (mine, theirs)], False)._blocks)
+        return Kernel._of(blocks, self.translation_invariant)
 
     def max_abs_diff(self, other):
-        return _collect(self._parts() + other._parts(negate=True), False).max_abs()
+        parts = [(s, *b) for s, b in self._arrays().items()]
+        parts += [(s, labels, -values) for s, (labels, values) in other._arrays().items()]
+        return _collect(parts, False).max_abs()
 
     def max_abs(self):
         return max((float(np.max(np.abs(v))) for _, v in self._arrays().values()),
@@ -295,7 +297,7 @@ def localize_collapse(kernel, n=None, p=None):
     labels).  With n, p given, only that sector is collapsed.
     """
     parts = []
-    for sector, labels, values in kernel._parts():
+    for sector, (labels, values) in kernel._arrays().items():
         if n is None or sector == (n, p):
             moved = labels.copy()
             moved[..., 3:5] = labels[:, :1, 3:5]
@@ -417,19 +419,22 @@ def symmetrize(kernel):
         canon = np.take_along_axis(images, order[..., None], axis=1)[keep]
         if ti:
             canon = _anchored(canon)
-            ranked = _field_keys(canon)
-        else:
-            ranked = ranked[keep]
         odd = (parity + _inversion_parity(fkeys))[keep] % 2 == 1
         signed = np.tile(values, 4)[keep]
-        rows, starts = _group(_row_keys(ranked))
+        rows, starts = _group(_row_keys(_field_keys(canon)))
         total = _reduce(np.where(odd, -signed, signed), rows, starts) / (4 * math.factorial(n))
         nonzero = total != 0.0
+        canon = canon[rows[starts[nonzero]]]
         perms, signs = _orderings(n)
-        out = canon[rows[starts[nonzero]]][:, perms]
         if ti:
-            out[..., 3:5] -= out[:, :, :1, 3:5].copy()
-            _site_keys(out)  # raises unless every re-anchored site packs
+            # every canonical entry re-anchored at each of its fields, then ordered
+            rebased = np.repeat(canon[:, None], n, axis=1)
+            rebased[..., 3:5] -= canon[:, :, None, 3:5]
+            _site_keys(rebased)  # raises unless every re-anchored site packs
+            rows = (np.arange(len(canon)) * n * n)[:, None, None] + perms[:, :1] * n + perms
+            out = np.take(rebased.reshape(-1, 5), rows, axis=0)
+        else:
+            out = canon[:, perms]
         blocks[(n, p)] = (out.reshape(-1, n, 5), (total[nonzero][:, None] * signs).ravel())
     return Kernel._of(blocks, ti)
 
@@ -565,7 +570,7 @@ def _norm_table(kernel, n, p):
                                      for i in range(1, n - 1, 2)] + [sites[:, -1]])
     magnitudes = np.maximum.reduceat(np.abs(values[order]), starts)
     reps = order[starts]
-    deltas, which = np.unique(steiner_length(labels[reps, :, 3:5]), return_inverse=True)
+    deltas, which = np.unique(steiner_length(labels[reps][..., 3:5]), return_inverse=True)
     bounds = np.flatnonzero(np.append(True, lead[reps[1:]] != lead[reps[:-1]]))
     return deltas.tolist(), which, magnitudes, bounds.tolist() + [len(reps)]
 
@@ -678,7 +683,7 @@ def _splittings(n, p):
     """Derivative labels of n fields with p units in all, in product order."""
     if n == 0:
         return [()] if p == 0 else []
-    return [(d,) + rest for d in DERIV_SET if sum(d) <= p for rest in _splittings(n - 1, p - sum(d))]
+    return [(d,) + r for d in DERIV_SET if sum(d) <= p for r in _splittings(n - 1, p - sum(d))]
 
 
 def random_sparse_kernel(rng, n, p, entries=6, box=3, translation_invariant=True):

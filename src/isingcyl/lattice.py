@@ -102,8 +102,7 @@ def steiner_length(points):
     in x and in y pair them differently, and nothing more otherwise; a
     tie at either median makes that extra term 0.  This is the degree-4
     case of Hwang, SIAM J. Appl. Math. 30, 104 (1976).  Each set is
-    deduplicated by sorting packed (x, y) keys, and the 4-point term is
-    taken only on the sets with exactly 4 distinct points.
+    deduplicated by sorting packed (x, y) keys.
 
     Args:
         points: integer pairs, shape (k, 2) for one set or (..., k, 2)
@@ -112,34 +111,37 @@ def steiner_length(points):
     Returns:
         Integer tree length, or an integer array of shape (...).
     """
-    pts = np.asarray(points, dtype=np.int64)
+    pts = np.asarray(points)
     if pts.ndim < 2 or pts.shape[-1] != 2 or pts.shape[-2] < 2:
         raise ValueError(f"steiner_length needs sets of 2 or more points, got shape {pts.shape}")
-    # coordinate-major layout (2, k, sets): reductions over the points run
-    # along contiguous rows
-    xy = np.ascontiguousarray(pts.reshape(-1, *pts.shape[-2:]).transpose(2, 1, 0))
+    # coordinate-major layout (2, k, sets): per-set work runs along contiguous rows
+    xy = pts.reshape(-1, *pts.shape[-2:]).transpose(2, 1, 0).astype(np.int64, order="C")
     low = xy.min(axis=1)
     span = xy.max(axis=1) - low
     length = span[0] + span[1]
-    if pts.shape[-2] < 4:
-        return int(length[0]) if pts.ndim == 2 else length.reshape(pts.shape[:-2])
-    # per set, key (x, y) relative to the lower-left corner, in (x, y) order
-    width = int(span[1].max()) + 1
-    keys = np.sort(((xy[0] - low[0]) * width + xy[1] - low[1]).T, axis=1)
-    new = np.ones(keys.shape, bool)
-    new[:, 1:] = keys[:, 1:] != keys[:, :-1]
-    distinct = new.sum(axis=1)
-    if distinct.max() > STEINER_MAX_POINTS:
-        raise ValueError(f"steiner_length supports at most {STEINER_MAX_POINTS} distinct "
-                         f"points, got {distinct.max()}")
-    four = distinct == 4
-    if four.any():
-        xs, ys = np.divmod(keys[four][new[four]].reshape(-1, 4), width)
-        bottom = np.argsort(ys * (int(span[0].max()) + 1) + xs, axis=1)[:, :2]
-        xs.sort(axis=1)
-        ys.sort(axis=1)
-        split = np.count_nonzero(bottom < 2, axis=1) == 1
-        length[four] += split * np.minimum(xs[:, 2] - xs[:, 1], ys[:, 2] - ys[:, 1])
+    if pts.shape[-2] >= 4:
+        # per set, (x, y) keys off the lower-left corner, sorted by an odd-even network
+        width = int(span[1].max()) + 1
+        k = list((xy[0] - low[0]) * width + xy[1] - low[1])
+        for r in range(len(k)):
+            for i in range(r % 2, len(k) - 1, 2):
+                k[i], k[i + 1] = np.minimum(k[i], k[i + 1]), np.maximum(k[i], k[i + 1])
+        keys = np.array(k)
+        new = np.concatenate([np.ones((1, keys.shape[1]), bool), keys[1:] != keys[:-1]])
+        distinct = new.sum(axis=0)
+        if distinct.max() > STEINER_MAX_POINTS:
+            raise ValueError(f"steiner_length supports at most {STEINER_MAX_POINTS} distinct "
+                             f"points, got {distinct.max()}")
+        four = distinct == 4
+        # the 4 distinct terminals in (x, y) order, so xs comes sorted
+        xs, ys = np.divmod(keys[:, four].T[new[:, four].T].reshape(-1, 4).T.copy(), width)
+        yx = ys * (int(span[0].max()) + 1) + xs
+        # the two lowest in (y, x) order pair up differently from the x split
+        split = (yx[:2].max(0) > yx[2:].min(0)) & (yx[2:].max(0) > yx[:2].min(0))
+        # y3 - y2 in sorted order: the middle comparator of a 4-input sorting network
+        middle = np.abs(np.maximum(ys[:2].min(0), ys[2:].min(0))
+                        - np.minimum(ys[:2].max(0), ys[2:].max(0)))
+        length[four] += split * np.minimum(xs[2] - xs[1], middle)
     return int(length[0]) if pts.ndim == 2 else length.reshape(pts.shape[:-2])
 
 
