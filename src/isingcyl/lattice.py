@@ -119,7 +119,7 @@ def steiner_length(points):
     low = xy.min(axis=1)
     span = xy.max(axis=1) - low
     length = span[0] + span[1]
-    if pts.shape[-2] >= 4:
+    if pts.shape[-2] >= 4 and length.size:
         # per set, (x, y) keys off the lower-left corner, sorted by an odd-even network
         width = int(span[1].max()) + 1
         k = list((xy[0] - low[0]) * width + xy[1] - low[1])

@@ -173,6 +173,7 @@ def test_steiner_batches_keep_their_shape_and_count_distinct_points():
     line = ((0, 0), (3, 0), (7, 0), (7, 0))
     batch = np.array([[square, line], [line, square]])
     assert steiner_length(batch).tolist() == [[9, 7], [7, 9]]
+    assert steiner_length(np.zeros((3, 0, 4, 2), int)).shape == (3, 0)
     # six points on four distinct sites: the length of the four
     assert steiner_length(square + square[:2]) == 9
     assert steiner_length(((1, 1),) * 6) == 0
