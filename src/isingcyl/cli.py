@@ -82,8 +82,11 @@ def _load_json_arg(value, flag):
     if isinstance(value, (list, dict)):
         return value
     if os.path.exists(value):
-        with open(value) as fh:
-            return json.load(fh)
+        try:
+            with open(value) as fh:
+                return json.load(fh)
+        except (OSError, ValueError) as err:  # JSONDecodeError is a ValueError
+            raise UsageError(f"{flag}: cannot read {value} as JSON ({err})")
     try:
         return json.loads(value)
     except json.JSONDecodeError as err:

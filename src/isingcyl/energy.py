@@ -287,7 +287,7 @@ def scal_energy_correlation(cylinder, couplings, marked, tol=IMAGE_TOL):
 
     Args:
         marked: sequence of ((x, y), direction) continuum points with the
-            bond direction (1 horizontal, 2 vertical).
+            bond direction (1 horizontal, 2 vertical) and 0 < y < l2.
 
     Returns:
         (2 t2)^{m1} (1 - t2^2)^{m2} Pf(M) where M is the 2m x 2m
@@ -301,8 +301,16 @@ def scal_energy_correlation(cylinder, couplings, marked, tol=IMAGE_TOL):
     if m < 2:
         raise ValueError("the scaling limit is defined for m >= 2 observables")
     pts = [p for p, _ in marked]
-    if len({(x % cylinder.ell1, y) for x, y in pts}) != m:
-        raise ValueError("marked points must be distinct around the ring")
+    l1, l2 = cylinder.ell1, cylinder.ell2
+    # heights folded by the mirrors y -> -y and y -> 2 l2 - y
+    if len({(x % l1, l2 - abs(y % (2.0 * l2) - l2)) for x, y in pts}) != m:
+        raise ValueError("marked points must be distinct around the ring, "
+                         "none coincident with a mirror image of another")
+    for (x, y), d in marked:
+        if d not in (1, 2):
+            raise ValueError(f"bond direction at {(x, y)} must be 1 or 2, got {d}")
+        if not 0.0 < y < l2:
+            raise ValueError(f"marked point {(x, y)} lies outside the height (0, {l2})")
     m1 = sum(1 for _, d in marked if d == 1)
     m2 = m - m1
     mat = np.zeros((2 * m, 2 * m))

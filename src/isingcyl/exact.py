@@ -56,7 +56,9 @@ keeps only this offset kernel and gathers site pairs from it in batches.
 The horizontal (xi) sector decouples from
 the vertical (phi) sector after a Schur reduction and has the explicit
 "massive" propagator computed by `massive_propagator` as an
-antiperiodized geometric kernel.
+antiperiodized geometric kernel.  Both return plain real arrays, (2, 2)
+for one site pair and (P, 2, 2) for (P, 2) site arrays, like every
+two-point function of the package.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .blocks import PropagatorBlock
 from .lattice import CylinderGeometry
 from .skew import PIVOT_TOL, SingularSkewError, SkewMatrix
 from .spectral import antiperiodic_momenta
@@ -378,16 +379,17 @@ def massive_propagator(geometry, couplings, z, zp):
          [-s_-(z1 - z1'),  0            ]] * delta_{z2, z2'}.
 
     Args:
-        z, zp: lattice sites.
+        z, zp: one lattice site each, or (P, 2) arrays of sites.
 
     Returns:
-        PropagatorBlock (zero block when the rows differ).
+        (2, 2) array for one pair, (P, 2, 2) for a batch; zero blocks
+        where the rows differ.
     """
-    if not (geometry.contains(z) and geometry.contains(zp)):
-        raise ValueError("sites must lie on the lattice")
-    m = np.zeros((2, 2))
-    if z[1] == zp[1]:
-        dz1 = z[0] - zp[0]
-        m[0, 1] = horizontal_kernel(dz1, geometry.L, couplings.t1)
-        m[1, 0] = -horizontal_kernel(-dz1, geometry.L, couplings.t1)
-    return PropagatorBlock(m)
+    single = np.shape(z) == (2,)
+    z, zp = geometry.site_arrays(z, zp)
+    dz1 = z[:, 0] - zp[:, 0]
+    same = z[:, 1] == zp[:, 1]
+    out = np.zeros((len(z), 2, 2))
+    out[:, 0, 1] = np.where(same, horizontal_kernel(dz1, geometry.L, couplings.t1), 0.0)
+    out[:, 1, 0] = np.where(same, -horizontal_kernel(-dz1, geometry.L, couplings.t1), 0.0)
+    return out[0] if single else out

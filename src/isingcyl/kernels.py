@@ -15,8 +15,8 @@ coordinates lie in [-COORD_LIMIT, COORD_LIMIT), so a field packs into a
 31-bit key ordered like its label tuple and two fields into one int64;
 operators sort and group rows by these keys.  A coordinate outside the
 range raises ValueError.  Python tuples appear only at the edges:
-`add` stages entries in a dict, and `items`, `value` and the text
-format read or write tuples.
+`add` stages entries in a dict, and `items` and `value` read tuples;
+the text format is written from and parsed into the label arrays.
 
 Translation-invariant kernels are stored anchored: every multilabel is
 shifted so the first position is the origin, and the invariance is a
@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -754,8 +755,10 @@ def kernel_to_text(kernel):
 def kernel_from_text(text):
     """Parse the output of kernel_to_text back into a Kernel.
 
-    Raises ValueError on unknown headers or malformed entry lines; the
-    label checks in Kernel.add apply to every parsed entry.
+    Entry lines are grouped by arity and each group is parsed into one
+    label array.  Raises ValueError on unknown headers or malformed entry
+    lines, and on the label checks of Kernel.add: even arity, omega,
+    derivative set and coordinate range.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -768,17 +771,38 @@ def kernel_from_text(text):
     if header[2] not in ("anchored", "literal"):
         raise ValueError("unknown storage mode %r" % header[2])
     ti = header[2] == "anchored"
-    out = Kernel(translation_invariant=ti)
+    by_arity = {}
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 5:
+        fields = ln.split()
+        if len(fields) != 5:
             raise ValueError("malformed kernel entry: %r" % ln)
-        n = int(parts[0])
-        omegas = [int(tok) for tok in parts[1].split(",")]
-        ds = [tuple(int(c) for c in tok.split(":")) for tok in parts[2].split(",")]
-        zs = [tuple(int(c) for c in tok.split(":")) for tok in parts[3].split(",")]
-        if not (len(omegas) == len(ds) == len(zs) == n):
-            raise ValueError("entry arity mismatch: %r" % ln)
-        labels = tuple(zip(omegas, ds, zs))
-        out.add(labels, float(parts[4]))
-    return out
+        by_arity.setdefault(int(fields[0]), []).append(fields)
+    parts = []
+    num = r"[+-]?\d+"
+    for n, entries in by_arity.items():
+        shape = re.compile(" ".join([",".join([num] * n)] + [",".join([f"{num}:{num}"] * n)] * 2))
+        tuples = [" ".join(f[1:4]) for f in entries]
+        bad = [" ".join(f) for f, t in zip(entries, tuples) if not shape.fullmatch(t)]
+        if bad:
+            raise ValueError("entry arity mismatch: %r" % bad[0])
+        if n % 2:
+            raise ValueError("multilabels must have even length")
+        try:
+            flat = np.array(" ".join(tuples).replace(",", " ").replace(":", " ").split(),
+                            dtype=np.int64).reshape(len(entries), 5 * n)
+        except OverflowError:
+            raise ValueError(_RANGE_ERROR) from None
+        # (omega, d1, d2, x, y) rows from the omega, D and z columns
+        labels = np.concatenate([flat[:, :n, None], flat[:, n:3 * n].reshape(-1, n, 2),
+                                 flat[:, 3 * n:].reshape(-1, n, 2)], axis=2)
+        # the omega and derivative checks of `add`, once per distinct head
+        for om, d1, d2 in set(map(tuple, labels[..., :3].reshape(-1, 3).tolist())):
+            _check_label((om, (d1, d2), _ORIGIN))
+        if np.any((labels[..., 3:] < -COORD_LIMIT) | (labels[..., 3:] >= COORD_LIMIT)):
+            raise ValueError(_RANGE_ERROR)
+        values = np.array([float(f[4]) for f in entries])
+        degree = labels[..., 1:3].sum(axis=(1, 2))
+        labels = (_anchored(labels) if ti else labels).astype(np.int16)
+        parts += [((n, int(p)), labels[degree == p], values[degree == p])
+                  for p in np.unique(degree)]
+    return _collect(parts, ti)

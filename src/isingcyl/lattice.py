@@ -55,14 +55,9 @@ def ring_sign(z1, L):
     """Sign weight of the bulk propagator: +1, 0, -1 for |z1| <, =, > L/2.
 
     Evaluated on the raw (unfolded) displacement of two columns in
-    {1..L}, so |z1| <= L - 1.
+    {1..L}, so |z1| <= L - 1; elementwise on an integer array.
     """
-    a = 2 * abs(z1)
-    if a < L:
-        return 1
-    if a == L:
-        return 0
-    return -1
+    return np.sign(L - 2 * np.abs(z1))
 
 
 def norm1_cyl(z, zp, L):
@@ -200,9 +195,6 @@ class CylinderGeometry:
 
     def per(self, dz1):
         return per_range(dz1, self.L)
-
-    def sign(self, dz1):
-        return ring_sign(dz1, self.L)
 
     def norm1(self, z, zp):
         return norm1_cyl(z, zp, self.L)

@@ -13,8 +13,7 @@ closed form, so the scale weights are
 
 and the telescoping w_<=h + sum_{j>h} w_j = 1 holds exactly, term by
 term, in floating point.  The deepest useful scale is
-h* = -floor(log2 min(L, M)); h = +1 denotes the massive (horizontal
-sector) propagator.
+h* = -floor(log2 min(L, M)).
 
 Each single-scale cylinder propagator splits into a bulk part, the
 infinite-plane single-scale propagator evaluated at the folded
@@ -34,12 +33,9 @@ scaling of the vector norms.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .blocks import PropagatorBlock
-from .exact import horizontal_kernel_infinite
 from .lattice import per_range, ring_sign
 from .spectral import (
     critical_propagator,
@@ -104,8 +100,7 @@ def _weighted_propagator(weight, geometry, couplings, h, z, zp, deriv_z, deriv_z
     if not h_star(geometry) <= h <= 0:
         raise ValueError(f"h={h} outside [{h_star(geometry)}, 0]")
     data = spectral_data(geometry, couplings)
-    return real_block(mode_sum(data, z, zp, weight(h, data.D), deriv_z, deriv_zp),
-                      deriv_z, deriv_zp)
+    return real_block(mode_sum(data, z, zp, weight(h, data.D), deriv_z, deriv_zp))
 
 
 def single_scale_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv_zp=(0, 0)):
@@ -128,10 +123,10 @@ def telescoping_residual(geometry, couplings, z, zp, h=None):
     """max |g_c - g^{(<=h)} - sum_{j=h+1..0} g^{(j)}| at one pair."""
     if h is None:
         h = h_star(geometry)
-    total = tail_propagator(geometry, couplings, h, z, zp).matrix.copy()
+    total = tail_propagator(geometry, couplings, h, z, zp)
     for j in range(h + 1, 1):
-        total += single_scale_propagator(geometry, couplings, j, z, zp).matrix
-    full = critical_propagator(geometry, couplings, z, zp).matrix
+        total += single_scale_propagator(geometry, couplings, j, z, zp)
+    full = critical_propagator(geometry, couplings, z, zp)
     return float(np.max(np.abs(total - full)))
 
 
@@ -140,7 +135,7 @@ def telescoping_residual(geometry, couplings, z, zp, h=None):
 # ---------------------------------------------------------------------------
 
 
-def _plane_batch_fixed(couplings, h, dzs, deriv_z, deriv_zp, N):
+def _plane_batch_fixed(couplings, h, dzs, N):
     """Trapezoid evaluation of g_infinity^{(h)} at a batch of displacements.
 
     Streams over k1 rows so the (N x N) grid is never materialized whole;
@@ -153,8 +148,7 @@ def _plane_batch_fixed(couplings, h, dzs, deriv_z, deriv_zp, N):
     dz2 = dz[:, 1].astype(float)
     P = dz.shape[0]
 
-    m2 = forward_difference(-k, deriv_z[1]) * forward_difference(k, deriv_zp[1])
-    V = np.exp(-1j * np.outer(k, dz2)) * np.reshape(m2, (-1, 1))  # (N, P)
+    V = np.exp(-1j * np.outer(k, dz2))  # (N, P)
 
     out = np.zeros((P, 2, 2), dtype=complex)
     for lo in range(0, N, _PLANE_CHUNK):
@@ -163,8 +157,7 @@ def _plane_batch_fixed(couplings, h, dzs, deriv_z, deriv_zp, N):
         D = dispersion(couplings, K1, k[None, :])
         wD = _window_weight_over_dispersion(a, b, D)
         npp, npm, nmp, _ = symbol_numerator(couplings, K1, k[None, :])
-        m1 = forward_difference(-k1c, deriv_z[0]) * forward_difference(k1c, deriv_zp[0])
-        ph1 = np.exp(-1j * np.outer(k1c, dz1)) * np.reshape(m1, (-1, 1))
+        ph1 = np.exp(-1j * np.outer(k1c, dz1))
         tpp = (npp * wD) @ V
         tpm = (npm * wD) @ V
         tmp = (nmp * wD) @ V
@@ -175,7 +168,7 @@ def _plane_batch_fixed(couplings, h, dzs, deriv_z, deriv_zp, N):
     return out / (N * N)
 
 
-def plane_block_batch(couplings, h, dzs, deriv_z=(0, 0), deriv_zp=(0, 0)):
+def plane_block_batch(couplings, h, dzs):
     """g_infinity^{(h)} at many displacements, with adaptive grid doubling.
 
     Doubles the trapezoid grid from _PLANE_N_START until two successive
@@ -187,15 +180,13 @@ def plane_block_batch(couplings, h, dzs, deriv_z=(0, 0), deriv_zp=(0, 0)):
     Raises:
         RuntimeError: the grid cap was reached before the tolerance.
     """
-    if h > 0:
-        raise ValueError("plane quadrature applies to h <= 0; h = 1 is the massive kernel")
     N = _PLANE_N_START
-    prev = _plane_batch_fixed(couplings, h, dzs, deriv_z, deriv_zp, N)
+    prev = _plane_batch_fixed(couplings, h, dzs, N)
     while True:
         N *= 2
         if N > _PLANE_N_MAX:
             raise RuntimeError(f"plane quadrature failed to reach {PLANE_TOL} by N={_PLANE_N_MAX}")
-        cur = _plane_batch_fixed(couplings, h, dzs, deriv_z, deriv_zp, N)
+        cur = _plane_batch_fixed(couplings, h, dzs, N)
         if np.max(np.abs(cur - prev)) <= PLANE_TOL:
             resid = float(np.max(np.abs(cur.imag)))
             if resid > 1e-9:
@@ -204,91 +195,35 @@ def plane_block_batch(couplings, h, dzs, deriv_z=(0, 0), deriv_zp=(0, 0)):
         prev = cur
 
 
-@lru_cache(maxsize=4096)
-def _plane_single_cached(couplings, h, dz, deriv_z, deriv_zp):
-    return plane_block_batch(couplings, h, [dz], deriv_z, deriv_zp)[0]
-
-
-def infinite_plane_propagator(couplings, h, dz, deriv_z=(0, 0), deriv_zp=(0, 0)):
-    """Single-scale infinite-plane propagator at displacement dz.
-
-    For h <= 0 this is the adaptive Brillouin-zone integral; h = 1 is the
-    closed-form massive block (nonzero only on the row dz2 = 0).
-    """
-    dz = (int(dz[0]), int(dz[1]))
-    if h == 1:
-        return PropagatorBlock(
-            _massive_plane_deriv(couplings, dz, deriv_z, deriv_zp), deriv_z, deriv_zp
-        )
-    m = _plane_single_cached(couplings, h, dz, tuple(deriv_z), tuple(deriv_zp))
-    return PropagatorBlock(m, deriv_z, deriv_zp)
-
-
-def massive_plane_block(couplings, dz):
-    """Infinite-plane massive block: delta_{dz2,0} [[0, s+], [-s-, 0]]."""
-    m = np.zeros((2, 2))
-    if dz[1] == 0:
-        m[0, 1] = horizontal_kernel_infinite(dz[0], couplings.t1)
-        m[1, 0] = -horizontal_kernel_infinite(-dz[0], couplings.t1)
-    return m
-
-
-def _massive_plane_deriv(couplings, dz, deriv_z, deriv_zp):
-    """Forward differences of the massive plane block, taken literally."""
-
-    def ff(d):
-        return massive_plane_block(couplings, d)
-
-    def diff(f, axis, first_arg):
-        step = (1, 0) if axis == 0 else (0, 1)
-        if first_arg:
-            return lambda d: f((d[0] + step[0], d[1] + step[1])) - f(d)
-        return lambda d: f((d[0] - step[0], d[1] - step[1])) - f(d)
-
-    f = ff
-    for axis in (0, 1):
-        for _ in range(deriv_z[axis]):
-            f = diff(f, axis, True)
-        for _ in range(deriv_zp[axis]):
-            f = diff(f, axis, False)
-    return f(dz)
-
-
 # ---------------------------------------------------------------------------
 # bulk / edge decomposition
 # ---------------------------------------------------------------------------
 
 
-def bulk_block(geometry, couplings, h, z, zp):
-    """Bulk part: ring_sign(dz1) * g_infinity^{(h)}(per(dz1), dz2)."""
-    dz1 = z[0] - zp[0]
-    s = ring_sign(dz1, geometry.L)
-    if s == 0:
-        return np.zeros((2, 2))
-    folded = (per_range(dz1, geometry.L), z[1] - zp[1])
-    if h == 1:
-        m = massive_plane_block(couplings, folded)
-    else:
-        m = _plane_single_cached(couplings, h, folded, (0, 0), (0, 0))
-    return s * m
-
-
 def bulk_edge_split(geometry, couplings, h, z, zp):
     """Split the scale-h cylinder propagator into (bulk, edge) blocks.
 
-    bulk + edge reproduces g^{(h)}(z, z') by construction; the content of
-    the decomposition is that the edge part decays in the boundary
+    The bulk part is ring_sign(dz1) g_infinity^{(h)}(per(dz1), dz2), one
+    `plane_block_batch` call over the sorted distinct folded
+    displacements of the batch; the edge part is g^{(h)}(z, z') minus the
+    bulk, so bulk + edge reproduces g^{(h)} by construction.  The content
+    of the decomposition is that the edge part decays in the boundary
     distance, which `edge_decay_report` quantifies.
-    """
-    if h == 1:
-        from .exact import massive_propagator
 
-        full = massive_propagator(geometry, couplings, z, zp).matrix
-    else:
-        full = single_scale_propagator(geometry, couplings, h, z, zp).matrix
-    bulk = bulk_block(geometry, couplings, h, z, zp)
+    Returns:
+        (bulk, edge): (2, 2) arrays for one site pair, (P, 2, 2) arrays
+        for (P, 2) site arrays.
+    """
+    single = np.shape(z) == (2,)
+    z, zp = geometry.site_arrays(z, zp, extended=True)
+    full = single_scale_propagator(geometry, couplings, h, z, zp)
+    dz1 = z[:, 0] - zp[:, 0]
+    folded = np.stack([per_range(dz1, geometry.L), z[:, 1] - zp[:, 1]], axis=1)
+    needed, index = np.unique(folded, axis=0, return_inverse=True)
+    plane = plane_block_batch(couplings, h, needed)[index.ravel()]
+    bulk = ring_sign(dz1, geometry.L)[:, None, None] * plane
     edge = full - bulk
-    return PropagatorBlock(bulk), PropagatorBlock(edge)
+    return (bulk[0], edge[0]) if single else (bulk, edge)
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +369,11 @@ def _edge_sample_pairs(geometry, h, rng, window, per_distance=5):
 
 
 def _edge_samples(geometry, couplings, h, pairs):
-    folded = [
-        (per_range(z[0] - zp[0], geometry.L), z[1] - zp[1]) for z, zp in pairs
-    ]
-    needed = sorted(set(folded))
-    plane = dict(zip(needed, plane_block_batch(couplings, h, needed)))
-    full = single_scale_propagator(geometry, couplings, h,
-                                   [z for z, _ in pairs], [zp for _, zp in pairs])
+    _, edge = bulk_edge_split(geometry, couplings, h,
+                              [z for z, _ in pairs], [zp for _, zp in pairs])
     samples = []
-    for (z, zp), f, blk in zip(pairs, folded, full):
-        edge = blk - ring_sign(z[0] - zp[0], geometry.L) * plane[f]
-        n = float(np.max(np.abs(edge)))
+    for (z, zp), blk in zip(pairs, edge):
+        n = float(np.max(np.abs(blk)))
         if n < _FIT_NOISE_FLOOR:
             continue
         samples.append((2.0 ** h * geometry.edge_distance(z, zp), n))
@@ -644,7 +573,7 @@ def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0, slope_hs=(-1, -
                       for sp in orders for op in species}
             for s in orders:
                 for sp in orders:
-                    direct = single_scale_propagator(geometry, couplings, h, z, zp, s, sp).matrix
+                    direct = single_scale_propagator(geometry, couplings, h, z, zp, s, sp)
                     for om_i, om in enumerate(species):
                         left = lefts[s, om]
                         for op_i, op in enumerate(species):

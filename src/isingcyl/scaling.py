@@ -237,7 +237,7 @@ def scaling_remainder_records(cylinder, couplings, pairs, meshes, tol=IMAGE_TOL)
             geo = cylinder.lattice_geometry(a)
             lz = cylinder.lattice_site(a, z)
             lzp = cylinder.lattice_site(a, zp)
-            lat = critical_propagator(geo, couplings, lz, lzp).matrix / a
+            lat = critical_propagator(geo, couplings, lz, lzp) / a
             resid = float(np.max(np.abs(lat - target)))
             rows.append((a, geo.L, geo.M, resid))
         logs = np.log([r[3] for r in rows])

@@ -23,6 +23,11 @@ The propagator is a double mode sum of the momentum-space symbol
 with a translation-invariant term in z2 - z2' and an image term in
 z2 + z2' that enforces the open boundary.  Discrete forward derivatives
 in either argument become exact phase multipliers on the two terms.
+
+Every two-point function of the package follows one convention: a real
+array indexed [omega, omega'] by the species pair, row/column 0 the +
+component and 1 the - component, of shape (2, 2) for one site pair and
+(P, 2, 2) for (P, 2) site arrays.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-from .blocks import PropagatorBlock
 
 IMAG_RESIDUE_TOL = 1e-10
 # bound on a transverse root's forward error |resid / resid'|; measured
@@ -304,11 +307,8 @@ def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
     return out[0] if single else out
 
 
-def real_block(out, deriv_z, deriv_zp):
+def real_block(out):
     """Real part of a `mode_sum` result, checked.
-
-    Returns:
-        A PropagatorBlock for one pair, a real (P, 2, 2) array for a batch.
 
     Raises:
         AssertionError: imaginary residue above IMAG_RESIDUE_TOL anywhere
@@ -318,8 +318,6 @@ def real_block(out, deriv_z, deriv_zp):
     if residue > IMAG_RESIDUE_TOL:
         raise AssertionError(
             f"imaginary residue {residue:.2e} exceeds {IMAG_RESIDUE_TOL:.0e}")
-    if out.ndim == 2:
-        return PropagatorBlock(out.real, deriv_z, deriv_zp)
     return out.real
 
 
@@ -327,9 +325,9 @@ def critical_propagator(geometry, couplings, z, zp, deriv_z=(0, 0), deriv_zp=(0,
     """Exact critical cylinder propagator block <phi_omega,z phi_omega',z'>.
 
     phi_+ = Vbar and phi_- = V, so this block matches the corresponding
-    rows and columns of -A^{-1} from the dense representation.  For
-    (P, 2) site arrays z, zp the result is a real (P, 2, 2) array, one
-    `mode_sum` call for the whole batch.
+    rows and columns of -A^{-1} from the dense representation.  The
+    result is a real (2, 2) array for one site pair and a real (P, 2, 2)
+    array for (P, 2) site arrays z, zp, one `mode_sum` call either way.
 
     Raises:
         ValueError: off-critical couplings (the eigenbasis only closes on
@@ -338,4 +336,4 @@ def critical_propagator(geometry, couplings, z, zp, deriv_z=(0, 0), deriv_zp=(0,
             explicit +-k2 pairing.
     """
     data = spectral_data(geometry, couplings)
-    return real_block(mode_sum(data, z, zp, None, deriv_z, deriv_zp), deriv_z, deriv_zp)
+    return real_block(mode_sum(data, z, zp, None, deriv_z, deriv_zp))

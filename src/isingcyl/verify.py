@@ -195,14 +195,13 @@ def check_boundary_and_symmetry(seed=1):
         worst = max(worst, float(np.max(np.abs(g - g1 * [[-1.0, 1.0], [1.0, -1.0]]))),
                     float(np.max(np.abs(g + g2[:, ::-1, ::-1]))))
 
-        for z, zp, _, _ in draws:
-            # massive block: swap-and-negate under the horizontal
-            # reflection, diagonal negation under the vertical one
-            gm = exact.massive_propagator(geom, cc, z, zp).matrix
-            m1 = exact.massive_propagator(geom, cc, th1(z), th1(zp)).matrix
-            m2 = exact.massive_propagator(geom, cc, th2(z), th2(zp)).matrix
-            worst = max(worst, float(np.max(np.abs(gm + m1[::-1, ::-1]))),
-                        float(np.max(np.abs(gm - m2 * [[-1.0, 1.0], [1.0, -1.0]]))))
+        # massive block: swap-and-negate under the horizontal
+        # reflection, diagonal negation under the vertical one
+        gm = exact.massive_propagator(geom, cc, zs, zps)
+        m1 = exact.massive_propagator(geom, cc, [th1(z) for z in zs], [th1(zp) for zp in zps])
+        m2 = exact.massive_propagator(geom, cc, [th2(z) for z in zs], [th2(zp) for zp in zps])
+        worst = max(worst, float(np.max(np.abs(gm + m1[:, ::-1, ::-1]))),
+                    float(np.max(np.abs(gm - m2 * [[-1.0, 1.0], [1.0, -1.0]]))))
 
     # momentum-space symbol and normalization relations
     momenta = spectral.antiperiodic_momenta(L)

@@ -358,6 +358,19 @@ def test_non_integer_site_is_usage_error(capsys):
     assert "--z" in err
 
 
+@pytest.mark.parametrize("kind", ["invalid_json", "directory"])
+def test_unreadable_json_file_is_usage_error(capsys, tmp_path, kind):
+    path = tmp_path / "bad.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_text("{bad")
+    code, _, err = run(capsys, "propagator", "--L", "4", "--M", "4", "--critical",
+                       "--t1", "isotropic", "--pairs", str(path))
+    assert_one_usage_line(code, err)
+    assert err.startswith("error: --pairs:")
+
+
 @pytest.mark.parametrize("command,flag", [
     (["partition", "--L", "4", "--M", "3", "--beta", "0.3", "--J1", "1",
       "--J2", "1"], "--output"),

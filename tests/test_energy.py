@@ -253,6 +253,11 @@ def test_scal_energy_correlation_validation():
     with pytest.raises(ValueError):
         scal_energy_correlation(
             cyl, cpl, [((0.3, 0.4), 2), ((0.3, 0.4), 1)])
+    with pytest.raises(ValueError, match="direction"):
+        scal_energy_correlation(cyl, cpl, [((0.3125, 0.375), 7), ((0.6875, 0.625), 2)])
+    for y in (1.5, 1.0, 0.0, -0.2):
+        with pytest.raises(ValueError, match="outside the height"):
+            scal_energy_correlation(cyl, cpl, [((0.3, 0.4), 2), ((0.7, y), 2)])
 
 
 def test_scal_energy_pair_frozen_value():

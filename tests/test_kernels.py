@@ -485,3 +485,7 @@ def test_text_parse_errors():
         kernel_from_text("kernel 1 sideways\n")
     with pytest.raises(ValueError):
         kernel_from_text("kernel 1 anchored\n2 1 0:0 0:0 1.0\n")
+    # a site with one coordinate, or with three
+    for site in ("1", "1:0:0"):
+        with pytest.raises(ValueError, match="arity"):
+            kernel_from_text(f"kernel 1 literal\n2 1,-1 0:0,0:0 0:0,{site} 1.0\n")

@@ -8,7 +8,6 @@ import pytest
 from isingcyl.exact import Couplings
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.multiscale import (
-    bulk_block,
     bulk_decay_report,
     bulk_edge_split,
     gram_inner,
@@ -16,7 +15,7 @@ from isingcyl.multiscale import (
     gram_report,
     gram_vector,
     h_star,
-    infinite_plane_propagator,
+    plane_block_batch,
     scale_indices,
     scale_weight,
     single_scale_propagator,
@@ -61,32 +60,46 @@ def test_single_scale_boundary_rows_vanish():
     g = CylinderGeometry(8, 5)
     zp = (4, 3)
     for h in (-2, -1, 0):
-        bottom = single_scale_propagator(g, ISO, h, (2, 0), zp).matrix
+        bottom = single_scale_propagator(g, ISO, h, (2, 0), zp)
         assert abs(bottom[0, 0]) < 1e-13 and abs(bottom[0, 1]) < 1e-13
-        top = single_scale_propagator(g, ISO, h, (2, g.M + 1), zp).matrix
+        top = single_scale_propagator(g, ISO, h, (2, g.M + 1), zp)
         assert abs(top[1, 0]) < 1e-13 and abs(top[1, 1]) < 1e-13
 
 
 def test_bulk_edge_split_reassembles():
     g = CylinderGeometry(16, 16)
     h = -2
-    for z, zp in [((3, 5), (9, 8)), ((1, 1), (6, 2)), ((14, 15), (2, 13))]:
-        bulk, edge = bulk_edge_split(g, ISO, h, z, zp)
-        whole = single_scale_propagator(g, ISO, h, z, zp).matrix
-        assert np.max(np.abs(bulk.matrix + edge.matrix - whole)) < 1e-12
+    # the last pair sits at the antipodal offset L/2, where the ring sign is 0
+    pairs = [((3, 5), (9, 8)), ((1, 1), (6, 2)), ((14, 15), (2, 13)), ((1, 7), (9, 7))]
+    zs, zps = [z for z, _ in pairs], [zp for _, zp in pairs]
+    bulk, edge = bulk_edge_split(g, ISO, h, zs, zps)
+    assert bulk.shape == edge.shape == (len(pairs), 2, 2)
+    whole = single_scale_propagator(g, ISO, h, zs, zps)
+    assert np.max(np.abs(bulk + edge - whole)) < 1e-12
+    assert not np.any(bulk[3])
+    for p, (z, zp) in enumerate(pairs):
+        one_bulk, one_edge = bulk_edge_split(g, ISO, h, z, zp)
+        assert one_bulk.shape == one_edge.shape == (2, 2)
+        # a batch of one may stop the plane quadrature on a coarser grid
+        assert np.max(np.abs(one_bulk - bulk[p])) < 1e-10
+        assert np.max(np.abs(one_edge - edge[p])) < 1e-10
 
 
 def test_bulk_block_is_image_sum_of_plane():
     g = CylinderGeometry(16, 16)
     h = -1
-    z, zp = (4, 7), (6, 8)
-    got = bulk_block(g, ISO, h, z, zp)
+    # one interior pair and one whose offset wraps the long way round
+    zs, zps = [(4, 7), (15, 7)], [(6, 8), (2, 8)]
+    folded = [(g.per(z[0] - zp[0]), z[1] - zp[1]) for z, zp in zip(zs, zps)]
+    assert folded == [(-2, -1), (-3, -1)]
+    bulk, edge = bulk_edge_split(g, ISO, h, zs, zps)
+    # the same batch of sorted displacements as the split evaluates
+    plane = plane_block_batch(ISO, h, sorted(folded))
+    assert np.array_equal(bulk[0], plane[1]) and np.array_equal(bulk[1], -plane[0])
     # interior pair at a high scale: the wrapped images are tiny, so the
     # plane propagator at the folded displacement dominates
-    direct = infinite_plane_propagator(
-        ISO, h, (g.per(z[0] - zp[0]), z[1] - zp[1]))
-    assert np.max(np.abs(got - direct)) < 1e-4
-    assert np.max(np.abs(got)) > 1e-4
+    assert np.max(np.abs(edge[0])) < 1e-4
+    assert np.max(np.abs(bulk[0])) > 1e-4
 
 
 def test_bulk_decay_report_fits():
@@ -102,7 +115,7 @@ def test_gram_reconstruction_small():
     g = CylinderGeometry(8, 8)
     h = -1
     z, zp = (2, 3), (7, 6)
-    direct = single_scale_propagator(g, ISO, h, z, zp).matrix
+    direct = single_scale_propagator(g, ISO, h, z, zp)
     for i, om in enumerate((1, -1)):
         left = gram_vector(g, ISO, h, om, (0, 0), z, "left")
         for j, op in enumerate((1, -1)):
@@ -127,9 +140,9 @@ def test_tail_plus_scales_is_projection_complete():
     g = CylinderGeometry(8, 4)
     hs = h_star(g)
     z, zp = (2, 1), (5, 4)
-    total = tail_propagator(g, ISO, hs, z, zp).matrix.copy()
+    total = tail_propagator(g, ISO, hs, z, zp)
     for j in range(hs + 1, 1):
-        total += single_scale_propagator(g, ISO, j, z, zp).matrix
+        total += single_scale_propagator(g, ISO, j, z, zp)
     from isingcyl.spectral import critical_propagator
-    full = critical_propagator(g, ISO, z, zp).matrix
+    full = critical_propagator(g, ISO, z, zp)
     assert np.max(np.abs(total - full)) < 1e-13

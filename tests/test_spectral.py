@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from isingcyl import exact, spectral
+from isingcyl import exact, multiscale, spectral
 from isingcyl.exact import Couplings, PropagatorCache
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.multiscale import scale_weight, tail_weight
@@ -93,7 +93,7 @@ def test_critical_propagator_matches_dense_inverse():
         worst = 0.0
         for z in g.sites():
             for zp in g.sites():
-                spec = critical_propagator(g, cpl, z, zp).matrix
+                spec = critical_propagator(g, cpl, z, zp)
                 dense = cache.vertical_block(z, zp)
                 worst = max(worst, float(np.max(np.abs(spec - dense))))
         assert worst < 1e-10
@@ -123,17 +123,17 @@ def test_boundary_rows_vanish():
 def test_propagator_antisymmetry_under_swap():
     g = CylinderGeometry(6, 3)
     z, zp = (2, 1), (5, 3)
-    a = critical_propagator(g, ISO, z, zp).matrix
-    b = critical_propagator(g, ISO, zp, z).matrix
+    a = critical_propagator(g, ISO, z, zp)
+    b = critical_propagator(g, ISO, zp, z)
     assert np.max(np.abs(a + b.T)) < 1e-12
 
 
 def test_forward_difference_derivative_labels():
     g = CylinderGeometry(6, 4)
     z, zp = (2, 2), (4, 3)
-    plain = critical_propagator(g, ISO, z, zp).matrix
-    shifted = critical_propagator(g, ISO, (3, 2), zp).matrix
-    deriv = critical_propagator(g, ISO, z, zp, deriv_z=(1, 0)).matrix
+    plain = critical_propagator(g, ISO, z, zp)
+    shifted = critical_propagator(g, ISO, (3, 2), zp)
+    deriv = critical_propagator(g, ISO, z, zp, deriv_z=(1, 0))
     assert np.max(np.abs(deriv - (shifted - plain))) < 1e-10
 
 
@@ -162,11 +162,32 @@ def test_batch_propagator_shapes_and_site_check():
     g = CylinderGeometry(6, 4)
     blocks = critical_propagator(g, ISO, [(1, 1), (2, 3)], [(4, 4), (6, 1)])
     assert blocks.shape == (2, 2, 2)
-    single = critical_propagator(g, ISO, (2, 3), (6, 1)).matrix
+    single = critical_propagator(g, ISO, (2, 3), (6, 1))
     assert np.max(np.abs(blocks[1] - single)) <= 1e-14
     assert critical_propagator(g, ISO, np.empty((0, 2)), np.empty((0, 2))).shape == (0, 2, 2)
     with pytest.raises(ValueError, match="extended lattice"):
         critical_propagator(g, ISO, [(1, 1), (2, 6)], [(4, 4), (6, 1)])
+
+
+@pytest.mark.parametrize("route", [
+    critical_propagator,
+    lambda g, c, z, zp: multiscale.single_scale_propagator(g, c, -1, z, zp),
+    lambda g, c, z, zp: multiscale.tail_propagator(g, c, -2, z, zp),
+    exact.dense_propagator,
+    exact.massive_propagator,
+], ids=["critical", "single_scale", "tail", "dense", "massive"])
+def test_single_pair_is_a_row_of_its_batch(route):
+    g = CylinderGeometry(8, 6)
+    zs = [(1, 1), (2, 3), (8, 6), (5, 3)]
+    zps = [(4, 4), (6, 3), (1, 1), (2, 3)]
+    batch = route(g, ISO, zs, zps)
+    assert type(batch) is np.ndarray and batch.dtype == float
+    assert batch.shape == (len(zs), 2, 2)
+    for p, (z, zp) in enumerate(zip(zs, zps)):
+        single = route(g, ISO, z, zp)
+        assert type(single) is np.ndarray and single.dtype == float
+        assert single.shape == (2, 2)
+        assert np.max(np.abs(single - batch[p])) <= 1e-14
 
 
 @pytest.mark.parametrize("M", [128, 256])
