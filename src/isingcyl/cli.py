@@ -254,13 +254,12 @@ def cmd_multiscale(args):
 
     if args.check_telescoping:
         pairs = _telescoping_pairs(geometry, seed)
-        rows, worst = [], 0.0
-        for z, zp in pairs:
-            for h in multiscale.scale_indices(geometry):
-                resid = multiscale.telescoping_residual(geometry, couplings,
-                                                        z, zp, h)
-                worst = max(worst, resid)
-                rows.append([z[0], z[1], zp[0], zp[1], h, resid])
+        zs, zps = zip(*pairs)
+        resid = {h: multiscale.telescoping_residual(geometry, couplings, zs, zps, h)
+                 for h in multiscale.scale_indices(geometry)}
+        rows = [[*z, *zp, h, float(r[p])]
+                for p, (z, zp) in enumerate(pairs) for h, r in resid.items()]
+        worst = max(row[-1] for row in rows)
         _emit_csv(args, ["z1", "z2", "zp1", "zp2", "h", "max_residual"], rows)
         if worst > args.tol:
             raise ToleranceError(

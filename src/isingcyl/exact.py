@@ -349,16 +349,6 @@ def dense_propagator(geometry, couplings, z, zp):
     return propagator_from_A(geometry, couplings).vertical_block(z, zp)
 
 
-def horizontal_kernel_infinite(y, t1):
-    """Infinite-volume Schur kernel s_{infinity,+}(y) = (-t1)^y for y >= 0.
-
-    The mirrored kernel s_{infinity,-}(y) equals s_{infinity,+}(-y).
-    """
-    if y < 0:
-        return 0.0
-    return (-t1) ** y
-
-
 def horizontal_kernel(y, L, t1):
     """Antiperiodized kernel s_+(y) = sum_n (-1)^n s_{infinity,+}(y + nL).
 

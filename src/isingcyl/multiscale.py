@@ -38,7 +38,6 @@ import numpy as np
 
 from .lattice import per_range, ring_sign
 from .spectral import (
-    critical_propagator,
     dispersion,
     forward_difference,
     mode_sum,
@@ -96,11 +95,11 @@ def _window_weight_over_dispersion(a, b, D):
     return np.where(D == 0.0, b - a, val)
 
 
-def _weighted_propagator(weight, geometry, couplings, h, z, zp, deriv_z, deriv_zp):
+def _scale_data(geometry, couplings, h):
+    """Spectral tables of the cylinder, once h* <= h <= 0 is checked."""
     if not h_star(geometry) <= h <= 0:
         raise ValueError(f"h={h} outside [{h_star(geometry)}, 0]")
-    data = spectral_data(geometry, couplings)
-    return real_block(mode_sum(data, z, zp, weight(h, data.D), deriv_z, deriv_zp))
+    return spectral_data(geometry, couplings)
 
 
 def single_scale_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv_zp=(0, 0)):
@@ -111,23 +110,31 @@ def single_scale_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv
     weight is even in k2.  Site arrays give a (P, 2, 2) batch, as in
     `critical_propagator`.
     """
-    return _weighted_propagator(scale_weight, geometry, couplings, h, z, zp, deriv_z, deriv_zp)
+    data = _scale_data(geometry, couplings, h)
+    return real_block(mode_sum(data, z, zp, scale_weight(h, data.D), deriv_z, deriv_zp))
 
 
-def tail_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv_zp=(0, 0)):
+def tail_propagator(geometry, couplings, h, z, zp):
     """Infrared remainder g^{(<= h)} on the cylinder (batches as above)."""
-    return _weighted_propagator(tail_weight, geometry, couplings, h, z, zp, deriv_z, deriv_zp)
+    data = _scale_data(geometry, couplings, h)
+    return real_block(mode_sum(data, z, zp, tail_weight(h, data.D)))
 
 
 def telescoping_residual(geometry, couplings, z, zp, h=None):
-    """max |g_c - g^{(<=h)} - sum_{j=h+1..0} g^{(j)}| at one pair."""
+    """max |g_c - g^{(<=h)} - sum_{j=h+1..0} g^{(j)}| per site pair, h* <= h <= 0.
+
+    One `mode_sum` call evaluates the ladder [w_<=h, w_{h+1}, ..., w_0, 1].
+    Returns a float for one site pair, a (P,) array for (P, 2) site arrays.
+    """
     if h is None:
         h = h_star(geometry)
-    total = tail_propagator(geometry, couplings, h, z, zp)
-    for j in range(h + 1, 1):
-        total += single_scale_propagator(geometry, couplings, j, z, zp)
-    full = critical_propagator(geometry, couplings, z, zp)
-    return float(np.max(np.abs(total - full)))
+    data = _scale_data(geometry, couplings, h)
+    ladder = np.stack([tail_weight(h, data.D)]
+                      + [scale_weight(j, data.D) for j in range(h + 1, 1)]
+                      + [np.ones_like(data.D)])
+    *pieces, full = real_block(mode_sum(data, z, zp, ladder))
+    resid = np.max(np.abs(sum(pieces) - full), axis=(-2, -1))
+    return float(resid) if resid.ndim == 0 else resid
 
 
 # ---------------------------------------------------------------------------

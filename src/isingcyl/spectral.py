@@ -9,9 +9,10 @@ are the M roots k2 in (0, pi) of the transcendental equation
 
 with B(k1) = t2 |1 + t1 e^{i k1}|^2 / (1 - t1^2), which lies in (0, 1) on
 D_L at criticality.  Exactly one root lives in each interval
-I_n = (pi/(M+1)) (n + 1/2, n + 1), so bracketed bisection (plus a Newton
-polish that never leaves the bracket) finds all of them with guaranteed
-sign changes at the endpoints.
+I_n = (pi/(M+1)) (n + 1/2, n + 1), where it solves the phase equation
+F(k2) = M k2 + arg(e^{i k2} - B) = (n + 1) pi.  F is strictly increasing,
+F' = M + (1 - B cos k2)/(1 - 2 B cos k2 + B^2) > M, so Newton's method
+from the midpoints of the I_n finds every root of every k1 row at once.
 
 The propagator is a double mode sum of the momentum-space symbol
 
@@ -40,10 +41,9 @@ IMAG_RESIDUE_TOL = 1e-10
 # bound on a transverse root's forward error |resid / resid'|; measured
 # values stay at 1-2 eps pi for every M and critical coupling tried
 ROOT_TOL = 8.0 * np.finfo(float).eps * np.pi
-# bisection stops once every bracket is below this times pi / (M + 1);
-# Newton steps then polish each root, rejected whenever they leave it
-_BISECTION_TOL = 1e-14
-_NEWTON_STEPS = 3
+# Newton steps on the phase equation; five reach the fixed point for every
+# M and B tried, and `SpectralData` certifies the result through ROOT_TOL
+_NEWTON_STEPS = 6
 # complex entries per transient array in `mode_sum` (2 MB)
 _CHUNK_ENTRIES = 1 << 17
 
@@ -60,53 +60,31 @@ def b_of_k1(k1, couplings):
     return t2 * (1.0 + 2.0 * t1 * np.cos(k1) + t1 * t1) / (1.0 - t1 * t1)
 
 
-def b_of_k1_critical_form(k1, couplings):
-    """Equivalent closed form on the critical line: 1 - kappa (1 - cos k1)."""
-    t1, t2 = couplings.t1, couplings.t2
-    kappa = 2.0 * t1 * t2 / (1.0 - t1 * t1)
-    return 1.0 - kappa * (1.0 - np.cos(k1))
-
-
 def transverse_roots(B, M):
-    """All M roots of sin(k2 (M+1)) = B sin(k2 M) in (0, pi).
+    """All M roots of sin(k2 (M+1)) = B sin(k2 M) in (0, pi), per B.
+
+    Newton's method on the phase equation (module docstring) from the
+    midpoint of each bracket I_n, for all B values at once.
 
     Args:
-        B: coefficient in (0, 1] (the B = 1 edge case, k1 -> 0, is allowed
-            and keeps its sign changes).
+        B: a scalar or an array of coefficients in (0, 1] (B = 1 is the
+            k1 -> 0 edge case).
         M: number of rows.
 
     Returns:
-        Array of M roots, strictly increasing, root n inside
-        (pi/(M+1))(n + 1/2, n + 1).
+        Array of shape B.shape + (M,): per B the M roots, strictly
+        increasing, root n inside (pi/(M+1))(n + 1/2, n + 1).
     """
-    if not 0.0 < B <= 1.0:
-        raise ValueError(f"B must lie in (0, 1], got {B}")
-    tol = _BISECTION_TOL * np.pi / (M + 1)
-
-    def resid(k):
-        return B * np.sin(M * k) - np.sin((M + 1) * k)
-
+    B = np.asarray(B, dtype=float)[..., None]
+    if not np.all((B > 0.0) & (B <= 1.0)):
+        raise ValueError(f"B must lie in (0, 1], got values in [{B.min()}, {B.max()}]")
     n = np.arange(M)
-    lo = np.pi / (M + 1) * (n + 0.5)
-    hi = np.pi / (M + 1) * (n + 1.0)
-    flo = resid(lo)
-    # sign(resid) at the left endpoint is (-1)^{n+1}, at the right (-1)^n
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        fmid = resid(mid)
-        left = flo * fmid > 0
-        lo = np.where(left, mid, lo)
-        flo = np.where(left, fmid, flo)
-        hi = np.where(left, hi, mid)
-        if np.max(hi - lo) < tol:
-            break
-    k = 0.5 * (lo + hi)
+    target = (n + 1.0) * np.pi
+    k = np.pi / (M + 1) * (n + 0.75) * np.ones_like(B)
     for _ in range(_NEWTON_STEPS):
-        dr = B * M * np.cos(M * k) - (M + 1) * np.cos((M + 1) * k)
-        step = np.where(dr != 0, resid(k) / np.where(dr != 0, dr, 1.0), 0.0)
-        cand = k - step
-        inside = (cand > lo) & (cand < hi)
-        k = np.where(inside, cand, k)
+        c = np.cos(k)
+        phase = M * k + np.arctan2(np.sin(k), c - B) - target
+        k = k - phase / (M + (1.0 - B * c) / (1.0 - 2.0 * B * c + B * B))
     return k
 
 
@@ -149,6 +127,30 @@ def symbol_entries(couplings, k1, k2):
     return npp / D, npm / D, nmp / D, nmm / D
 
 
+def _mode_roots(B, M):
+    """Gated (L, M) roots and normalizations for B(k1) on D_L (`SpectralData`)."""
+    B = B[len(B) // 2:, None]
+    k = transverse_roots(B[:, 0], M)
+    resid = B * np.sin(M * k) - np.sin((M + 1) * k)
+    slope = B * M * np.cos(M * k) - (M + 1) * np.cos((M + 1) * k)
+    error = np.max(np.abs(resid / slope))
+    if not error <= ROOT_TOL:
+        raise AssertionError(f"root forward error {error:.2e} exceeds {ROOT_TOL:.2e}")
+    lo, hi = np.pi / (M + 1) * (np.arange(M) + [[0.5], [1.0]])
+    if np.any(k <= lo) or np.any(k >= hi):
+        raise AssertionError("root escaped its bracketing interval")
+    if np.any(np.diff(k, axis=1) <= 0):
+        raise AssertionError("roots not strictly increasing")
+    if np.min(np.abs(k - np.pi)) < 1e-9:
+        raise AssertionError("root collided with pi")
+    nm = mode_normalization(B, M, k)
+    if np.max(np.abs(nm - mode_normalization_ratio_form(B, M, k))) > 1e-11 * max(1.0, M):
+        raise AssertionError("the two N_M formulas disagree")
+    if np.any(nm < M):
+        raise AssertionError("mode normalization dropped below M")
+    return np.concatenate([k[::-1], k]), np.concatenate([nm[::-1], nm])
+
+
 class SpectralData:
     """Root, normalization and mode tables for one (geometry, couplings) pair.
 
@@ -165,10 +167,13 @@ class SpectralData:
             times e^{2 i q2 (M+1)}.
         sqrt_trans, sqrt_image: their principal square roots (Gram factors).
 
-    Construction validates the forward error |resid / resid'| of every
-    root (<= ROOT_TOL, a bound independent of M), the interval
-    bracketing, monotonicity, agreement of the two N_M formulas, and that
-    no root collides with pi.
+    The roots solve the strictly increasing phase equation (module
+    docstring) by Newton's method, in one `transverse_roots` call on the
+    L/2 rows with k1 > 0; B is even in k1, so the rows with k1 < 0 are
+    their mirror image.  Construction validates the forward error
+    |resid / resid'| of every root (<= ROOT_TOL, a bound independent of
+    M), the interval bracketing, monotonicity, agreement of the two N_M
+    formulas, and that no root collides with pi.
     """
 
     def __init__(self, geometry, couplings):
@@ -184,39 +189,11 @@ class SpectralData:
         self.B = b_of_k1(self.k1, couplings)
         if np.any(self.B <= 0.0) or np.any(self.B >= 1.0):
             raise AssertionError("B(k1) left (0, 1) on the antiperiodic momenta")
-        roots = np.empty((L, M))
-        norms = np.empty((L, M))
-        n = np.arange(M)
-        lo = np.pi / (M + 1) * (n + 0.5)
-        hi = np.pi / (M + 1) * (n + 1.0)
-        for i, B in enumerate(self.B):
-            k = transverse_roots(B, M)
-            resid = B * np.sin(M * k) - np.sin((M + 1) * k)
-            slope = B * M * np.cos(M * k) - (M + 1) * np.cos((M + 1) * k)
-            error = np.max(np.abs(resid / slope))
-            if not error <= ROOT_TOL:
-                raise AssertionError(
-                    f"root forward error {error:.2e} exceeds {ROOT_TOL:.2e}")
-            if np.any(k <= lo) or np.any(k >= hi):
-                raise AssertionError("root escaped its bracketing interval")
-            if np.any(np.diff(k) <= 0):
-                raise AssertionError("roots not strictly increasing")
-            if np.min(np.abs(k - np.pi)) < 1e-9:
-                raise AssertionError("root collided with pi")
-            nm = mode_normalization(B, M, k)
-            nm_ratio = mode_normalization_ratio_form(B, M, k)
-            if np.max(np.abs(nm - nm_ratio)) > 1e-11 * max(1.0, M):
-                raise AssertionError("the two N_M formulas disagree")
-            if np.any(nm < M):
-                raise AssertionError("mode normalization dropped below M")
-            roots[i] = k
-            norms[i] = nm
-        self.roots = roots
-        self.norms = norms
+        self.roots, self.norms = _mode_roots(self.B, M)
 
         k1 = self.k1[:, None]
-        q2 = np.concatenate([roots, -roots], axis=1)
-        measure = 1.0 / (2.0 * L * np.concatenate([norms, norms], axis=1))
+        q2 = np.concatenate([self.roots, -self.roots], axis=1)
+        measure = 1.0 / (2.0 * L * np.concatenate([self.norms, self.norms], axis=1))
         gpp, gpm, gmp, gmm = symbol_entries(couplings, k1, q2)
         gpm_reflected = symbol_entries(couplings, k1, -q2)[1]
         self.q2 = q2
@@ -249,16 +226,20 @@ def forward_difference(k, order):
 
 
 def _row_sums(data, coef, mult, values):
-    """S[i, n, a] = sum over q2 in row i of e^{-i q2 values[n]} mult coef[i, q2, a].
+    """S[..., i, n, a] = sum over q2 in row i of e^{-i q2 values[n]} mult coef[i, q2, a].
 
-    `mult` is a per-mode factor of shape (L, 2M), or a scalar."""
+    `mult` is a scalar, a per-mode factor (L, 2M) or a stack (H, L, 2M) of them."""
     L, width = data.q2.shape
-    out = np.empty((L, len(values), 4), dtype=complex)
-    step = max(1, _CHUNK_ENTRIES // (L * width))
+    mult = np.asarray(mult)
+    stack = mult.shape[:-2]
+    if mult.ndim:
+        mult = mult[..., None, :]                                       # (..., L, 1, 2M)
+    out = np.empty(stack + (L, len(values), 4), dtype=complex)
+    step = max(1, _CHUNK_ENTRIES // (np.prod(stack, dtype=int) * L * width))
     for lo in range(0, len(values), step):
         half = np.exp(-1j * (values[lo:lo + step, None, None] * data.roots))
-        phase = np.concatenate([half, np.conj(half)], axis=-1) * mult   # q2 = +-k2
-        out[:, lo:lo + step] = np.matmul(phase.transpose(1, 0, 2), coef)
+        phase = np.concatenate([half, np.conj(half)], axis=-1)          # q2 = +-k2
+        out[..., lo:lo + step, :] = np.matmul(phase.transpose(1, 0, 2) * mult, coef)
     return out
 
 
@@ -280,12 +261,14 @@ def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
             boundary identities hold).
         weight: optional per-mode multiplicative weight of shape (L, 2M),
             evaluated on (k1, q2) like `data.D` -- the single-scale
-            cutoffs.  None means the full propagator.
+            cutoffs -- or a stack (H, L, 2M) of them, which share the
+            phases.  None means the full propagator.
         deriv_z: forward-difference orders (r1, r2) in the first argument.
         deriv_zp: same for the second argument.
 
     Returns:
-        Complex (2, 2) block for one pair, (P, 2, 2) for a batch.
+        Complex (2, 2) block for one pair, (P, 2, 2) for a batch; with a
+        weight stack, (H, 2, 2) and (H, P, 2, 2).
     """
     single = np.shape(z) == (2,)
     z, zp = data.geometry.site_arrays(z, zp, extended=True)
@@ -299,12 +282,12 @@ def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
     v_trans, i_trans = np.unique(z[:, 1] - zp[:, 1], return_inverse=True)
     v_img, i_img = np.unique(z[:, 1] + zp[:, 1], return_inverse=True)
     ring = np.exp(-1j * np.outer(dz1, data.k1)) * d1                  # (n1, L)
-    # (n1, n2, 4) tables over the distinct offsets, then one gather per pair
-    trans = np.tensordot(ring, _row_sums(data, data.trans, mult_trans, v_trans), 1)
-    image = np.tensordot(ring, _row_sums(data, data.image, mult_img, v_img), 1)
-    out = trans[i1, i_trans] - image[i1, i_img]
-    out = out.reshape(-1, 2, 2)
-    return out[0] if single else out
+    # (n1, ..., n2, 4) tables over the distinct offsets, then one gather per pair
+    trans = np.tensordot(ring, _row_sums(data, data.trans, mult_trans, v_trans), (1, -3))
+    image = np.tensordot(ring, _row_sums(data, data.image, mult_img, v_img), (1, -3))
+    out = trans[i1, ..., i_trans, :] - image[i1, ..., i_img, :]          # (P, ..., 4)
+    out = np.moveaxis(out.reshape(out.shape[:-1] + (2, 2)), 0, -3)
+    return out[..., 0, :, :] if single else out
 
 
 def real_block(out):

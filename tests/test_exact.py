@@ -15,12 +15,12 @@ from isingcyl.exact import (
     build_action_matrix,
     flat_index,
     horizontal_kernel,
-    horizontal_kernel_infinite,
     massive_propagator,
     partition_function_log,
 )
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.skew import SingularSkewError, pfaffian_sign_logabs, skew_inverse
+from oracles import horizontal_kernel_infinite
 
 
 def test_couplings_validation_and_critical_line():
@@ -314,3 +314,18 @@ def test_massive_propagator_structure():
     # vertical displacement kills it entirely (delta in z2)
     off = massive_propagator(g, c, z, (4, 3))
     assert np.max(np.abs(off)) == 0.0
+
+
+def test_casimir_amplitude_of_log_z_at_isotropic_criticality():
+    # Adding a row to a long antiperiodic cylinder of circumference L adds
+    # L f_b + pi c / (6 L) to log Z, with c = 1/2 and the critical bulk free
+    # energy f_b = log(2)/2 + 2G/pi (Blote, Cardy & Nightingale 1986;
+    # Affleck 1986; Onsager 1944); the boundary terms cancel in the step.
+    catalan = 0.915965594177219015054603514932384110774
+    f_b = 0.5 * math.log(2.0) + 2.0 * catalan / math.pi
+    beta = 0.5 * math.log(1.0 + math.sqrt(2.0))
+    L = 64
+    log_z = [partition_function_log(CylinderGeometry(L, M), beta, 1.0, 1.0).log_z
+             for M in (128, 129)]
+    amplitude = L * (log_z[1] - log_z[0] - L * f_b)
+    assert abs(amplitude - math.pi / 12.0) <= 1e-4

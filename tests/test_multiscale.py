@@ -50,6 +50,24 @@ def test_telescoping_residual_all_scales():
             assert telescoping_residual(g, ISO, z, zp, h) < 1e-12
 
 
+def test_batched_telescoping_equals_per_pair_values():
+    g = CylinderGeometry(16, 12)
+    cpl = Couplings.critical_from_t1(0.3)
+    rng = np.random.default_rng(5)
+    z = np.column_stack([rng.integers(1, 17, 25), rng.integers(1, 13, 25)])
+    zp = np.column_stack([rng.integers(1, 17, 25), rng.integers(1, 13, 25)])
+    for h in scale_indices(g):
+        batch = telescoping_residual(g, cpl, z, zp, h)
+        assert batch.shape == (len(z),)
+        ones = [telescoping_residual(g, cpl, tuple(a), tuple(b), h)
+                for a, b in zip(z.tolist(), zp.tolist())]
+        assert all(type(r) is float for r in ones)
+        assert np.max(np.abs(batch - ones)) <= 1e-15
+        assert np.max(batch) <= 1e-15
+    with pytest.raises(ValueError, match="outside"):
+        telescoping_residual(g, cpl, z, zp, h_star(g) - 1)
+
+
 def test_telescoping_anisotropic():
     g = CylinderGeometry(8, 4)
     cpl = Couplings.critical_from_t1(0.5)

@@ -14,7 +14,6 @@ from isingcyl.spectral import (
     SpectralData,
     antiperiodic_momenta,
     b_of_k1,
-    b_of_k1_critical_form,
     critical_propagator,
     dispersion,
     mode_normalization,
@@ -24,6 +23,7 @@ from isingcyl.spectral import (
     symbol_entries,
     transverse_roots,
 )
+from oracles import b_of_k1_critical_form, bisection_roots
 
 ISO = Couplings.isotropic_critical()
 
@@ -203,10 +203,70 @@ def test_root_certificate_rejects_perturbed_root(monkeypatch, M):
 
     def perturbed(B, M):
         k = exact_roots(B, M).copy()
-        k[M // 2] += 64.0 * np.finfo(float).eps * np.pi   # still inside its bracket
+        k[-1, M // 2] += 64.0 * np.finfo(float).eps * np.pi   # still inside its bracket
         return k
 
     monkeypatch.setattr(spectral, "transverse_roots", perturbed)
     with pytest.raises(AssertionError, match="forward error"):
         SpectralData(CylinderGeometry(8, M), ISO)
     assert 64.0 * np.finfo(float).eps * np.pi > ROOT_TOL
+
+
+def test_root_certificate_rejects_root_in_wrong_bracket(monkeypatch):
+    exact_roots = spectral.transverse_roots
+
+    def shifted(B, M):
+        k = exact_roots(B, M).copy()
+        k[2, 3] = k[2, 4]   # a true root, one bracket too high
+        return k
+
+    monkeypatch.setattr(spectral, "transverse_roots", shifted)
+    with pytest.raises(AssertionError, match="bracketing interval"):
+        SpectralData(CylinderGeometry(8, 16), ISO)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 64, 1024])
+def test_array_roots_match_bisection_oracle(M):
+    Bs = np.array([1e-6, 0.3, 1.0 - 1e-6, 1.0])
+    roots = transverse_roots(Bs, M)
+    assert roots.shape == (len(Bs), M)
+    for B, row in zip(Bs, roots):
+        # an absolute bound: near k = 0 one ulp is tiny, and the two solvers
+        # differ there by up to ~150 ulp (at M = 1024, B -> 1), still < 1e-15
+        assert np.max(np.abs(row - bisection_roots(B, M))) <= 4.0 * np.finfo(float).eps * np.pi
+        assert np.array_equal(transverse_roots(B, M), row)
+
+
+def test_roots_reject_b_outside_unit_interval():
+    for B in (0.0, -0.5, 1.5, [0.3, 1.2]):
+        with pytest.raises(ValueError, match="B must lie in"):
+            transverse_roots(B, 4)
+
+
+def test_spectral_rows_mirror_in_k1():
+    data = spectral_data(CylinderGeometry(12, 7), Couplings.critical_from_t1(0.3))
+    assert np.array_equal(data.roots, data.roots[::-1])
+    assert np.array_equal(data.norms, data.norms[::-1])
+    assert np.array_equal(data.k1, -data.k1[::-1])
+
+
+@pytest.mark.parametrize("L,M,t1", [(8, 5, None), (32, 32, 0.5)])
+def test_weight_stack_equals_separate_calls(L, M, t1):
+    g = CylinderGeometry(L, M)
+    cpl = ISO if t1 is None else Couplings.critical_from_t1(t1)
+    data = spectral_data(g, cpl)
+    rng = np.random.default_rng(11)
+    z = np.column_stack([rng.integers(1, L + 1, 30), rng.integers(0, M + 2, 30)])
+    zp = np.column_stack([rng.integers(1, L + 1, 30), rng.integers(0, M + 2, 30)])
+    stack = np.stack([scale_weight(-1, data.D), scale_weight(0, data.D),
+                      tail_weight(-2, data.D), np.ones_like(data.D)])
+    for dz, dzp in [((0, 0), (0, 0)), ((1, 0), (0, 1)), ((2, 1), (0, 2))]:
+        both = mode_sum(data, z, zp, stack, dz, dzp)
+        assert both.shape == (len(stack), len(z), 2, 2)
+        ones = np.array([mode_sum(data, z, zp, w, dz, dzp) for w in stack])
+        assert np.max(np.abs(both - ones)) <= 1e-15 * np.max(np.abs(ones))
+        a, b = tuple(z[3]), tuple(zp[3])
+        single = mode_sum(data, a, b, stack, dz, dzp)
+        assert single.shape == (len(stack), 2, 2)
+        ones = np.array([mode_sum(data, a, b, w, dz, dzp) for w in stack])
+        assert np.max(np.abs(single - ones)) <= 1e-15 * np.max(np.abs(ones))
