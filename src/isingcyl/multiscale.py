@@ -19,9 +19,9 @@ Each single-scale cylinder propagator splits into a bulk part, the
 infinite-plane single-scale propagator evaluated at the folded
 displacement and weighted by the ring sign, plus an edge part that decays
 in the distance to the boundary.  The infinite-plane propagator is a
-Brillouin-zone integral evaluated by the periodic trapezoid rule with
-adaptive grid doubling (the integrand is entire, so convergence is
-superexponential once the grid resolves the scale-h bump).
+short Gauss-Legendre sum in eta of products of two 1D lattice heat
+kernels e^{-c} I_n(c), the dispersion being separable, with node count
+and table length taken from an a priori error bound.
 
 The Gram representation realizes every derivative block of g^{(h)} as an
 inner product of two explicit vectors in a finite-dimensional Hilbert
@@ -46,11 +46,7 @@ from .spectral import (
     symbol_numerator,
 )
 
-PLANE_TOL = 1e-11
-# trapezoid grid: first size, cap, and k1 rows per streamed chunk
-_PLANE_N_START = 32
-_PLANE_N_MAX = 4096
-_PLANE_CHUNK = 256
+PLANE_TOL = 1e-14
 
 
 def h_star(geometry):
@@ -85,14 +81,6 @@ def tail_weight(h, D):
     """w_<=h(D): everything at times beyond the scale-h window start."""
     a, _ = eta_window(h)
     return np.exp(-a * np.asarray(D, dtype=float))
-
-
-def _window_weight_over_dispersion(a, b, D):
-    """(e^{-aD} - e^{-bD}) / D without cancellation, finite at D = 0."""
-    D = np.asarray(D, dtype=float)
-    safe = np.where(D == 0.0, 1.0, D)
-    val = np.exp(-a * D) * (-np.expm1(-(b - a) * safe)) / safe
-    return np.where(D == 0.0, b - a, val)
 
 
 def _scale_data(geometry, couplings, h):
@@ -138,68 +126,121 @@ def telescoping_residual(geometry, couplings, z, zp, h=None):
 
 
 # ---------------------------------------------------------------------------
-# infinite-plane single-scale propagator (Brillouin-zone quadrature)
+# infinite-plane single-scale propagator (separable lattice heat kernels)
 # ---------------------------------------------------------------------------
 
+# Bernstein ellipse parameters tried by the eta-quadrature bound; rho = 3
+# (index 6) is the ellipse of every h < 0 window that touches Re eta = 0
+_BERNSTEIN_RHO = 3.0 * 2.0 ** (np.arange(-6, 25) / 4.0)
+# DFT from samples at k = 2 pi j / 3 to the coefficients of e^{i k m}, m = -1, 0, 1
+_DFT3 = np.exp(-2j * np.pi * np.outer(np.arange(-1, 2), np.arange(3)) / 3.0) / 3.0
 
-def _plane_batch_fixed(couplings, h, dzs, N):
-    """Trapezoid evaluation of g_infinity^{(h)} at a batch of displacements.
 
-    Streams over k1 rows so the (N x N) grid is never materialized whole;
-    the k2 contraction is a BLAS matmul against the dz2 phase matrix.
-    """
+def _separable_symbol(couplings):
+    """(alpha, beta, coef): D(k) = alpha (1 - cos k1) + beta (1 - cos k2),
+    and numerator entry e (pp, pm, mp, mm) is sum_m coef[e, m1 + 1, m2 + 1]
+    e^{i k.m}, m in {-1, 0, 1}^2.  A 3 x 3 DFT of `symbol_numerator` is
+    exact at this degree; coef is real as n(-k) = conj(n(k))."""
+    alpha = dispersion(couplings, np.pi, 0.0) / 2.0
+    beta = dispersion(couplings, 0.0, np.pi) / 2.0
+    k = 2.0 * np.pi * np.arange(3) / 3.0
+    num = np.array(symbol_numerator(couplings, k[:, None], k[None, :]))
+    return alpha, beta, (_DFT3 @ num @ _DFT3.T).real
+
+
+def _plane_error_bound(couplings, h, n_max, q, N=None):
+    """Bound on |`_plane_heat_sum` - g_infinity^{(h)}| at |dz_i| < n_max, derived
+    in `plane_block_batch`; the eta part alone for N None, infinite when a
+    length-N table cannot hold |n| <= n_max."""
+    alpha, beta, coef = _separable_symbol(couplings)
     a, b = eta_window(h)
-    k = 2.0 * np.pi * np.arange(N) / N - np.pi
-    dz = np.asarray(dzs, dtype=int)
-    dz1 = dz[:, 0].astype(float)
-    dz2 = dz[:, 1].astype(float)
-    P = dz.shape[0]
+    mass = float(np.max(np.sum(np.abs(coef), axis=(1, 2))))
+    rho = _BERNSTEIN_RHO
+    reach = np.maximum(0.0, (b - a) * (rho + 1.0 / rho) / 4.0 - (a + b) / 2.0)
+    log_growth = 2.0 * (alpha + beta) * reach - 2 * q * np.log(rho) - np.log(rho * rho - 1.0)
+    bound = (b - a) / 2.0 * 64.0 / 15.0 * mass * math.exp(np.min(log_growth))
+    if N is None:
+        return bound
+    if N // 2 < n_max:
+        return math.inf
+    m = N - n_max
+    u = m / (b * np.array([alpha, beta]))
+    root = np.sqrt(1.0 + u * u)
+    # c (sqrt(1 + u^2) - 1) - m asinh u, written without cancellation
+    e1, e2 = 2.0 * np.exp(-m * (np.arcsinh(u) - u / (1.0 + root))) / (1.0 - 1.0 / (u + root))
+    return bound + (b - a) * mass * (e1 + e2 + e1 * e2)
 
-    V = np.exp(-1j * np.outer(k, dz2))  # (N, P)
 
-    out = np.zeros((P, 2, 2), dtype=complex)
-    for lo in range(0, N, _PLANE_CHUNK):
-        k1c = k[lo:lo + _PLANE_CHUNK]
-        K1 = k1c[:, None]
-        D = dispersion(couplings, K1, k[None, :])
-        wD = _window_weight_over_dispersion(a, b, D)
-        npp, npm, nmp, _ = symbol_numerator(couplings, K1, k[None, :])
-        ph1 = np.exp(-1j * np.outer(k1c, dz1))
-        tpp = (npp * wD) @ V
-        tpm = (npm * wD) @ V
-        tmp = (nmp * wD) @ V
-        out[:, 0, 0] += np.sum(ph1 * tpp, axis=0)
-        out[:, 0, 1] += np.sum(ph1 * tpm, axis=0)
-        out[:, 1, 0] += np.sum(ph1 * tmp, axis=0)
-        out[:, 1, 1] += np.sum(ph1 * (-tpp), axis=0)
-    return out / (N * N)
+def _least(ok, n):
+    """The least integer >= n at which the monotone predicate ok holds."""
+    lo, hi = n - 1, n
+    while not ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
+def _plane_quadrature(couplings, h, n_max):
+    """The fewest nodes q whose eta bound is below PLANE_TOL, then the
+    shortest table N that keeps the whole bound within PLANE_TOL."""
+    q = _least(lambda q: _plane_error_bound(couplings, h, n_max, q) < PLANE_TOL, 1)
+    N = _least(lambda N: _plane_error_bound(couplings, h, n_max, q, N) <= PLANE_TOL, 2 * n_max)
+    return q, N
+
+
+def _plane_heat_sum(couplings, h, dz, q, N):
+    """g_infinity^{(h)} at (P, 2) displacements from q nodes and length-N tables."""
+    alpha, beta, coef = _separable_symbol(couplings)
+    a, b = eta_window(h)
+    x, w = np.polynomial.legendre.leggauss(q)
+    c = np.multiply.outer((alpha, beta), 0.5 * (a + b) + 0.5 * (b - a) * x)   # (2, q)
+    k = 2.0 * np.pi * np.arange(N) / N
+    # table[i, j, n] = e^{-c} I_n(c) plus its aliases, c = c[i, j], n <= N/2
+    table = np.fft.rfft(np.exp(-c[..., None] * (1.0 - np.cos(k))), axis=-1).real / N
+    n = np.abs(dz[:, :, None] - np.arange(-1, 2))                      # (P, 2, 3)
+    out = np.einsum("j,jpa,jpb,eab->pe", 0.5 * (b - a) * w, table[0][:, n[:, 0]],
+                    table[1][:, n[:, 1]], coef, optimize=True)
+    return out.reshape(-1, 2, 2)
 
 
 def plane_block_batch(couplings, h, dzs):
-    """g_infinity^{(h)} at many displacements, with adaptive grid doubling.
+    """g_infinity^{(h)} at many displacements, within PLANE_TOL a priori.
 
-    Doubles the trapezoid grid from _PLANE_N_START until two successive
-    grids agree entrywise to PLANE_TOL on the whole batch.
+    D(k) = alpha (1 - cos k1) + beta (1 - cos k2), alpha = 2 (1 - t2)^2 and
+    beta = 2 (1 - t1)^2; w_h(D)/D = int_a^b e^{-eta D} deta over the window
+    [a, b) of scale h; (1/2 pi) int e^{-ikn} e^{-c (1 - cos k)} dk =
+    e^{-c} I_n(c) (DLMF 10.32.3).  So each numerator entry sum_m c_m e^{ik.m}
+    gives g^{(h)}(x) = int_a^b sum_m c_m T_alpha[x1 - m1] T_beta[x2 - m2] deta
+    with T_c[n] = e^{-eta c} I_n(eta c): q Gauss-Legendre nodes in eta, each
+    with tables from one real FFT of length N of e^{-eta c (1 - cos k)}.
+
+    A priori bound (`_plane_error_bound`), with S = max_e sum_m |c_m|:
+    - eta.  |T| <= 1 for Re eta >= 0, <= e^{2c |Re eta|} otherwise.  On the
+      Bernstein ellipse E_rho of [a, b], reaching r into Re eta < 0, the
+      integrand is <= S e^{r D_max}, D_max = 2 (alpha + beta), so q nodes
+      err by <= ((b - a)/2) (64/15) S e^{r D_max} rho^{-2q}/(rho^2 - 1)
+      (Trefethen, ATAP, Thm 19.3), least over a grid of rho; for h < 0 the
+      window is [a, 4a] and rho = 3 touches Re eta = 0.
+    - tables.  Length N returns sum_l T_c[n + lN] exactly, off by eps_c <=
+      2 sum_{m >= N - n_max} T_c[m] for |n| <= n_max.  On Im k = -asinh u,
+      u = m/c, T_c[m] <= exp(c (sqrt(1 + u^2) - 1) - m asinh u) (Trefethen
+      & Weideman, SIAM Rev. 56, 385 (2014)), falling by e^{-asinh u} per
+      step, so the tail sums as a geometric series; it grows with c, so
+      c = b alpha, b beta covers every node.  As |T| <= 1 and the weights
+      sum to b - a, the tables add <= (b - a) S (eps_a + eps_b + eps_a eps_b).
+    q is the fewest nodes whose eta bound is below PLANE_TOL, N the shortest
+    table keeping the sum within it (n_max = max |dz_i| + 1); rounding is
+    not in the bound.
 
     Returns:
         (P, 2, 2) real array.
-
-    Raises:
-        RuntimeError: the grid cap was reached before the tolerance.
     """
-    N = _PLANE_N_START
-    prev = _plane_batch_fixed(couplings, h, dzs, N)
-    while True:
-        N *= 2
-        if N > _PLANE_N_MAX:
-            raise RuntimeError(f"plane quadrature failed to reach {PLANE_TOL} by N={_PLANE_N_MAX}")
-        cur = _plane_batch_fixed(couplings, h, dzs, N)
-        if np.max(np.abs(cur - prev)) <= PLANE_TOL:
-            resid = float(np.max(np.abs(cur.imag)))
-            if resid > 1e-9:
-                raise AssertionError(f"imaginary residue {resid:.2e} in plane quadrature")
-            return cur.real
-        prev = cur
+    dz = np.asarray(dzs, dtype=int).reshape(-1, 2)
+    n_max = int(np.max(np.abs(dz), initial=0)) + 1
+    q, N = _plane_quadrature(couplings, h, n_max)
+    return _plane_heat_sum(couplings, h, dz, q, N)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +279,28 @@ def bulk_edge_split(geometry, couplings, h, z, zp):
 # ---------------------------------------------------------------------------
 
 
+def _decay_samples(h, dist, blocks):
+    """(2^h d, sup |block|) for every block at or above _FIT_NOISE_FLOOR."""
+    n = np.max(np.abs(blocks), axis=(-2, -1))
+    keep = n >= _FIT_NOISE_FLOOR
+    return list(zip(2.0 ** h * np.asarray(dist, dtype=float)[keep], n[keep]))
+
+
 def _fit_exponential(samples):
     """_FIT_SHRINK times the least-squares c in log n = const - c x."""
-    xs = np.array([x for x, n in samples if n > 0.0])
-    ys = np.log(np.array([n for x, n in samples if n > 0.0]))
-    if xs.size < 3:
+    if len(samples) < 3:
         raise ValueError("not enough nonzero samples for a decay fit")
-    A = np.vstack([np.ones_like(xs), -xs]).T
-    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    xs, ns = np.array(samples).T
+    coef, *_ = np.linalg.lstsq(np.vstack([np.ones_like(xs), -xs]).T, np.log(ns), rcond=None)
     return _FIT_SHRINK * coef[1]
+
+
+def _envelope(h, c, samples):
+    """Report row: the least C with n <= C 2^h e^{-c x} on every sample (x, n)."""
+    logC = max(math.log(n) - h * math.log(2.0) + c * x for x, n in samples)
+    resid = max(math.log(n) - (logC + h * math.log(2.0) - c * x) for x, n in samples)
+    return dict(h=h, fitted_C=math.exp(logC), fitted_c=c, max_residual=resid,
+                n_samples=len(samples))
 
 
 _FIT_SHRINK = 0.9
@@ -293,33 +347,12 @@ def bulk_decay_report(couplings, h_list):
     per_h = {}
     for h in h_list:
         dzs = _bulk_sample_displacements(h)
-        blocks = plane_block_batch(couplings, h, dzs)
-        samples = []
-        for dz, blk in zip(dzs, blocks):
-            n = float(np.max(np.abs(blk)))
-            if n < _FIT_NOISE_FLOOR:
-                continue
-            x = 2.0 ** h * (abs(dz[0]) + abs(dz[1]))
-            samples.append((x, n))
-        per_h[h] = samples
+        per_h[h] = _decay_samples(h, np.abs(dzs).sum(axis=1),
+                                  plane_block_batch(couplings, h, dzs))
     c = min(_fit_exponential(s) for s in per_h.values())
     if c <= 0:
         raise AssertionError(f"fitted decay rate nonpositive: {c}")
-    reports = []
-    for h, samples in per_h.items():
-        logC = max(
-            math.log(n) - h * math.log(2.0) + c * x for x, n in samples if n > 0
-        )
-        C = math.exp(logC)
-        resid = max(
-            math.log(n) - (logC + h * math.log(2.0) - c * x)
-            for x, n in samples
-            if n > 0
-        )
-        reports.append(
-            dict(h=h, fitted_C=C, fitted_c=c, max_residual=resid, n_samples=len(samples))
-        )
-    return reports
+    return [_envelope(h, c, samples) for h, samples in per_h.items()]
 
 
 class SampleDepthError(ValueError):
@@ -378,13 +411,7 @@ def _edge_sample_pairs(geometry, h, rng, window, per_distance=5):
 def _edge_samples(geometry, couplings, h, pairs):
     _, edge = bulk_edge_split(geometry, couplings, h,
                               [z for z, _ in pairs], [zp for _, zp in pairs])
-    samples = []
-    for (z, zp), blk in zip(pairs, edge):
-        n = float(np.max(np.abs(blk)))
-        if n < _FIT_NOISE_FLOOR:
-            continue
-        samples.append((2.0 ** h * geometry.edge_distance(z, zp), n))
-    return samples
+    return _decay_samples(h, [geometry.edge_distance(z, zp) for z, zp in pairs], edge)
 
 
 def edge_decay_report(geometry, couplings, h_list, seed=0):
@@ -412,16 +439,8 @@ def edge_decay_report(geometry, couplings, h_list, seed=0):
     reports = []
     for h in h_list:
         pairs = _edge_sample_pairs(geometry, h, rng, _EDGE_AMP_X_RANGE)
-        samples = _edge_samples(geometry, couplings, h, pairs)
-        samples += rate_samples.get(h, [])
-        logC = max(math.log(n) - h * math.log(2.0) + c * x for x, n in samples if n > 0)
-        resid = max(
-            math.log(n) - (logC + h * math.log(2.0) - c * x) for x, n in samples if n > 0
-        )
-        reports.append(
-            dict(h=h, fitted_C=math.exp(logC), fitted_c=c, max_residual=resid,
-                 n_samples=len(samples))
-        )
+        samples = _edge_samples(geometry, couplings, h, pairs) + rate_samples.get(h, [])
+        reports.append(_envelope(h, c, samples))
     return sorted(reports, key=lambda r: r["h"])
 
 
@@ -537,23 +556,15 @@ def gram_vector(geometry, couplings, h, omega, s, z, side):
     return out
 
 
-def gram_inner(left, right):
-    """Inner product reconstructing derivative propagator blocks."""
-    return complex(np.vdot(left, right))
-
-
-def gram_norm(left_or_right):
-    return float(np.linalg.norm(left_or_right))
-
-
 def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0, slope_hs=(-1, -2, -3, -4)):
     """Verify the Gram representation and measure its norm scaling.
 
     For `n_pairs` random site pairs and all derivative orders with
-    |s|_1, |s'|_1 <= 1, compares np.vdot(left, right) against the
-    directly computed derivative block of g^{(h)}.  Also fits the slope
-    of log2 |gamma|^2 against h at s = 0 (the Gram norm bound says
-    |gamma|^2 <= C 2^h there).
+    |s|_1, |s'|_1 <= 1, compares the inner products of the stacked left
+    and right Gram vectors against the directly computed derivative
+    blocks of g^{(h)}, one batched `single_scale_propagator` call per
+    (h, s, s').  Also fits the slope of log2 |gamma|^2 against h at
+    s = 0 (the Gram norm bound says |gamma|^2 <= C 2^h there).
 
     Returns:
         dict with max reconstruction error, worst Cauchy-Schwarz margin
@@ -568,42 +579,35 @@ def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0, slope_hs=(-1, -
         for _ in range(n_pairs)
     ]
     orders = [(0, 0), (1, 0), (0, 1)]
+    species = (+1, -1)
     max_err = 0.0
     min_cs_margin = np.inf
-    norm_consts = []
-    species = (+1, -1)
     for h in h_list:
-        for z, zp in pairs[: max(4, n_pairs // len(h_list))]:
-            lefts = {(s, om): gram_vector(geometry, couplings, h, om, s, z, "left")
-                     for s in orders for om in species}
-            rights = {(sp, op): gram_vector(geometry, couplings, h, op, sp, zp, "right")
-                      for sp in orders for op in species}
-            for s in orders:
-                for sp in orders:
-                    direct = single_scale_propagator(geometry, couplings, h, z, zp, s, sp)
-                    for om_i, om in enumerate(species):
-                        left = lefts[s, om]
-                        for op_i, op in enumerate(species):
-                            right = rights[sp, op]
-                            rec = gram_inner(left, right)
-                            max_err = max(max_err, abs(rec - direct[om_i, op_i]))
-                            cs = gram_norm(left) * gram_norm(right) - abs(rec)
-                            min_cs_margin = min(min_cs_margin, cs)
+        used = pairs[: max(4, n_pairs // len(h_list))]
+        zs, zps = [z for z, _ in used], [zp for _, zp in used]
+        # direct[p, (s, omega), (s', omega')], rows ordered as in `stack`
+        direct = np.array([[single_scale_propagator(geometry, couplings, h, zs, zps, s, sp)
+                            for sp in orders] for s in orders])
+        direct = direct.transpose(2, 0, 3, 1, 4).reshape(len(used), 6, 6)
+
+        def stack(z, side):
+            return np.stack([gram_vector(geometry, couplings, h, om, s, z, side).ravel()
+                             for s in orders for om in species])
+        for (z, zp), block in zip(used, direct):
+            lefts, rights = stack(z, "left"), stack(zp, "right")
+            rec = np.conj(lefts) @ rights.T
+            max_err = max(max_err, float(np.max(np.abs(rec - block))))
+            norms = np.outer(np.linalg.norm(lefts, axis=1), np.linalg.norm(rights, axis=1))
+            min_cs_margin = min(min_cs_margin, float(np.min(norms - np.abs(rec))))
     # norm scaling in h at s = 0, one fixed site and species
     z0 = (1 + L // 3, 1 + M // 2)
-    logs = []
-    for h in slope_hs:
-        v = gram_vector(geometry, couplings, h, +1, (0, 0), z0, "left")
-        n2 = gram_norm(v) ** 2
-        logs.append((h, math.log2(n2)))
-        norm_consts.append(dict(h=h, norm_sq=n2, ratio=n2 / 2.0 ** h))
-    hs = np.array([p[0] for p in logs], dtype=float)
-    ys = np.array([p[1] for p in logs])
-    slope = float(np.polyfit(hs, ys, 1)[0])
+    n2 = [float(np.linalg.norm(gram_vector(geometry, couplings, h, +1, (0, 0), z0, "left"))) ** 2
+          for h in slope_hs]
+    slope = float(np.polyfit(np.array(slope_hs, dtype=float), [math.log2(v) for v in n2], 1)[0])
     return dict(
         max_reconstruction_error=max_err,
         min_cauchy_schwarz_margin=float(min_cs_margin),
         norm_slope=slope,
-        norm_records=norm_consts,
+        norm_records=[dict(h=h, norm_sq=v, ratio=v / 2.0 ** h) for h, v in zip(slope_hs, n2)],
         n_pairs=len(pairs),
     )

@@ -33,7 +33,7 @@ component and 1 the - component, of shape (2, 2) for one site pair and
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -165,7 +165,8 @@ class SpectralData:
             invariant and image terms, entries (pp, pm, mp, mm) over
             2 L N_M: ghat(k1, q2), and ghat with pm taken at -q2 and mm
             times e^{2 i q2 (M+1)}.
-        sqrt_trans, sqrt_image: their principal square roots (Gram factors).
+        sqrt_trans, sqrt_image: their principal square roots (Gram factors),
+            built on first use.
 
     The roots solve the strictly increasing phase equation (module
     docstring) by Newton's method, in one `transverse_roots` call on the
@@ -202,16 +203,22 @@ class SpectralData:
         self.image = np.stack(
             [gpp, gpm_reflected, gmp, np.exp(2j * q2 * (M + 1)) * gmm], axis=-1
         ) * measure[..., None]
-        self.sqrt_trans = np.sqrt(self.trans)
-        self.sqrt_image = np.sqrt(self.image)
         for arr in (self.k1, self.B, self.roots, self.norms, self.q2, self.D,
-                    self.trans, self.image, self.sqrt_trans, self.sqrt_image):
+                    self.trans, self.image):
             arr.setflags(write=False)
+
+    sqrt_trans = cached_property(lambda self: _read_only(np.sqrt(self.trans)))
+    sqrt_image = cached_property(lambda self: _read_only(np.sqrt(self.image)))
 
     @property
     def n_modes(self):
         """Number of (k1, k2) modes, L * M."""
         return self.roots.size
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 @lru_cache(maxsize=32)

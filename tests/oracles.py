@@ -4,10 +4,16 @@
   oracle for the array Newton solve of `spectral.transverse_roots`;
 - `b_of_k1_critical_form`: the critical-line closed form of B(k1);
 - `horizontal_kernel_infinite`: the infinite-volume horizontal kernel,
-  the L -> infinity limit of `exact.horizontal_kernel`.
+  the L -> infinity limit of `exact.horizontal_kernel`;
+- `plane_block_trapezoid`: the N x N periodic trapezoid rule for the
+  infinite-plane single-scale propagator, the oracle for the separable
+  heat-kernel sum of `multiscale.plane_block_batch`.
 """
 
 import numpy as np
+
+from isingcyl.multiscale import eta_window
+from isingcyl.spectral import dispersion, symbol_numerator
 
 
 def bisection_roots(B, M):
@@ -63,3 +69,29 @@ def horizontal_kernel_infinite(y, t1):
     if y < 0:
         return 0.0
     return (-t1) ** y
+
+
+def plane_block_trapezoid(couplings, h, dzs, N):
+    """g_infinity^{(h)} at (P, 2) displacements by the N x N trapezoid rule.
+
+    The Brillouin-zone integral of e^{-i k.dz} numerator(k) w_h(D)/D,
+    with w_h(D)/D = (e^{-aD} - e^{-bD})/D in closed form over the eta
+    window [a, b); streamed over 256 k1 rows at a time.
+
+    Returns:
+        (P, 2, 2) complex array; the imaginary part is rounding.
+    """
+    a, b = eta_window(h)
+    k = 2.0 * np.pi * np.arange(N) / N - np.pi
+    dz = np.asarray(dzs, dtype=float)
+    V = np.exp(-1j * np.outer(k, dz[:, 1]))                  # (N, P)
+    out = np.zeros((len(dz), 4), dtype=complex)
+    for lo in range(0, N, 256):
+        k1 = k[lo:lo + 256, None]
+        D = dispersion(couplings, k1, k[None, :])
+        safe = np.where(D == 0.0, 1.0, D)
+        wD = np.where(D == 0.0, b - a, np.exp(-a * D) * -np.expm1(-(b - a) * safe) / safe)
+        ph1 = np.exp(-1j * np.outer(k1[:, 0], dz[:, 0]))     # (256, P)
+        for e, num in enumerate(symbol_numerator(couplings, k1, k[None, :])):
+            out[:, e] += np.sum(ph1 * ((num * wD) @ V), axis=0)
+    return out.reshape(-1, 2, 2) / (N * N)

@@ -431,6 +431,13 @@ def test_multiscale_edge_decay_too_deep_is_usage_error(capsys):
     assert code == 0 and out.splitlines()[3].startswith("-2,")
 
 
+def test_multiscale_bulk_decay_below_h_minus_seven(capsys):
+    code, out, _ = run(capsys, "multiscale", "--L", "256", "--M", "256", "--critical",
+                       "--t1", "isotropic", "--decay", "bulk", "--h-list", "7,8")
+    rows = out.splitlines()[3:]
+    assert code == 0 and [row.split(",")[0] for row in rows] == ["-7", "-8"]
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_multiscale_gram_needs_a_pair(capsys, n):
     code, out, err = run(capsys, "multiscale", "--L", "8", "--M", "8", "--critical",

@@ -8,10 +8,13 @@ import pytest
 from isingcyl.exact import Couplings
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.multiscale import (
+    PLANE_TOL,
+    _bulk_sample_displacements,
+    _plane_error_bound,
+    _plane_heat_sum,
+    _plane_quadrature,
     bulk_decay_report,
     bulk_edge_split,
-    gram_inner,
-    gram_norm,
     gram_report,
     gram_vector,
     h_star,
@@ -23,8 +26,12 @@ from isingcyl.multiscale import (
     tail_weight,
     telescoping_residual,
 )
+from oracles import plane_block_trapezoid
 
 ISO = Couplings.isotropic_critical()
+T05 = Couplings.critical_from_t1(0.5)
+# trapezoid grids on which the oracle has converged to rounding
+ORACLE_N = {0: 64, -1: 128, -3: 512, -5: 1024}
 
 
 def test_h_star_and_scale_indices():
@@ -98,9 +105,8 @@ def test_bulk_edge_split_reassembles():
     for p, (z, zp) in enumerate(pairs):
         one_bulk, one_edge = bulk_edge_split(g, ISO, h, z, zp)
         assert one_bulk.shape == one_edge.shape == (2, 2)
-        # a batch of one may stop the plane quadrature on a coarser grid
-        assert np.max(np.abs(one_bulk - bulk[p])) < 1e-10
-        assert np.max(np.abs(one_edge - edge[p])) < 1e-10
+        assert np.max(np.abs(one_bulk - bulk[p])) <= 1e-14
+        assert np.max(np.abs(one_edge - edge[p])) <= 1e-14
 
 
 def test_bulk_block_is_image_sum_of_plane():
@@ -118,6 +124,51 @@ def test_bulk_block_is_image_sum_of_plane():
     # plane propagator at the folded displacement dominates
     assert np.max(np.abs(edge[0])) < 1e-4
     assert np.max(np.abs(bulk[0])) > 1e-4
+
+
+@pytest.mark.parametrize("h", [0, -1, -3, -5])
+@pytest.mark.parametrize("cpl", [ISO, T05], ids=["isotropic", "t1=0.5"])
+def test_plane_blocks_match_trapezoid_oracle(cpl, h):
+    dzs = _bulk_sample_displacements(h) + [(0, 0), (-1, 2), (3, -1), (-2, -2)]
+    got = plane_block_batch(cpl, h, dzs)
+    assert got.shape == (len(dzs), 2, 2) and got.dtype == float
+    ref = plane_block_trapezoid(cpl, h, dzs, ORACLE_N[h])
+    assert np.max(np.abs(got - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("cpl", [ISO, T05], ids=["isotropic", "t1=0.5"])
+def test_plane_error_bound_covers_observed_error(cpl):
+    # at the chosen (q, N) and at coarser ones, where the error is visible
+    for h in (0, -3, -5):
+        dzs = np.array(_bulk_sample_displacements(h))
+        n_max = int(np.max(np.abs(dzs))) + 1
+        ref = plane_block_trapezoid(cpl, h, dzs, ORACLE_N[h]).real
+        q, N = _plane_quadrature(cpl, h, n_max)
+        assert _plane_error_bound(cpl, h, n_max, q, N) <= PLANE_TOL
+        for qq, NN in [(q, N), (q // 2, N), (q, 2 * n_max), (3, 2 * n_max + 2)]:
+            err = np.max(np.abs(_plane_heat_sum(cpl, h, dzs, qq, NN) - ref))
+            assert err <= _plane_error_bound(cpl, h, n_max, qq, NN)
+
+
+def test_fewer_nodes_or_shorter_tables_fail_the_bound():
+    for cpl in (ISO, T05):
+        for h in (0, -1, -4, -7, -10):
+            for n_max in (1, 40, 700):
+                q, N = _plane_quadrature(cpl, h, n_max)
+                assert _plane_error_bound(cpl, h, n_max, q, N) <= PLANE_TOL
+                assert _plane_error_bound(cpl, h, n_max, q - 1, N) > PLANE_TOL
+                assert _plane_error_bound(cpl, h, n_max, q, N - 1) > PLANE_TOL
+                assert _plane_error_bound(cpl, h, n_max, q, N // 2) > PLANE_TOL
+
+
+@pytest.mark.parametrize("cpl", [ISO, T05], ids=["isotropic", "t1=0.5"])
+def test_bulk_decay_report_at_deep_scales(cpl):
+    # the scale-h bump narrows like 2^h in momentum; the fitted envelope
+    # constant must stay put as h goes down
+    report = bulk_decay_report(cpl, [-7, -8, -9])
+    assert all(rec["max_residual"] <= 1e-9 for rec in report)
+    cs = [rec["fitted_C"] for rec in report]
+    assert max(cs) / min(cs) <= 1.1
 
 
 def test_bulk_decay_report_fits():
@@ -138,9 +189,9 @@ def test_gram_reconstruction_small():
         left = gram_vector(g, ISO, h, om, (0, 0), z, "left")
         for j, op in enumerate((1, -1)):
             right = gram_vector(g, ISO, h, op, (0, 0), zp, "right")
-            rec = gram_inner(left, right)
+            rec = np.vdot(left, right)
             assert abs(rec - direct[i, j]) < 1e-12
-            assert gram_norm(left) * gram_norm(right) >= abs(rec) - 1e-15
+            assert np.linalg.norm(left) * np.linalg.norm(right) >= abs(rec) - 1e-15
 
 
 def test_gram_report_keys():
