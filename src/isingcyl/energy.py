@@ -1,21 +1,23 @@
-"""Energy-bond observables: lattice moments, cumulants, and their scaling limit.
+"""Energy-bond observables: lattice cumulants and their scaling limit.
 
 A bond energy is the product of the two spins across a lattice edge.  In
 the fermionic representation it is the quadratic monomial
 eps_x = t_x + (1 - t_x^2) s_x psi_a psi_b, with s_x the seam sign of the
-bond's field pair (a, b), so every moment is one Pfaffian.  The bonds of
-a truncated correlation share one Wick matrix W over their fields
-a_1, b_1, ..., a_m, b_m, the two-point functions with the bond factors
-folded in; by the minor summation formula for the Pfaffian of a sum
-(Ishikawa and Wakayama, Linear Multilinear Algebra 39 (1995) 285), the
-moment of a bond subset is the Pfaffian of W restricted to its fields.
-The two-point functions of W come from one batched correlator call.
-Truncated correlations (cumulants) follow from the moments by Moebius
-inversion over set partitions.  A brute-force Gibbs enumeration on small
-cylinders serves as the independent oracle.
+bond's field pair (a, b).  The bonds of a truncated correlation share
+one Wick matrix W over their fields a_1, b_1, ..., a_m, b_m: the
+two-point functions with the bond factors folded in, and t_x on
+(a_x, b_x).  Its entries come from one batched correlator call.  By the
+minor summation formula for the Pfaffian of a sum (Ishikawa and
+Wakayama, Linear Multilinear Algebra 39 (1995) 285) the moment
+generating function is a determinant, so the cumulant is a sum over the
+Hamiltonian cycles of the bonds of traces of 2 x 2 Wick blocks
+(`truncated_energy_correlation`), evaluated by a subset dynamic
+program: no Pfaffian and no Moebius inversion.  A brute-force Gibbs
+enumeration on small cylinders, with cumulants by Moebius inversion over
+set partitions, serves as the independent oracle.
 
-The continuum limit of the truncated correlations is a Pfaffian in the
-continuum cylinder propagator with direction-dependent scalar prefactors.
+The continuum limit of the correlations is a Pfaffian in the continuum
+cylinder propagator with direction-dependent scalar prefactors.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .exact import Species, propagator_from_A
 from .scaling import IMAGE_TOL, cylinder_scal_block
-from .skew import pfaffian, pfaffian_minor
+from .skew import pfaffian
 
 _BRUTE_FORCE_SITE_CAP = 24
 _BRUTE_FORCE_CHUNK = 1 << 18
@@ -154,8 +156,7 @@ def truncated_energy_correlation(geometry, couplings, bonds, correlator=None):
     The 2m x 2m Wick matrix of the m bonds has W_ij = d_i d_j <f_i f_j>
     for i < j, with d = (1 - t_x^2) s_x on a_x and 1 on b_x, plus t_x on
     (a_x, b_x).  Its upper triangle comes from one correlator call on
-    the m (2m - 1) field pairs; each of the 2^m - 1 subset moments is
-    then a Pfaffian minor of W, its fields kept in bond order.
+    the m (2m - 1) field pairs; the cumulant is then `_cycle_sum(W)`.
 
     Args:
         correlator: optional batched two-point callable (defaults to the
@@ -186,12 +187,59 @@ def truncated_energy_correlation(geometry, couplings, bonds, correlator=None):
         sites[rows], species[rows], sites[cols], species[cols])
     for x, bond in enumerate(bonds):
         w[2 * x, 2 * x + 1] += bond.tanh_coupling(couplings)
-    w = w - w.T
+    return _cycle_sum(w - w.T)
 
-    def moment(block):
-        return pfaffian_minor(w, [2 * x + k for x in block for k in (0, 1)])
 
-    return cumulant_from_moments(moment, range(len(bonds)))
+def _cycle_sum(w):
+    """Cumulant of m quadratic monomials from their 2m x 2m Wick matrix w.
+
+    With the blocks W_xy = w[2x:2x+2, 2y:2y+2] and J = [[0, 1], [-1, 0]],
+
+        kappa = -1/2 sum over directed Hamiltonian cycles
+                x_1 -> x_2 -> ... -> x_m -> x_1 of tr prod_i J W_{x_i x_{i+1}},
+
+    the (m - 1)! cycles with x_1 = 0; kappa = w[0, 1] for m = 1.
+
+    Derivation.  The moment of a bond subset S is Pf(w_S), so the moment
+    generating function is Z(lambda) = sum_S lambda^S Pf(w_S), and the
+    minor summation formula gives Z(lambda) = prod_x lambda_x
+    Pf(w + (+)_x lambda_x^{-1} J).  Squaring, Z(lambda)^2 =
+    det(I - B(lambda) w) with B(lambda) = (+)_x lambda_x J, so the
+    cumulant, the lambda_1 ... lambda_m coefficient of log Z =
+    1/2 tr log(I - B w) = -1/2 sum_k tr (B w)^k / k, comes from k = m
+    alone: the m! orderings of distinct blocks are the directed cycles
+    times their m rotations.  For m >= 2 a cycle never visits a diagonal
+    block, so t_x drops out.  At m = 2, with W_01 = [[p, q], [r, s]],
+    kappa = qr - ps = Pf(w) - t_0 t_1.
+
+    Evaluation (Held-Karp).  P[S, v] is the ordered product J W_{0 x_2}
+    J W_{x_2 x_3} ... J W_{x_k v} summed over the paths from 0 to v that
+    visit exactly S, a subset of {1, ..., m - 1}; a step appends
+    J W_{v u} for u outside S, and the cycles close with J W_{v 0}.
+    Each pair (S, u) has exactly one predecessor set S - {u}, so a step
+    is one matmul of all the sets of one size against the block row
+    (J W)_{vu}: O(2^m m^2) 2 x 2 products in O(2^m m) memory, and sums of
+    products without the cancellation of a Moebius inversion.
+    """
+    m = w.shape[0] // 2
+    if m == 1:
+        return float(w[0, 1])
+    # the rows of J W_xy are (W_xy[1], -W_xy[0])
+    jw = (w.reshape(m, 2, 2 * m)[:, ::-1] * [[1.0], [-1.0]]).reshape(2 * m, 2 * m)
+    n = m - 1
+    masks = np.arange(1 << n)
+    bits = (masks[:, None] >> np.arange(n)) & 1                      # (2^n, n)
+    size = bits.sum(axis=1)
+    # path[S, :, v, :] = P[S, v]; left as zeros for v outside S
+    path = np.zeros((1 << n, 2, n, 2))
+    path[1 << np.arange(n), :, np.arange(n), :] = jw[0:2, 2:].reshape(2, n, 2).transpose(1, 0, 2)
+    step = jw[2:, 2:]
+    for k in range(1, n):
+        src = masks[size == k]
+        grown = (path[src].reshape(-1, 2, 2 * n) @ step).reshape(-1, 2, n, 2)
+        s, u = np.nonzero(bits[src] == 0)
+        path[src[s] | (1 << u), :, u, :] = grown[s, :, u, :]
+    return -0.5 * float(np.sum(path[-1].reshape(2, 2 * n) * jw[2:, 0:2].T))
 
 
 class BruteForceGibbs:
@@ -294,7 +342,11 @@ def scal_energy_correlation(cylinder, couplings, marked, tol=IMAGE_TOL):
         antisymmetric matrix with 2x2 off-diagonal blocks given by the
         continuum cylinder propagator between the marked points and zero
         diagonal blocks (the observables are normal-ordered, which
-        removes the self-contraction).
+        removes the self-contraction).  This is the full correlation of
+        the normal-ordered fields, the sum over the partitions of the
+        points into blocks of two or more of the products of truncated
+        correlations: the truncated correlation itself for m = 2 and 3,
+        but not for m >= 4.
     """
     marked = list(marked)
     m = len(marked)

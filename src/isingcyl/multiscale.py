@@ -148,11 +148,12 @@ def _separable_symbol(couplings):
     return alpha, beta, (_DFT3 @ num @ _DFT3.T).real
 
 
-def _plane_error_bound(couplings, h, n_max, q, N=None):
+def _plane_error_bound(symbol, h, n_max, q, N=None):
     """Bound on |`_plane_heat_sum` - g_infinity^{(h)}| at |dz_i| < n_max, derived
-    in `plane_block_batch`; the eta part alone for N None, infinite when a
-    length-N table cannot hold |n| <= n_max."""
-    alpha, beta, coef = _separable_symbol(couplings)
+    in `plane_block_batch`, for `symbol` = `_separable_symbol(couplings)`; the
+    eta part alone for N None, infinite when a length-N table cannot hold
+    |n| <= n_max."""
+    alpha, beta, coef = symbol
     a, b = eta_window(h)
     mass = float(np.max(np.sum(np.abs(coef), axis=(1, 2))))
     rho = _BERNSTEIN_RHO
@@ -182,17 +183,17 @@ def _least(ok, n):
     return hi
 
 
-def _plane_quadrature(couplings, h, n_max):
+def _plane_quadrature(symbol, h, n_max):
     """The fewest nodes q whose eta bound is below PLANE_TOL, then the
     shortest table N that keeps the whole bound within PLANE_TOL."""
-    q = _least(lambda q: _plane_error_bound(couplings, h, n_max, q) < PLANE_TOL, 1)
-    N = _least(lambda N: _plane_error_bound(couplings, h, n_max, q, N) <= PLANE_TOL, 2 * n_max)
+    q = _least(lambda q: _plane_error_bound(symbol, h, n_max, q) < PLANE_TOL, 1)
+    N = _least(lambda N: _plane_error_bound(symbol, h, n_max, q, N) <= PLANE_TOL, 2 * n_max)
     return q, N
 
 
-def _plane_heat_sum(couplings, h, dz, q, N):
+def _plane_heat_sum(symbol, h, dz, q, N):
     """g_infinity^{(h)} at (P, 2) displacements from q nodes and length-N tables."""
-    alpha, beta, coef = _separable_symbol(couplings)
+    alpha, beta, coef = symbol
     a, b = eta_window(h)
     x, w = np.polynomial.legendre.leggauss(q)
     c = np.multiply.outer((alpha, beta), 0.5 * (a + b) + 0.5 * (b - a) * x)   # (2, q)
@@ -239,8 +240,9 @@ def plane_block_batch(couplings, h, dzs):
     """
     dz = np.asarray(dzs, dtype=int).reshape(-1, 2)
     n_max = int(np.max(np.abs(dz), initial=0)) + 1
-    q, N = _plane_quadrature(couplings, h, n_max)
-    return _plane_heat_sum(couplings, h, dz, q, N)
+    symbol = _separable_symbol(couplings)
+    q, N = _plane_quadrature(symbol, h, n_max)
+    return _plane_heat_sum(symbol, h, dz, q, N)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Skew-symmetric linear algebra: Pfaffians, minors, inverses.
+"""Skew-symmetric linear algebra: Pfaffians and inverses.
 
 The Pfaffian is computed by Parlett-Reid elimination: a congruence
 transform built from rank-2 updates brings the matrix to skew tridiagonal
@@ -18,9 +18,9 @@ so the sweep is not on that path.  On the dense action matrix,
 `pfaffian_sign_logabs` and `skew_inverse` are the oracles the tests
 check that route against; the (sign, log|Pf|) form keeps them safe
 where the product of pivots over- or underflows double precision.
-`energy` folds its bond factors into one Wick matrix and takes each
-moment as a `pfaffian_minor` of it, so every Pfaffian the library
-evaluates outside `exact` is an elimination sweep.
+`energy` takes its lattice cumulants as cycle sums of 2 x 2 Wick blocks,
+with no Pfaffian, so `scal_energy_correlation` is the one library caller
+of `pfaffian`.
 """
 
 from __future__ import annotations
@@ -206,24 +206,6 @@ def pfaffian_combinatorial(m):
         return total
 
     return rec(tuple(range(n)))
-
-
-def pfaffian_minor(m, indices):
-    """Pfaffian of the submatrix picked out by an ordered index tuple.
-
-    The order matters: swapping two indices flips the sign, exactly as a
-    fermionic Wick contraction requires.  Indices should be distinct (a
-    repeated index makes the minor singular and the result 0).
-
-    Args:
-        m: SkewMatrix or antisymmetric ndarray.
-        indices: ordered sequence of row/column indices, even length.
-    """
-    a = _as_dense_skew(m)
-    ix = np.asarray(indices, dtype=int)
-    if ix.size % 2 != 0:
-        raise ValueError(f"need an even number of indices, got {ix.size}")
-    return pfaffian(a[np.ix_(ix, ix)])
 
 
 def skew_inverse(m):

@@ -33,7 +33,7 @@ component and 1 the - component, of shape (2, 2) for one site pair and
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -151,6 +151,38 @@ def _mode_roots(B, M):
     return np.concatenate([k[::-1], k]), np.concatenate([nm[::-1], nm])
 
 
+def _mode_tables(couplings, k1, B, roots, norms, D):
+    """(trans, image) tables of `SpectralData`, each (L, 2M, 4) complex.
+
+    On the q2 = +k2 half, with w = 1/(2 L N_M D): trans holds ghat w, and
+    image the same with pm -> -mp (the pm numerator at -q2 is minus the
+    mp numerator at q2, and D is even) and mm times e^{2 i q2 (M+1)}.
+    On the q2 = -k2 half the pm and mp entries and the image phase are
+    conjugated while the imaginary pp and mm = -pp entries stay: the
+    half is conj(+ half) with the pp and mm entries negated.
+    """
+    L, M = roots.shape
+    one = 1.0 - couplings.t1 ** 2
+    B = B[:, None]
+    w = 1.0 / (2.0 * L * norms * D)
+    pp = (-2j * couplings.t1 * np.sin(k1))[:, None] * w
+    mp = one * w * (1.0 - B * np.cos(roots)) - 1j * (one * w * B * np.sin(roots))
+    arg = 2.0 * (M + 1) * roots
+    trans = np.empty((L, 2 * M, 4), dtype=complex)
+    image = np.empty_like(trans)
+    for table in (trans, image):
+        table[:, :M, 0] = pp
+        table[:, :M, 2] = mp
+    trans[:, :M, 1] = -np.conj(mp)
+    trans[:, :M, 3] = -pp
+    image[:, :M, 1] = -mp
+    image[:, :M, 3] = pp.imag * np.sin(arg) - 1j * (pp.imag * np.cos(arg))
+    for table in (trans, image):
+        np.conjugate(table[:, :M], out=table[:, M:])
+        table[:, M:, ::3] *= -1.0
+    return trans, image
+
+
 class SpectralData:
     """Root, normalization and mode tables for one (geometry, couplings) pair.
 
@@ -163,8 +195,8 @@ class SpectralData:
             dispersion D(k1, q2), the argument of the scale weights.
         trans, image: (L, 2M, 4) mode coefficients of the translation-
             invariant and image terms, entries (pp, pm, mp, mm) over
-            2 L N_M: ghat(k1, q2), and ghat with pm taken at -q2 and mm
-            times e^{2 i q2 (M+1)}.
+            2 L N_M: ghat(k1, q2), and ghat with pm taken at -q2 (that
+            is, -mp) and mm times e^{2 i q2 (M+1)}.
         sqrt_trans, sqrt_image: their principal square roots (Gram factors),
             built on first use.
 
@@ -174,7 +206,10 @@ class SpectralData:
     their mirror image.  Construction validates the forward error
     |resid / resid'| of every root (<= ROOT_TOL, a bound independent of
     M), the interval bracketing, monotonicity, agreement of the two N_M
-    formulas, and that no root collides with pi.
+    formulas, and that no root collides with pi.  The tables are
+    evaluated once on the q2 = +k2 half, with cos/sin of real arguments,
+    and written straight into their final (L, 2M, 4) arrays; the
+    q2 = -k2 half follows by conjugation (`_mode_tables`).
     """
 
     def __init__(self, geometry, couplings):
@@ -192,17 +227,10 @@ class SpectralData:
             raise AssertionError("B(k1) left (0, 1) on the antiperiodic momenta")
         self.roots, self.norms = _mode_roots(self.B, M)
 
-        k1 = self.k1[:, None]
-        q2 = np.concatenate([self.roots, -self.roots], axis=1)
-        measure = 1.0 / (2.0 * L * np.concatenate([self.norms, self.norms], axis=1))
-        gpp, gpm, gmp, gmm = symbol_entries(couplings, k1, q2)
-        gpm_reflected = symbol_entries(couplings, k1, -q2)[1]
-        self.q2 = q2
-        self.D = dispersion(couplings, k1, q2)
-        self.trans = np.stack([gpp, gpm, gmp, gmm], axis=-1) * measure[..., None]
-        self.image = np.stack(
-            [gpp, gpm_reflected, gmp, np.exp(2j * q2 * (M + 1)) * gmm], axis=-1
-        ) * measure[..., None]
+        self.q2 = np.concatenate([self.roots, -self.roots], axis=1)
+        self.D = np.tile(dispersion(couplings, self.k1[:, None], self.roots), 2)
+        self.trans, self.image = _mode_tables(couplings, self.k1, self.B, self.roots,
+                                              self.norms, self.D[:, :M])
         for arr in (self.k1, self.B, self.roots, self.norms, self.q2, self.D,
                     self.trans, self.image):
             arr.setflags(write=False)
@@ -235,19 +263,32 @@ def forward_difference(k, order):
 def _row_sums(data, coef, mult, values):
     """S[..., i, n, a] = sum over q2 in row i of e^{-i q2 values[n]} mult coef[i, q2, a].
 
-    `mult` is a scalar, a per-mode factor (L, 2M) or a stack (H, L, 2M) of them."""
+    `mult` is None, a per-mode factor (L, 2M) or a stack (H, L, 2M) of them."""
     L, width = data.q2.shape
-    mult = np.asarray(mult)
-    stack = mult.shape[:-2]
-    if mult.ndim:
+    M = width // 2
+    stack = ()
+    if mult is not None:
+        stack = mult.shape[:-2]
         mult = mult[..., None, :]                                       # (..., L, 1, 2M)
     out = np.empty(stack + (L, len(values), 4), dtype=complex)
     step = max(1, _CHUNK_ENTRIES // (np.prod(stack, dtype=int) * L * width))
     for lo in range(0, len(values), step):
-        half = np.exp(-1j * (values[lo:lo + step, None, None] * data.roots))
-        phase = np.concatenate([half, np.conj(half)], axis=-1)          # q2 = +-k2
-        out[..., lo:lo + step, :] = np.matmul(phase.transpose(1, 0, 2) * mult, coef)
+        arg = data.roots[:, None, :] * values[None, lo:lo + step, None]  # (L, n, M)
+        # e^{-i q2 v} on q2 = +k2, its conjugate on q2 = -k2
+        phase = np.empty(arg.shape[:-1] + (width,), dtype=complex)
+        np.cos(arg, out=phase.real[..., :M])
+        phase.real[..., M:] = phase.real[..., :M]
+        np.sin(arg, out=phase.imag[..., M:])
+        np.negative(phase.imag[..., M:], out=phase.imag[..., :M])
+        out[..., lo:lo + step, :] = np.matmul(phase if mult is None else phase * mult, coef)
     return out
+
+
+def _mode_factor(*factors):
+    """Product of the per-mode array factors, skipping scalars (the
+    order-0 `forward_difference`) and None; None when none is an array."""
+    arrays = [f for f in factors if np.ndim(f)]
+    return None if not arrays else reduce(np.multiply, arrays)
 
 
 def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
@@ -280,9 +321,9 @@ def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
     single = np.shape(z) == (2,)
     z, zp = data.geometry.site_arrays(z, zp, extended=True)
     q2 = data.q2
-    lead = (1.0 if weight is None else weight) * forward_difference(-q2, deriv_z[1])
-    mult_trans = lead * forward_difference(q2, deriv_zp[1])
-    mult_img = lead * forward_difference(-q2, deriv_zp[1])
+    diff_z = forward_difference(-q2, deriv_z[1])
+    mult_trans = _mode_factor(weight, diff_z, forward_difference(q2, deriv_zp[1]))
+    mult_img = _mode_factor(weight, diff_z, forward_difference(-q2, deriv_zp[1]))
     d1 = forward_difference(-data.k1, deriv_z[0]) * forward_difference(data.k1, deriv_zp[0])
 
     dz1, i1 = np.unique(z[:, 0] - zp[:, 0], return_inverse=True)

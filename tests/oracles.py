@@ -7,12 +7,18 @@
   the L -> infinity limit of `exact.horizontal_kernel`;
 - `plane_block_trapezoid`: the N x N periodic trapezoid rule for the
   infinite-plane single-scale propagator, the oracle for the separable
-  heat-kernel sum of `multiscale.plane_block_batch`.
+  heat-kernel sum of `multiscale.plane_block_batch`;
+- `pfaffian_minor` and `minor_cumulant`: each subset moment of the bonds
+  as a Pfaffian minor of the Wick matrix, then Moebius inversion over
+  set partitions, the oracle for the cycle sum of
+  `energy.truncated_energy_correlation`.
 """
 
 import numpy as np
 
+from isingcyl.energy import cumulant_from_moments
 from isingcyl.multiscale import eta_window
+from isingcyl.skew import pfaffian
 from isingcyl.spectral import dispersion, symbol_numerator
 
 
@@ -95,3 +101,31 @@ def plane_block_trapezoid(couplings, h, dzs, N):
         for e, num in enumerate(symbol_numerator(couplings, k1, k[None, :])):
             out[:, e] += np.sum(ph1 * ((num * wD) @ V), axis=0)
     return out.reshape(-1, 2, 2) / (N * N)
+
+
+def pfaffian_minor(m, indices):
+    """Pfaffian of the submatrix picked out by an ordered index tuple.
+
+    The order matters: swapping two indices flips the sign, exactly as a
+    fermionic Wick contraction requires.  Indices should be distinct (a
+    repeated index makes the minor singular and the result 0).
+
+    Args:
+        m: antisymmetric ndarray.
+        indices: ordered sequence of row/column indices, even length.
+    """
+    ix = np.asarray(indices, dtype=int)
+    if ix.size % 2 != 0:
+        raise ValueError(f"need an even number of indices, got {ix.size}")
+    return pfaffian(np.asarray(m)[np.ix_(ix, ix)])
+
+
+def minor_cumulant(w):
+    """Cumulant of m quadratic monomials from their 2m x 2m Wick matrix w:
+    the moment of a bond subset is the Pfaffian minor of its fields, kept
+    in bond order, and the 2^m - 1 moments are Moebius-inverted."""
+
+    def moment(block):
+        return pfaffian_minor(w, [2 * x + k for x in block for k in (0, 1)])
+
+    return cumulant_from_moments(moment, range(w.shape[0] // 2))

@@ -13,6 +13,7 @@ from isingcyl.multiscale import (
     _plane_error_bound,
     _plane_heat_sum,
     _plane_quadrature,
+    _separable_symbol,
     bulk_decay_report,
     bulk_edge_split,
     gram_report,
@@ -139,26 +140,28 @@ def test_plane_blocks_match_trapezoid_oracle(cpl, h):
 @pytest.mark.parametrize("cpl", [ISO, T05], ids=["isotropic", "t1=0.5"])
 def test_plane_error_bound_covers_observed_error(cpl):
     # at the chosen (q, N) and at coarser ones, where the error is visible
+    symbol = _separable_symbol(cpl)
     for h in (0, -3, -5):
         dzs = np.array(_bulk_sample_displacements(h))
         n_max = int(np.max(np.abs(dzs))) + 1
         ref = plane_block_trapezoid(cpl, h, dzs, ORACLE_N[h]).real
-        q, N = _plane_quadrature(cpl, h, n_max)
-        assert _plane_error_bound(cpl, h, n_max, q, N) <= PLANE_TOL
+        q, N = _plane_quadrature(symbol, h, n_max)
+        assert _plane_error_bound(symbol, h, n_max, q, N) <= PLANE_TOL
         for qq, NN in [(q, N), (q // 2, N), (q, 2 * n_max), (3, 2 * n_max + 2)]:
-            err = np.max(np.abs(_plane_heat_sum(cpl, h, dzs, qq, NN) - ref))
-            assert err <= _plane_error_bound(cpl, h, n_max, qq, NN)
+            err = np.max(np.abs(_plane_heat_sum(symbol, h, dzs, qq, NN) - ref))
+            assert err <= _plane_error_bound(symbol, h, n_max, qq, NN)
 
 
 def test_fewer_nodes_or_shorter_tables_fail_the_bound():
     for cpl in (ISO, T05):
+        symbol = _separable_symbol(cpl)
         for h in (0, -1, -4, -7, -10):
             for n_max in (1, 40, 700):
-                q, N = _plane_quadrature(cpl, h, n_max)
-                assert _plane_error_bound(cpl, h, n_max, q, N) <= PLANE_TOL
-                assert _plane_error_bound(cpl, h, n_max, q - 1, N) > PLANE_TOL
-                assert _plane_error_bound(cpl, h, n_max, q, N - 1) > PLANE_TOL
-                assert _plane_error_bound(cpl, h, n_max, q, N // 2) > PLANE_TOL
+                q, N = _plane_quadrature(symbol, h, n_max)
+                assert _plane_error_bound(symbol, h, n_max, q, N) <= PLANE_TOL
+                assert _plane_error_bound(symbol, h, n_max, q - 1, N) > PLANE_TOL
+                assert _plane_error_bound(symbol, h, n_max, q, N - 1) > PLANE_TOL
+                assert _plane_error_bound(symbol, h, n_max, q, N // 2) > PLANE_TOL
 
 
 @pytest.mark.parametrize("cpl", [ISO, T05], ids=["isotropic", "t1=0.5"])

@@ -14,10 +14,11 @@ from isingcyl.skew import (
     SkewMatrix,
     pfaffian,
     pfaffian_combinatorial,
-    pfaffian_minor,
     pfaffian_sign_logabs,
     skew_inverse,
 )
+
+from oracles import pfaffian_minor
 
 
 def _random_skew(rng, n):
