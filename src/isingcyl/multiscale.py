@@ -41,9 +41,9 @@ from .spectral import (
     dispersion,
     forward_difference,
     mode_sum,
-    real_block,
     spectral_data,
     symbol_numerator,
+    unfold,
 )
 
 PLANE_TOL = 1e-14
@@ -99,13 +99,13 @@ def single_scale_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv
     `critical_propagator`.
     """
     data = _scale_data(geometry, couplings, h)
-    return real_block(mode_sum(data, z, zp, scale_weight(h, data.D), deriv_z, deriv_zp))
+    return mode_sum(data, z, zp, scale_weight(h, data.D), deriv_z, deriv_zp)
 
 
 def tail_propagator(geometry, couplings, h, z, zp):
     """Infrared remainder g^{(<= h)} on the cylinder (batches as above)."""
     data = _scale_data(geometry, couplings, h)
-    return real_block(mode_sum(data, z, zp, tail_weight(h, data.D)))
+    return mode_sum(data, z, zp, tail_weight(h, data.D))
 
 
 def telescoping_residual(geometry, couplings, z, zp, h=None):
@@ -120,7 +120,7 @@ def telescoping_residual(geometry, couplings, z, zp, h=None):
     ladder = np.stack([tail_weight(h, data.D)]
                       + [scale_weight(j, data.D) for j in range(h + 1, 1)]
                       + [np.ones_like(data.D)])
-    *pieces, full = real_block(mode_sum(data, z, zp, ladder))
+    *pieces, full = mode_sum(data, z, zp, ladder)
     resid = np.max(np.abs(sum(pieces) - full), axis=(-2, -1))
     return float(resid) if resid.ndim == 0 else resid
 
@@ -506,8 +506,12 @@ def tail_bound_report(geometry, couplings, h_list, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def gram_vector(geometry, couplings, h, omega, s, z, side):
-    """Hilbert-space vector whose inner products rebuild derivative blocks.
+# Gram slots sigma filled by each species omega, per side
+_GRAM_SLOTS = {"left": {+1: [0, 1], -1: [2, 3]}, "right": {+1: [0, 2], -1: [1, 3]}}
+
+
+def gram_rows(geometry, couplings, h, z, side, rows):
+    """Hilbert-space vectors whose inner products rebuild derivative blocks.
 
     The space is indexed by (k1, q2, sigma, #) with q2 running over both
     signs of the transverse roots and sigma over four slots that carry
@@ -516,57 +520,61 @@ def gram_vector(geometry, couplings, h, omega, s, z, side):
     sqrt(w_h(D)); the mode measure 1/(2 L N_M) is folded in symmetrically
     so that plain complex dots are the inner product.  The indefinite #
     sign is absorbed by phasing the # = - slice with -i on the left and
-    +i on the right.
+    +i on the right.  The rows share the plane wave, sqrt(w_h(D)) and the
+    forward-difference multipliers.
 
     Args:
-        omega: +1 or -1 species index.
-        s: derivative multi-order (s1, s2), each in {0, 1, 2}.
         z: site.
         side: "left" for the first (conjugated) factor, "right" for the
             second.
+        rows: (omega, s) pairs: species +1 or -1 and derivative
+            multi-order (s1, s2), each in {0, 1, 2}.
 
     Returns:
-        Complex array of shape (L, 2M, 4, 2); reconstruction is
-        np.vdot(left, right).
+        Complex array of shape (len(rows), L, 2M, 4, 2); reconstruction
+        is np.vdot(left row, right row).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if omega not in (+1, -1):
-        raise ValueError(f"omega must be +-1, got {omega}")
+    if any(omega not in (+1, -1) for omega, _ in rows):
+        raise ValueError(f"omega must be +-1, got {[omega for omega, _ in rows]}")
     data = spectral_data(geometry, couplings)
-    L, M = geometry.L, geometry.M
-    k1 = data.k1[:, None]                         # (L, 1)
-    q2 = data.q2                                  # (L, 2M)
-    sqrt_w = np.sqrt(scale_weight(h, data.D))
+    k1 = data.k1[:, None]                                        # (L, 1)
+    q2 = np.concatenate([data.roots, -data.roots], axis=1)       # (L, 2M)
+    sqrt_w = unfold(np.sqrt(scale_weight(h, data.D)))
 
-    out = np.zeros((L, 2 * M, 4, 2), dtype=complex)
+    out = np.zeros((len(rows),) + q2.shape + (4, 2), dtype=complex)
     left = side == "left"
     # sharp = + uses ghat itself; sharp = - uses the reflected matrix
     for si, (sharp, table) in enumerate(((+1, data.sqrt_trans), (-1, data.sqrt_image))):
         q = q2 if left else sharp * q2
-        scalar = (np.exp(1j * (k1 * z[0] + q * z[1])) * sqrt_w
-                  * forward_difference(k1, s[0]) * forward_difference(q, s[1]))
-        if sharp < 0:
-            scalar = scalar * (-1j if left else 1j)
-        if left:
-            sigmas = [0, 1] if omega > 0 else [2, 3]
-            comps = np.conj(table[:, :, sigmas])
-        else:
-            sigmas = [0, 2] if omega > 0 else [1, 3]
-            comps = table[:, :, sigmas]
-        out[:, :, sigmas, si] = scalar[:, :, None] * comps
+        wave = np.exp(1j * (k1 * z[0] + q * z[1])) * sqrt_w
+        phase = 1.0 if sharp > 0 else (-1j if left else 1j)
+        scalars = {tuple(s): wave * forward_difference(k1, s[0]) * forward_difference(q, s[1])
+                   * phase for _, s in rows}
+        comps = np.conj(table) if left else table
+        for row, (omega, s) in zip(out, rows):
+            sigmas = _GRAM_SLOTS[side][omega]
+            row[:, :, sigmas, si] = scalars[tuple(s)][:, :, None] * comps[:, :, sigmas]
     return out
+
+
+def gram_vector(geometry, couplings, h, omega, s, z, side):
+    """The (L, 2M, 4, 2) Gram vector of species omega and derivative order
+    s at z: the one row of `gram_rows(..., z, side, [(omega, s)])`."""
+    return gram_rows(geometry, couplings, h, z, side, [(omega, s)])[0]
 
 
 def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0, slope_hs=(-1, -2, -3, -4)):
     """Verify the Gram representation and measure its norm scaling.
 
     For `n_pairs` random site pairs and all derivative orders with
-    |s|_1, |s'|_1 <= 1, compares the inner products of the stacked left
-    and right Gram vectors against the directly computed derivative
-    blocks of g^{(h)}, one batched `single_scale_propagator` call per
-    (h, s, s').  Also fits the slope of log2 |gamma|^2 against h at
-    s = 0 (the Gram norm bound says |gamma|^2 <= C 2^h there).
+    |s|_1, |s'|_1 <= 1, compares the inner products of the six left and
+    six right Gram rows (one `gram_rows` call per site and side) against
+    the directly computed derivative blocks of g^{(h)}, one batched
+    `single_scale_propagator` call per (h, s, s').  Also fits the slope
+    of log2 |gamma|^2 against h at s = 0 (the Gram norm bound says
+    |gamma|^2 <= C 2^h there).
 
     Returns:
         dict with max reconstruction error, worst Cauchy-Schwarz margin
@@ -581,22 +589,19 @@ def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0, slope_hs=(-1, -
         for _ in range(n_pairs)
     ]
     orders = [(0, 0), (1, 0), (0, 1)]
-    species = (+1, -1)
+    rows = [(om, s) for s in orders for om in (+1, -1)]
     max_err = 0.0
     min_cs_margin = np.inf
     for h in h_list:
         used = pairs[: max(4, n_pairs // len(h_list))]
         zs, zps = [z for z, _ in used], [zp for _, zp in used]
-        # direct[p, (s, omega), (s', omega')], rows ordered as in `stack`
+        # direct[p, (s, omega), (s', omega')], ordered as `rows`
         direct = np.array([[single_scale_propagator(geometry, couplings, h, zs, zps, s, sp)
                             for sp in orders] for s in orders])
         direct = direct.transpose(2, 0, 3, 1, 4).reshape(len(used), 6, 6)
-
-        def stack(z, side):
-            return np.stack([gram_vector(geometry, couplings, h, om, s, z, side).ravel()
-                             for s in orders for om in species])
         for (z, zp), block in zip(used, direct):
-            lefts, rights = stack(z, "left"), stack(zp, "right")
+            lefts = gram_rows(geometry, couplings, h, z, "left", rows).reshape(len(rows), -1)
+            rights = gram_rows(geometry, couplings, h, zp, "right", rows).reshape(len(rows), -1)
             rec = np.conj(lefts) @ rights.T
             max_err = max(max_err, float(np.max(np.abs(rec - block))))
             norms = np.outer(np.linalg.norm(lefts, axis=1), np.linalg.norm(rights, axis=1))

@@ -3,6 +3,8 @@
 - `bisection_roots`: the per-B bisection for the transverse roots, the
   oracle for the array Newton solve of `spectral.transverse_roots`;
 - `b_of_k1_critical_form`: the critical-line closed form of B(k1);
+- `mode_normalization_ratio_form`: N_M through the root identity, the
+  second formula of the N_M gate of `spectral.SpectralData`;
 - `horizontal_kernel_infinite`: the infinite-volume horizontal kernel,
   the L -> infinity limit of `exact.horizontal_kernel`;
 - `plane_block_trapezoid`: the N x N periodic trapezoid rule for the
@@ -11,7 +13,10 @@
 - `pfaffian_minor` and `minor_cumulant`: each subset moment of the bonds
   as a Pfaffian minor of the Wick matrix, then Moebius inversion over
   set partitions, the oracle for the cycle sum of
-  `energy.truncated_energy_correlation`.
+  `energy.truncated_energy_correlation`;
+- `full_mode_tables` and `full_mode_sum`: the eigenmode double sum over
+  all L x 2M modes in complex arithmetic, with its imaginary-residue
+  check, the oracle for the quarter-mode real sum of `spectral.mode_sum`.
 """
 
 import numpy as np
@@ -19,7 +24,10 @@ import numpy as np
 from isingcyl.energy import cumulant_from_moments
 from isingcyl.multiscale import eta_window
 from isingcyl.skew import pfaffian
-from isingcyl.spectral import dispersion, symbol_numerator
+from isingcyl.spectral import dispersion, forward_difference, symbol_numerator
+
+# absolute bound on the imaginary part left by the +-q2, +-k1 cancellation
+IMAG_RESIDUE_TOL = 1e-10
 
 
 def bisection_roots(B, M):
@@ -65,6 +73,14 @@ def b_of_k1_critical_form(k1, couplings):
     t1, t2 = couplings.t1, couplings.t2
     kappa = 2.0 * t1 * t2 / (1.0 - t1 * t1)
     return 1.0 - kappa * (1.0 - np.cos(k1))
+
+
+def mode_normalization_ratio_form(B, M, k2):
+    """N_M = 2 sum_{x=1..M} sin^2(k2 x) through the root identity; only
+    valid at the roots."""
+    num = B * M * np.cos(M * k2) - (M + 1) * np.cos((M + 1) * k2)
+    den = B * np.cos(M * k2) - np.cos((M + 1) * k2)
+    return num / den
 
 
 def horizontal_kernel_infinite(y, t1):
@@ -129,3 +145,58 @@ def minor_cumulant(w):
         return pfaffian_minor(w, [2 * x + k for x in block for k in (0, 1)])
 
     return cumulant_from_moments(moment, range(w.shape[0] // 2))
+
+
+def full_mode_tables(data):
+    """(trans, image) on all (L, 2M) modes, rows k1 and columns
+    q2 = [roots, -roots], straight from `symbol_numerator` over
+    2 L N_M D: ghat, and ghat with pm taken at -q2 and mm times
+    e^{2 i q2 (M+1)}."""
+    couplings, L, M = data.couplings, data.geometry.L, data.geometry.M
+    k1 = data.k1[:, None]
+    q2 = np.concatenate([data.roots, -data.roots], axis=1)
+    scale = 1.0 / (2 * L * np.tile(data.norms, 2) * dispersion(couplings, k1, q2))
+    npp, npm, nmp, nmm = symbol_numerator(couplings, k1, q2)
+    npm_reflected = symbol_numerator(couplings, k1, -q2)[1]
+    trans = np.stack([npp, npm, nmp, nmm], axis=-1) * scale[..., None]
+    image = np.stack([npp, npm_reflected, nmp, nmm * np.exp(2j * (M + 1) * q2)],
+                     axis=-1) * scale[..., None]
+    return trans, image
+
+
+def full_mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
+    """The eigenmode double sum over every mode (k1, q2 = +-k2), complex.
+
+    The coefficients are `full_mode_tables`.  `weight` is given on the
+    quarter like `data.D`, (L/2, M) or (H, L/2, M), and extended evenly in
+    k1 and q2.  Arguments and shapes are those of `spectral.mode_sum`.
+
+    Raises:
+        AssertionError: an imaginary part above IMAG_RESIDUE_TOL.
+    """
+    L, M = data.geometry.L, data.geometry.M
+    single = np.shape(z) == (2,)
+    z, zp = data.geometry.site_arrays(z, zp, extended=True)
+    k1 = data.k1[:, None]
+    q2 = np.concatenate([data.roots, -data.roots], axis=1)               # (L, 2M)
+    trans, image = full_mode_tables(data)
+    if weight is None:
+        weight = np.ones((L // 2, M))
+    weight = np.concatenate([weight[..., ::-1, :], weight], axis=-2)
+    weight = np.concatenate([weight, weight], axis=-1)                    # (..., L, 2M)
+    diff = (weight * forward_difference(-k1, deriv_z[0]) * forward_difference(-q2, deriv_z[1])
+            * forward_difference(k1, deriv_zp[0]))
+    mult_trans = diff * forward_difference(q2, deriv_zp[1])
+    mult_img = diff * forward_difference(-q2, deriv_zp[1])
+    dz = z - zp
+    wave_trans = np.exp(-1j * (dz[:, 0, None, None] * k1 + dz[:, 1, None, None] * q2))
+    wave_img = np.exp(-1j * (dz[:, 0, None, None] * k1
+                             + (z + zp)[:, 1, None, None] * q2))          # (P, L, 2M)
+    out = (np.einsum("pij,...ij,ija->...pa", wave_trans, mult_trans, trans)
+           - np.einsum("pij,...ij,ija->...pa", wave_img, mult_img, image))
+    residue = float(np.max(np.abs(out.imag), initial=0.0))
+    if residue > IMAG_RESIDUE_TOL:
+        raise AssertionError(
+            f"imaginary residue {residue:.2e} exceeds {IMAG_RESIDUE_TOL:.0e}")
+    out = out.real.reshape(out.shape[:-1] + (2, 2))
+    return out[..., 0, :, :] if single else out

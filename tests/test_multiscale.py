@@ -17,6 +17,7 @@ from isingcyl.multiscale import (
     bulk_decay_report,
     bulk_edge_split,
     gram_report,
+    gram_rows,
     gram_vector,
     h_star,
     plane_block_batch,
@@ -195,6 +196,25 @@ def test_gram_reconstruction_small():
             rec = np.vdot(left, right)
             assert abs(rec - direct[i, j]) < 1e-12
             assert np.linalg.norm(left) * np.linalg.norm(right) >= abs(rec) - 1e-15
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_gram_rows_equal_single_gram_vectors(side):
+    g = CylinderGeometry(12, 10)
+    rows = [(om, s) for s in ((0, 0), (1, 0), (0, 1)) for om in (+1, -1)]
+    for h, z in ((-1, (3, 4)), (-2, (12, 1)), (0, (7, 10))):
+        stacked = gram_rows(g, ISO, h, z, side, rows)
+        assert stacked.shape == (6, 12, 20, 4, 2)
+        singles = np.array([gram_vector(g, ISO, h, om, s, z, side) for om, s in rows])
+        assert np.max(np.abs(stacked - singles)) <= 1e-16
+
+
+def test_gram_report_at_printed_precision():
+    # acceptance criterion 6 prints the slope to 3 decimals and the error to
+    # 3 digits; the Gram vectors are exact unfoldings of the quarter tables
+    rep = gram_report(CylinderGeometry(32, 32), ISO, (-1, -2), n_pairs=8, seed=2)
+    assert f"{rep['norm_slope']:.3f}" == "1.037"
+    assert rep["max_reconstruction_error"] <= 1e-15
 
 
 def test_gram_report_keys():

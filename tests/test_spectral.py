@@ -11,19 +11,26 @@ from isingcyl.lattice import CylinderGeometry
 from isingcyl.multiscale import scale_weight, tail_weight
 from isingcyl.spectral import (
     ROOT_TOL,
+    SIGMA,
     SpectralData,
     antiperiodic_momenta,
     b_of_k1,
     critical_propagator,
     dispersion,
     mode_normalization,
-    mode_normalization_ratio_form,
     mode_sum,
     spectral_data,
     symbol_entries,
     transverse_roots,
+    unfold,
 )
-from oracles import b_of_k1_critical_form, bisection_roots
+from oracles import (
+    b_of_k1_critical_form,
+    bisection_roots,
+    full_mode_sum,
+    full_mode_tables,
+    mode_normalization_ratio_form,
+)
 
 ISO = Couplings.isotropic_critical()
 
@@ -270,3 +277,80 @@ def test_weight_stack_equals_separate_calls(L, M, t1):
         assert single.shape == (len(stack), 2, 2)
         ones = np.array([mode_sum(data, a, b, w, dz, dzp) for w in stack])
         assert np.max(np.abs(single - ones)) <= 1e-15 * np.max(np.abs(ones))
+
+
+QUARTER_CASES = [(8, 5, None), (12, 7, 0.3), (32, 32, 0.5)]
+
+
+def _case(L, M, t1):
+    return CylinderGeometry(L, M), ISO if t1 is None else Couplings.critical_from_t1(t1)
+
+
+@pytest.mark.parametrize("L,M,t1", QUARTER_CASES)
+def test_quarter_sum_matches_full_mode_oracle(L, M, t1):
+    g, cpl = _case(L, M, t1)
+    data = spectral_data(g, cpl)
+    rng = np.random.default_rng(15)
+    z = np.column_stack([rng.integers(1, L + 1, 30), rng.integers(1, M + 1, 30)])
+    zp = np.column_stack([rng.integers(1, L + 1, 30), rng.integers(1, M + 1, 30)])
+    # the extended rows 0 and M + 1 in both arguments
+    z[:4, 1], zp[4:8, 1] = [0, M + 1, 0, M + 1], [M + 1, 0, M + 1, 0]
+    stack = np.stack([scale_weight(-1, data.D), scale_weight(0, data.D),
+                      tail_weight(-2, data.D)])
+    orders = [((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 2), (1, 1)), ((2, 1), (0, 2))]
+    for weight in (None, stack[0], stack):
+        for dz, dzp in orders:
+            full = full_mode_sum(data, z, zp, weight, dz, dzp)
+            # errors relative to the largest block entry of the batch
+            bound = 1e-13 * np.max(np.abs(full))
+            quarter = mode_sum(data, z, zp, weight, dz, dzp)
+            assert quarter.shape == full.shape and quarter.dtype == np.float64
+            assert np.max(np.abs(quarter - full)) <= bound
+            single = mode_sum(data, tuple(z[5]), tuple(zp[5]), weight, dz, dzp)
+            assert np.max(np.abs(single - full[..., 5, :, :])) <= bound
+
+
+@pytest.mark.parametrize("L,M,t1", QUARTER_CASES)
+def test_tables_live_on_the_quarter(L, M, t1):
+    g, cpl = _case(L, M, t1)
+    data = SpectralData(g, cpl)
+    assert data.trans.shape == data.image.shape == (L // 2, M, 4)
+    assert data.D.shape == (L // 2, M)
+    assert data.n_modes == L * M
+    mode_sum(data, [(1, 1), (2, 3)], [(3, 2), (L, M)], scale_weight(-1, data.D), (1, 0))
+    # no (L, 2M) array until a Gram factor is read
+    assert not any(np.shape(v)[:2] == (L, 2 * M) for v in vars(data).values())
+    trans, image = full_mode_tables(data)
+    for quarter, full, root in ((data.trans, trans, data.sqrt_trans),
+                                (data.image, image, data.sqrt_image)):
+        assert np.max(np.abs(unfold(quarter, SIGMA) - full)) <= 1e-14 * np.max(np.abs(full))
+        assert root.shape == (L, 2 * M, 4)
+        assert np.array_equal(root, np.sqrt(unfold(quarter, SIGMA)))
+
+
+def test_unfold_extends_even_functions_exactly():
+    data = spectral_data(CylinderGeometry(12, 7), Couplings.critical_from_t1(0.3))
+    q2 = np.concatenate([data.roots, -data.roots], axis=1)
+    assert np.array_equal(unfold(data.D), dispersion(data.couplings, data.k1[:, None], q2))
+
+
+@pytest.mark.parametrize("L,M,t1", QUARTER_CASES)
+def test_every_two_point_route_returns_float64_blocks(L, M, t1):
+    g, cpl = _case(L, M, t1)
+    data = spectral_data(g, cpl)
+    zs, zps = [(1, 1), (2, 3), (L, M)], [(L, 2), (1, M), (2, 1)]
+    stack = np.stack([scale_weight(-1, data.D), tail_weight(-1, data.D)])
+    results = [
+        (mode_sum(data, zs[0], zps[0]), (2, 2)),
+        (mode_sum(data, zs, zps), (3, 2, 2)),
+        (mode_sum(data, zs[0], zps[0], stack), (2, 2, 2)),
+        (mode_sum(data, zs, zps, stack, (1, 1), (0, 2)), (2, 3, 2, 2)),
+        (critical_propagator(g, cpl, zs, zps), (3, 2, 2)),
+        (multiscale.single_scale_propagator(g, cpl, -1, zs, zps, (1, 0)), (3, 2, 2)),
+        (multiscale.tail_propagator(g, cpl, -1, zs[0], zps[0]), (2, 2)),
+        (multiscale.telescoping_residual(g, cpl, zs, zps), (3,)),
+        *((part, (3, 2, 2)) for part in multiscale.bulk_edge_split(g, cpl, -1, zs, zps)),
+    ]
+    for value, shape in results:
+        assert type(value) is np.ndarray and value.dtype == np.float64
+        assert value.shape == shape
