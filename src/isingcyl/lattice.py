@@ -185,9 +185,12 @@ class CylinderGeometry:
         """Two site arguments (one site or a batch) as (P, 2) integer arrays,
         checked to lie on the lattice, or also on its extended rows."""
         z, zp = (np.asarray(s, dtype=int).reshape(-1, 2) for s in (z, zp))
-        both, pad = np.stack([z, zp], axis=1), int(extended)
-        bad = ~np.all((both >= (1, 1 - pad)) & (both <= (self.L, self.M + pad)), axis=(1, 2))
-        if np.any(bad):
+        if z.shape != zp.shape:
+            raise ValueError(f"{len(z)} first sites against {len(zp)} second sites")
+        pad = int(extended)
+        lo, hi = np.array([1, 1 - pad]), np.array([self.L, self.M + pad])
+        bad = ((z < lo) | (z > hi) | (zp < lo) | (zp > hi)).any(axis=1)
+        if bad.any():
             p = int(np.argmax(bad))
             raise ValueError(f"sites {tuple(z[p].tolist())}, {tuple(zp[p].tolist())} outside "
                              f"the {'extended ' if extended else ''}lattice")

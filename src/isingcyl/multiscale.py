@@ -24,26 +24,27 @@ kernels e^{-c} I_n(c), the dispersion being separable, with node count
 and table length taken from an a priori error bound.
 
 The Gram representation realizes every derivative block of g^{(h)} as an
-inner product of two explicit vectors in a finite-dimensional Hilbert
-space indexed by (k1, k2, sigma, #); it exists to verify, numerically,
-the reconstruction identity, the Cauchy-Schwarz bounds, and the 2^h
-scaling of the vector norms.
+inner product of two explicit vectors indexed by (k1, q2, sigma, #), kept
+on the quarter of the modes like every mode sum, with norms in closed
+form; it exists to verify, numerically, the reconstruction identity, the
+Cauchy-Schwarz bounds, and the 2^h scaling of the vector norms.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .lattice import per_range, ring_sign
 from .spectral import (
+    SIGMA,
     dispersion,
     forward_difference,
     mode_sum,
     spectral_data,
     symbol_numerator,
-    unfold,
 )
 
 PLANE_TOL = 1e-14
@@ -70,11 +71,9 @@ def eta_window(h):
 
 def scale_weight(h, D):
     """w_h(D) = integral of D e^{-eta D} over the scale-h window."""
-    D = np.asarray(D, dtype=float)
     if h == 0:
-        return -np.expm1(-D)
-    a, b = eta_window(h)
-    return np.exp(-a * D) - np.exp(-b * D)
+        return -np.expm1(-np.asarray(D, dtype=float))
+    return tail_weight(h, D) - tail_weight(h - 1, D)
 
 
 def tail_weight(h, D):
@@ -83,11 +82,15 @@ def tail_weight(h, D):
     return np.exp(-a * np.asarray(D, dtype=float))
 
 
-def _scale_data(geometry, couplings, h):
-    """Spectral tables of the cylinder, once h* <= h <= 0 is checked."""
+@lru_cache(maxsize=256)
+def _weight(geometry, couplings, h, tail=False):
+    """w_h(D), or w_<=h(D) with `tail`, on the quarter of the modes for
+    h* <= h <= 0; built once per (geometry, couplings, h), read-only."""
     if not h_star(geometry) <= h <= 0:
         raise ValueError(f"h={h} outside [{h_star(geometry)}, 0]")
-    return spectral_data(geometry, couplings)
+    weight = (tail_weight if tail else scale_weight)(h, spectral_data(geometry, couplings).D)
+    weight.setflags(write=False)
+    return weight
 
 
 def single_scale_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv_zp=(0, 0)):
@@ -98,14 +101,13 @@ def single_scale_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv
     weight is even in k2.  Site arrays give a (P, 2, 2) batch, as in
     `critical_propagator`.
     """
-    data = _scale_data(geometry, couplings, h)
-    return mode_sum(data, z, zp, scale_weight(h, data.D), deriv_z, deriv_zp)
+    return mode_sum(spectral_data(geometry, couplings), z, zp, _weight(geometry, couplings, h),
+                    deriv_z, deriv_zp)
 
 
 def tail_propagator(geometry, couplings, h, z, zp):
     """Infrared remainder g^{(<= h)} on the cylinder (batches as above)."""
-    data = _scale_data(geometry, couplings, h)
-    return mode_sum(data, z, zp, tail_weight(h, data.D))
+    return mode_sum(spectral_data(geometry, couplings), z, zp, _weight(geometry, couplings, h, True))
 
 
 def telescoping_residual(geometry, couplings, z, zp, h=None):
@@ -116,11 +118,10 @@ def telescoping_residual(geometry, couplings, z, zp, h=None):
     """
     if h is None:
         h = h_star(geometry)
-    data = _scale_data(geometry, couplings, h)
-    ladder = np.stack([tail_weight(h, data.D)]
-                      + [scale_weight(j, data.D) for j in range(h + 1, 1)]
-                      + [np.ones_like(data.D)])
-    *pieces, full = mode_sum(data, z, zp, ladder)
+    ladder = np.stack([_weight(geometry, couplings, h, True)]
+                      + [_weight(geometry, couplings, j) for j in range(h + 1, 1)]
+                      + [_weight(geometry, couplings, 0, True)])
+    *pieces, full = mode_sum(spectral_data(geometry, couplings), z, zp, ladder)
     resid = np.max(np.abs(sum(pieces) - full), axis=(-2, -1))
     return float(resid) if resid.ndim == 0 else resid
 
@@ -506,80 +507,126 @@ def tail_bound_report(geometry, couplings, h_list, seed=0):
 # ---------------------------------------------------------------------------
 
 
-# Gram slots sigma filled by each species omega, per side
+# Gram slots sigma filled by each species omega, per side; slot j of a row
+# pairs it with the partner species (+1, -1)[j]
 _GRAM_SLOTS = {"left": {+1: [0, 1], -1: [2, 3]}, "right": {+1: [0, 2], -1: [1, 3]}}
+# phase of the # = - slice per side; the # = + slice has phase 1
+_SHARP_PHASE = {"left": -1j, "right": 1j}
+# modes per block of k1 rows in `gram_report` (six rows take 6 MB a side)
+_GRAM_BLOCK = 1 << 14
 
 
-def gram_rows(geometry, couplings, h, z, side, rows):
-    """Hilbert-space vectors whose inner products rebuild derivative blocks.
+def gram_rows(geometry, couplings, h, z, side, rows, part=slice(None)):
+    """Gram rows at site z: vectors whose inner products rebuild g^{(h)}.
 
-    The space is indexed by (k1, q2, sigma, #) with q2 running over both
-    signs of the transverse roots and sigma over four slots that carry
-    square roots of symbol entries (principal branch throughout).  The
-    eta coordinate is integrated out in closed form and appears as
-    sqrt(w_h(D)); the mode measure 1/(2 L N_M) is folded in symmetrically
-    so that plain complex dots are the inner product.  The indefinite #
-    sign is absorbed by phasing the # = - slice with -i on the left and
-    +i on the right.  The rows share the plane wave, sqrt(w_h(D)) and the
-    forward-difference multipliers.
+    Slots sigma carry principal square roots of the table entries (pp, pm,
+    mp, mm) of the translation-invariant (# = +) and image (# = -) terms;
+    eta is integrated out as sqrt(w_h(D)), and the # = - slice is phased
+    -i on the left and +i on the right, absorbing the image sign.  Mode by
+    mode a left row times a right row is the summand of the direct mode
+    sum, so the rows live on the quarter k1 > 0, q2 = +k2 (`gram_inner`
+    folds them), each on the two slots its species fills.
 
     Args:
-        z: site.
+        h: the scale, or None for weight 1 (the rows of g_c).
         side: "left" for the first (conjugated) factor, "right" for the
             second.
         rows: (omega, s) pairs: species +1 or -1 and derivative
             multi-order (s1, s2), each in {0, 1, 2}.
+        part: the k1 rows of the quarter to keep, all by default.
 
     Returns:
-        Complex array of shape (len(rows), L, 2M, 4, 2); reconstruction
-        is np.vdot(left row, right row).
+        (ring, vec): row r is ring[r, k1] vec[r, j, #, k1, k2], ring (R, n)
+        and vec (R, 2, 2, n, M) complex, slot j the partner species
+        (+1, -1)[j].
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if any(omega not in (+1, -1) for omega, _ in rows):
         raise ValueError(f"omega must be +-1, got {[omega for omega, _ in rows]}")
     data = spectral_data(geometry, couplings)
-    k1 = data.k1[:, None]                                        # (L, 1)
-    q2 = np.concatenate([data.roots, -data.roots], axis=1)       # (L, 2M)
-    sqrt_w = unfold(np.sqrt(scale_weight(h, data.D)))
-
-    out = np.zeros((len(rows),) + q2.shape + (4, 2), dtype=complex)
-    left = side == "left"
-    # sharp = + uses ghat itself; sharp = - uses the reflected matrix
-    for si, (sharp, table) in enumerate(((+1, data.sqrt_trans), (-1, data.sqrt_image))):
-        q = q2 if left else sharp * q2
-        wave = np.exp(1j * (k1 * z[0] + q * z[1])) * sqrt_w
-        phase = 1.0 if sharp > 0 else (-1j if left else 1j)
-        scalars = {tuple(s): wave * forward_difference(k1, s[0]) * forward_difference(q, s[1])
-                   * phase for _, s in rows}
-        comps = np.conj(table) if left else table
-        for row, (omega, s) in zip(out, rows):
-            sigmas = _GRAM_SLOTS[side][omega]
-            row[:, :, sigmas, si] = scalars[tuple(s)][:, :, None] * comps[:, :, sigmas]
-    return out
+    half, left = len(data.D), side == "left"
+    k1, k2 = data.k1[half:][part], data.roots[half:][part]
+    scale = 1.0 if h is None else np.sqrt(_weight(geometry, couplings, h)[part])
+    ring = np.array([np.exp(1j * k1 * z[0]) * forward_difference(k1, s[0]) for _, s in rows])
+    vec = np.empty((len(rows), 2, 2) + k2.shape, dtype=complex)
+    for sharp, table in enumerate((data.trans, data.image)):
+        # the right image row carries the reflected momentum -k2
+        q = -k2 if sharp and not left else k2
+        wave = np.exp(1j * q * z[1]) * scale * (_SHARP_PHASE[side] if sharp else 1.0)
+        waves = {s2: wave * forward_difference(q, s2) for s2 in {s[1] for _, s in rows}}
+        root = np.sqrt(table[part])
+        root = np.conj(root) if left else root
+        for r, (omega, s) in enumerate(rows):
+            for j, sigma in enumerate(_GRAM_SLOTS[side][omega]):
+                np.multiply(root[..., sigma], waves[s[1]], out=vec[r, j, sharp])
+    return ring, vec
 
 
 def gram_vector(geometry, couplings, h, omega, s, z, side):
-    """The (L, 2M, 4, 2) Gram vector of species omega and derivative order
-    s at z: the one row of `gram_rows(..., z, side, [(omega, s)])`."""
-    return gram_rows(geometry, couplings, h, z, side, [(omega, s)])[0]
+    """The one Gram row of `gram_rows(..., z, side, [(omega, s)])`."""
+    return gram_rows(geometry, couplings, h, z, side, [(omega, s)])
+
+
+def gram_inner(rows, left, right, weight=None):
+    """Real (R, R) inner products <left_a, right_b> of the rows `rows` at two
+    sites, on the k1 rows they hold; with an (H, n, M) stack of weights w,
+    the (H, R, R) products <left_a, w right_b>.
+
+    Per k1 row, Y sums over k2 and # the products on the slot two rows share,
+    and the rows at -k1 and q2 = -k2 fold in as in `mode_sum`: 4 Re r Re Y
+    for pm, mp and -4 Im r Im Y for pp, mm, r the product of the rings.
+    """
+    (ring_l, vec_l), (ring_r, vec_r) = left, right
+    single = weight is None
+    w = np.ones((1,) + vec_l.shape[-2:]) if single else weight
+    H, n, M = w.shape
+    e = np.array([omega < 0 for omega, _ in rows], dtype=int)
+    # [a, b]: left row a on the slot of the species of b, right row b on that of a
+    prod = (np.conj(vec_l[:, e]) * vec_r[:, e].swapaxes(0, 1)).sum(axis=2)
+    ys = np.matmul(w.transpose(1, 0, 2).astype(complex), prod.reshape(-1, n, M).transpose(1, 2, 0))
+    r = (np.conj(ring_l)[:, None] * ring_r).reshape(-1, n)
+    out = 4.0 * np.where(SIGMA[2 * e[:, None] + e].ravel() > 0,
+                         np.einsum("ka,ahk->hk", r.real, ys.real),
+                         -np.einsum("ka,ahk->hk", r.imag, ys.imag)).reshape(H, len(e), len(e))
+    return out[0] if single else out
+
+
+def gram_norms(geometry, couplings, hs, rows):
+    """(len(hs), R) squared norms of the Gram rows at the scales hs.
+
+    The plane wave has modulus 1, |sqrt a|^2 = |a|, and |pm| = |mp|,
+    |pp| = |mm| in both tables, so a norm depends on neither the site nor
+    the side: one quarter reduction per (h, s, omega),
+    4 sum w_h |e^{i k1} - 1|^{2 s1} |e^{i k2} - 1|^{2 s2}
+    sum_{sigma in slots(omega)} (|trans_sigma| + |image_sigma|).
+    """
+    data = spectral_data(geometry, couplings)
+    half = len(data.D)
+    size = np.abs(data.trans) + np.abs(data.image)
+    terms = np.array([np.abs(forward_difference(data.k1[half:, None], s[0])
+                             * forward_difference(data.roots[half:], s[1])) ** 2
+                      * size[..., _GRAM_SLOTS["left"][omega]].sum(-1) for omega, s in rows])
+    weights = np.array([scale_weight(h, data.D) for h in hs])
+    return 4.0 * weights.reshape(len(hs), -1) @ terms.reshape(len(rows), -1).T
 
 
 def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0, slope_hs=(-1, -2, -3, -4)):
     """Verify the Gram representation and measure its norm scaling.
 
     For `n_pairs` random site pairs and all derivative orders with
-    |s|_1, |s'|_1 <= 1, compares the inner products of the six left and
-    six right Gram rows (one `gram_rows` call per site and side) against
-    the directly computed derivative blocks of g^{(h)}, one batched
-    `single_scale_propagator` call per (h, s, s').  Also fits the slope
-    of log2 |gamma|^2 against h at s = 0 (the Gram norm bound says
-    |gamma|^2 <= C 2^h there).
+    |s|_1, |s'|_1 <= 1, compares `gram_inner` of six left and six right rows
+    with the directly computed derivative blocks of g^{(h)}, h in h_list.
+    Both stack the scales: a site's rows are built once, with weight 1 and in
+    blocks of k1 rows, and their products weighted by every w_h; the direct
+    blocks are one weight-stacked `mode_sum` per (s, s').  The closed-form
+    norms (`gram_norms`) give the Cauchy-Schwarz margins and the slope of
+    log2 |gamma|^2 against h at s = 0, where the Gram bound says
+    |gamma|^2 <= C 2^h.
 
     Returns:
         dict with max reconstruction error, worst Cauchy-Schwarz margin
-        (nonnegative means the bound holds), fitted norm-vs-h slope, and
-        per-(h, s) fitted constants.
+        (nonnegative means the bound holds), fitted norm-vs-h slope, n_pairs.
     """
     rng = np.random.default_rng(seed)
     L, M = geometry.L, geometry.M
@@ -590,31 +637,26 @@ def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0, slope_hs=(-1, -
     ]
     orders = [(0, 0), (1, 0), (0, 1)]
     rows = [(om, s) for s in orders for om in (+1, -1)]
-    max_err = 0.0
-    min_cs_margin = np.inf
-    for h in h_list:
-        used = pairs[: max(4, n_pairs // len(h_list))]
-        zs, zps = [z for z, _ in used], [zp for _, zp in used]
-        # direct[p, (s, omega), (s', omega')], ordered as `rows`
-        direct = np.array([[single_scale_propagator(geometry, couplings, h, zs, zps, s, sp)
-                            for sp in orders] for s in orders])
-        direct = direct.transpose(2, 0, 3, 1, 4).reshape(len(used), 6, 6)
-        for (z, zp), block in zip(used, direct):
-            lefts = gram_rows(geometry, couplings, h, z, "left", rows).reshape(len(rows), -1)
-            rights = gram_rows(geometry, couplings, h, zp, "right", rows).reshape(len(rows), -1)
-            rec = np.conj(lefts) @ rights.T
-            max_err = max(max_err, float(np.max(np.abs(rec - block))))
-            norms = np.outer(np.linalg.norm(lefts, axis=1), np.linalg.norm(rights, axis=1))
-            min_cs_margin = min(min_cs_margin, float(np.min(norms - np.abs(rec))))
-    # norm scaling in h at s = 0, one fixed site and species
-    z0 = (1 + L // 3, 1 + M // 2)
-    n2 = [float(np.linalg.norm(gram_vector(geometry, couplings, h, +1, (0, 0), z0, "left"))) ** 2
-          for h in slope_hs]
-    slope = float(np.polyfit(np.array(slope_hs, dtype=float), [math.log2(v) for v in n2], 1)[0])
+    used = pairs[: max(4, n_pairs // len(h_list))]
+    weights = np.stack([_weight(geometry, couplings, h) for h in h_list])
+    zs, zps = np.array(used).transpose(1, 0, 2)
+    # direct[h, p, (s, omega), (s', omega')], ordered as `rows`
+    direct = np.array([[mode_sum(spectral_data(geometry, couplings), zs, zps, weights, s, sp)
+                        for sp in orders] for s in orders])
+    direct = direct.transpose(2, 3, 0, 4, 1, 5).reshape(len(h_list), len(used), 6, 6)
+    rec = np.zeros_like(direct)
+    step = max(1, _GRAM_BLOCK // M)
+    for p, (z, zp) in enumerate(used):
+        for part in (slice(lo, lo + step) for lo in range(0, L // 2, step)):
+            rec[:, p] += gram_inner(rows, gram_rows(geometry, couplings, None, z, "left", rows, part),
+                                    gram_rows(geometry, couplings, None, zp, "right", rows, part),
+                                    weights[:, part])
+    norms = np.sqrt(gram_norms(geometry, couplings, h_list, rows))
+    slope = np.polyfit(slope_hs, np.log2(gram_norms(geometry, couplings, slope_hs, rows)[:, 0]), 1)
     return dict(
-        max_reconstruction_error=max_err,
-        min_cauchy_schwarz_margin=float(min_cs_margin),
-        norm_slope=slope,
-        norm_records=[dict(h=h, norm_sq=v, ratio=v / 2.0 ** h) for h, v in zip(slope_hs, n2)],
+        max_reconstruction_error=float(np.max(np.abs(rec - direct))),
+        min_cauchy_schwarz_margin=float(np.min(
+            norms[:, None, :, None] * norms[:, None, None, :] - np.abs(rec))),
+        norm_slope=float(slope[0]),
         n_pairs=len(pairs),
     )

@@ -40,6 +40,7 @@ gives Y_a + sigma_a conj Y_a and the rows +-k1 add r + sigma_a conj r:
     block_a = 4 Re sum_{k1 > 0} r Z_a,   Z_a = (Y_a + sigma_a conj Y_a)/2,
 
 that is 4 sum Re r Re Y_a for pm, mp and -4 sum Im r Im Y_a for pp, mm.
+The Gram rows of `multiscale` fold onto the quarter the same way.
 
 Every two-point function of the package follows one convention: a real
 array indexed [omega, omega'] by the species pair, row/column 0 the +
@@ -49,7 +50,8 @@ component and 1 the - component, of shape (2, 2) for one site pair and
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, reduce
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,18 +152,18 @@ def _mode_roots(B, M):
     error = np.max(np.abs(resid / slope))
     if not error <= ROOT_TOL:
         raise AssertionError(f"root forward error {error:.2e} exceeds {ROOT_TOL:.2e}")
+    # the top bracket ends at pi M/(M+1), so a bracketed root keeps at least
+    # pi/(M+1) from the spurious solution k2 = pi of the root equation
     lo, hi = np.pi / (M + 1) * (np.arange(M) + [[0.5], [1.0]])
     if np.any(k <= lo) or np.any(k >= hi):
         raise AssertionError("root escaped its bracketing interval")
     if np.any(np.diff(k, axis=1) <= 0):
         raise AssertionError("roots not strictly increasing")
-    if np.min(np.abs(k - np.pi)) < 1e-9:
-        raise AssertionError("root collided with pi")
     nm = mode_normalization(B, M, k)
-    if np.max(np.abs(nm - slope / (B * cos_m - cos_m1))) > 1e-11 * max(1.0, M):
-        raise AssertionError("the two N_M formulas disagree")
     if np.any(nm < M):
         raise AssertionError("mode normalization dropped below M")
+    if not np.max(np.abs(nm - slope / (B * cos_m - cos_m1)) / nm) <= 1e-11:
+        raise AssertionError("the two N_M formulas disagree")
     return k, nm
 
 
@@ -186,20 +188,6 @@ def _mode_tables(couplings, L, k1, B, roots, norms, D):
     return trans, image
 
 
-def unfold(quarter, sign=1.0):
-    """The (L, 2M, ...) array on rows k1 and columns q2 = [roots, -roots]
-    from its (L/2, M, ...) quarter: mirrored rows and conjugated columns,
-    times `sign` (1 for even functions such as D, SIGMA for the tables);
-    exact, as both steps are negations and conjugations."""
-    half, M = quarter.shape[:2]
-    full = np.empty((2 * half, 2 * M) + quarter.shape[2:], dtype=quarter.dtype)
-    full[half:, :M] = quarter
-    np.multiply(quarter[::-1], sign, out=full[:half, :M])
-    np.conjugate(full[:, :M], out=full[:, M:])
-    full[:, M:] *= sign
-    return full
-
-
 class SpectralData:
     """Root, normalization and mode tables for one (geometry, couplings) pair.
 
@@ -215,14 +203,12 @@ class SpectralData:
         trans, image: (L/2, M, 4) complex mode coefficients on the same
             quarter, entries (pp, pm, mp, mm) over 2 L N_M: ghat(k1, k2),
             and ghat with pm taken at -k2 and mm times e^{2 i k2 (M+1)}.
-        sqrt_trans, sqrt_image: principal square roots of the tables
-            unfolded to all (L, 2M) modes (`unfold`), the Gram factors,
-            built on first use; no other (L, 2M) array is built.
 
     The roots come from one `transverse_roots` call on the L/2 rows with
     k1 > 0.  Construction validates their forward error |resid / resid'|
-    (<= ROOT_TOL, independent of M), bracketing, monotonicity, agreement
-    of the two N_M formulas, and that no root collides with pi.
+    (<= ROOT_TOL, independent of M), bracketing (which keeps every root at
+    least pi/(M+1) below the spurious solution pi), monotonicity, and the
+    agreement of the two N_M formulas relative to N_M.
     """
 
     def __init__(self, geometry, couplings):
@@ -247,18 +233,10 @@ class SpectralData:
         for arr in (self.k1, self.B, self.roots, self.norms, self.D, self.trans, self.image):
             arr.setflags(write=False)
 
-    sqrt_trans = cached_property(lambda self: _read_only(np.sqrt(unfold(self.trans, SIGMA))))
-    sqrt_image = cached_property(lambda self: _read_only(np.sqrt(unfold(self.image, SIGMA))))
-
     @property
     def n_modes(self):
         """Number of (k1, k2) modes, L * M."""
         return self.roots.size
-
-
-def _read_only(arr):
-    arr.setflags(write=False)
-    return arr
 
 
 @lru_cache(maxsize=32)
@@ -279,7 +257,7 @@ def _row_sums(data, table, mult, values):
     half, M = data.D.shape
     stack = () if mult is None else mult.shape[:-2]
     out = np.empty(stack + (half, len(values), 4))
-    step = max(1, _CHUNK_ENTRIES // (np.prod(stack, dtype=int) * half * M))
+    step = max(1, _CHUNK_ENTRIES // (math.prod(stack) * half * M))
     for lo in range(0, len(values), step):
         arg = data.roots[half:, None, :] * -values[None, lo:lo + step, None]  # (L/2, n, M)
         wave = np.empty(arg.shape, dtype=complex)                        # e^{-i k2 v}
@@ -293,11 +271,25 @@ def _row_sums(data, table, mult, values):
     return out
 
 
+def _distinct(values):
+    """np.unique(values, return_inverse=True), without the sort when the
+    batch holds one distinct value (a single site pair, for one)."""
+    if len(values) and (values == values[0]).all():
+        return values[:1], np.zeros(len(values), dtype=np.intp)
+    return np.unique(values, return_inverse=True)
+
+
 def _mode_factor(*factors):
     """Product of the per-mode array factors, skipping scalars (the
-    order-0 `forward_difference`) and None; None when none is an array."""
+    order-0 `forward_difference`) and None; None when none is an array.
+    Multiplies left to right into one new array after the first product."""
     arrays = [f for f in factors if np.ndim(f)]
-    return None if not arrays else reduce(np.multiply, arrays)
+    if len(arrays) < 2:
+        return arrays[0] if arrays else None
+    out = arrays[0] * arrays[1]
+    for f in arrays[2:]:
+        out *= f
+    return out
 
 
 def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
@@ -332,16 +324,16 @@ def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
     k1, k2 = data.k1[half:], data.roots[half:]
     diff_z = forward_difference(-k2, deriv_z[1])
     d1 = forward_difference(-k1, deriv_z[0]) * forward_difference(k1, deriv_zp[0])
-    dz1, i1 = np.unique(z[:, 0] - zp[:, 0], return_inverse=True)
+    dz1, i1 = _distinct(z[:, 0] - zp[:, 0])
     ring = 4.0 * np.exp(-1j * np.outer(dz1, k1)) * d1                  # (n1, L/2)
     # 4 Re r against Re Y for (pm, mp), -4 Im r against Im Y for (pp, mm)
     kern, n1 = np.concatenate([ring.real, -ring.imag]), len(dz1)
     out = 0.0
     for sign, table, q2, offsets in ((1.0, data.trans, k2, z[:, 1] - zp[:, 1]),
                                      (-1.0, data.image, -k2, z[:, 1] + zp[:, 1])):
-        values, index = np.unique(offsets, return_inverse=True)
-        mult = _mode_factor(weight, diff_z, forward_difference(q2, deriv_zp[1]))
-        rows = _row_sums(data, table, mult, values)                      # (..., L/2, n2, 4)
+        values, index = _distinct(offsets)
+        rows = _row_sums(data, table, _mode_factor(weight, diff_z, forward_difference(
+            q2, deriv_zp[1])), values)                                    # (..., L/2, n2, 4)
         *stack, _, n2, _ = rows.shape
         # one real matmul per stack entry over the distinct (z1 - z1', offset)
         sums = np.matmul(kern, rows.reshape(*stack, half, 4 * n2)).reshape(*stack, 2 * n1, n2, 4)

@@ -16,15 +16,24 @@
   `energy.truncated_energy_correlation`;
 - `full_mode_tables` and `full_mode_sum`: the eigenmode double sum over
   all L x 2M modes in complex arithmetic, with its imaginary-residue
-  check, the oracle for the quarter-mode real sum of `spectral.mode_sum`.
+  check, the oracle for the quarter-mode real sum of `spectral.mode_sum`;
+- `unfold`, `sqrt_tables` and `full_gram_rows`: the Gram vectors on all
+  (L, 2M) modes and all four slots, the oracle for the quarter rows,
+  closed-form norms and folded inner products of `multiscale`.
 """
 
 import numpy as np
 
 from isingcyl.energy import cumulant_from_moments
-from isingcyl.multiscale import eta_window
+from isingcyl.multiscale import eta_window, scale_weight
 from isingcyl.skew import pfaffian
-from isingcyl.spectral import dispersion, forward_difference, symbol_numerator
+from isingcyl.spectral import (
+    SIGMA,
+    dispersion,
+    forward_difference,
+    spectral_data,
+    symbol_numerator,
+)
 
 # absolute bound on the imaginary part left by the +-q2, +-k1 cancellation
 IMAG_RESIDUE_TOL = 1e-10
@@ -200,3 +209,52 @@ def full_mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
             f"imaginary residue {residue:.2e} exceeds {IMAG_RESIDUE_TOL:.0e}")
     out = out.real.reshape(out.shape[:-1] + (2, 2))
     return out[..., 0, :, :] if single else out
+
+
+def unfold(quarter, sign=1.0):
+    """The (L, 2M, ...) array on rows k1 and columns q2 = [roots, -roots]
+    from its (L/2, M, ...) quarter: mirrored rows and conjugated columns,
+    times `sign` (1 for even functions such as D, SIGMA for the tables);
+    exact, as both steps are negations and conjugations."""
+    half, M = quarter.shape[:2]
+    full = np.empty((2 * half, 2 * M) + quarter.shape[2:], dtype=quarter.dtype)
+    full[half:, :M] = quarter
+    np.multiply(quarter[::-1], sign, out=full[:half, :M])
+    np.conjugate(full[:, :M], out=full[:, M:])
+    full[:, M:] *= sign
+    return full
+
+
+def sqrt_tables(data):
+    """Principal square roots of the tables unfolded to all (L, 2M) modes."""
+    return np.sqrt(unfold(data.trans, SIGMA)), np.sqrt(unfold(data.image, SIGMA))
+
+
+# Gram slots sigma filled by each species, per side, and the phase of the
+# # = - slice per side
+GRAM_SLOTS = {"left": {+1: [0, 1], -1: [2, 3]}, "right": {+1: [0, 2], -1: [1, 3]}}
+SHARP_PHASE = {"left": -1j, "right": 1j}
+
+
+def full_gram_rows(geometry, couplings, h, z, side, rows, slots=GRAM_SLOTS,
+                   phases=SHARP_PHASE):
+    """Gram vectors of shape (len(rows), L, 2M, 4, 2) over (k1, q2, sigma, #);
+    the reconstruction is np.vdot(left row, right row).  `slots` and
+    `phases` replace the assignment of slots and # phases."""
+    data = spectral_data(geometry, couplings)
+    k1 = data.k1[:, None]                                        # (L, 1)
+    q2 = np.concatenate([data.roots, -data.roots], axis=1)       # (L, 2M)
+    sqrt_w = unfold(np.sqrt(scale_weight(h, data.D)))
+    out = np.zeros((len(rows),) + q2.shape + (4, 2), dtype=complex)
+    left = side == "left"
+    # sharp = + uses ghat itself; sharp = - uses the reflected matrix
+    for si, (sharp, table) in enumerate(zip((+1, -1), sqrt_tables(data))):
+        q = q2 if left else sharp * q2
+        wave = np.exp(1j * (k1 * z[0] + q * z[1])) * sqrt_w
+        phase = 1.0 if sharp > 0 else phases[side]
+        comps = np.conj(table) if left else table
+        for row, (omega, s) in zip(out, rows):
+            sigmas = slots[side][omega]
+            scalar = wave * forward_difference(k1, s[0]) * forward_difference(q, s[1]) * phase
+            row[:, :, sigmas, si] = scalar[:, :, None] * comps[:, :, sigmas]
+    return out

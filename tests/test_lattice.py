@@ -47,8 +47,13 @@ def test_contains_and_extended_rows():
     for bad in ((2, 0), (2, 5), (0, 1), (5, 1)):
         with pytest.raises(ValueError, match="outside the lattice"):
             g.site_arrays(bad, (1, 1))
+        with pytest.raises(ValueError, match=r"sites \(1, 1\), \(\d, \d\) outside the lattice"):
+            g.site_arrays([(2, 2), (1, 1)], [(3, 3), bad])
     with pytest.raises(ValueError, match="outside the extended lattice"):
         g.site_arrays((1, 1), (2, 5), extended=True)
+    with pytest.raises(ValueError, match="2 first sites against 3 second sites"):
+        g.site_arrays([(1, 1), (2, 2)], [(1, 1)] * 3)
+    assert [a.shape for a in g.site_arrays(np.empty((0, 2)), np.empty((0, 2)))] == [(0, 2)] * 2
 
 
 def test_per_range_window():

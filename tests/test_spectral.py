@@ -22,7 +22,6 @@ from isingcyl.spectral import (
     spectral_data,
     symbol_entries,
     transverse_roots,
-    unfold,
 )
 from oracles import (
     b_of_k1_critical_form,
@@ -30,6 +29,7 @@ from oracles import (
     full_mode_sum,
     full_mode_tables,
     mode_normalization_ratio_form,
+    unfold,
 )
 
 ISO = Couplings.isotropic_critical()
@@ -232,6 +232,33 @@ def test_root_certificate_rejects_root_in_wrong_bracket(monkeypatch):
         SpectralData(CylinderGeometry(8, 16), ISO)
 
 
+@pytest.mark.parametrize("M", [3, 8, 64])
+def test_root_certificate_rejects_root_nudged_onto_pi(monkeypatch, M):
+    # k2 = pi solves sin(k2 (M+1)) = B sin(k2 M) spuriously, so the forward
+    # error cannot catch it; the top bracket ends pi/(M+1) below pi
+    exact_roots = spectral.transverse_roots
+
+    def onto_pi(B, M):
+        k = exact_roots(B, M).copy()
+        k[1, -1] = np.pi
+        return k
+
+    monkeypatch.setattr(spectral, "transverse_roots", onto_pi)
+    with pytest.raises(AssertionError, match="bracketing interval"):
+        SpectralData(CylinderGeometry(8, M), ISO)
+
+
+@pytest.mark.parametrize("M", [4, 256, 2048])
+def test_normalization_gate_is_relative_to_n_m(monkeypatch, M):
+    # the relative gate passes at every size and catches a 1e-8 relative error
+    SpectralData(CylinderGeometry(4, M), Couplings.critical_from_t1(0.3))
+    exact_norm = spectral.mode_normalization
+    monkeypatch.setattr(spectral, "mode_normalization",
+                        lambda B, M, k2: exact_norm(B, M, k2) * (1.0 + 1e-8))
+    with pytest.raises(AssertionError, match="N_M formulas disagree"):
+        SpectralData(CylinderGeometry(4, M), Couplings.critical_from_t1(0.3))
+
+
 @pytest.mark.parametrize("M", [1, 2, 3, 64, 1024])
 def test_array_roots_match_bisection_oracle(M):
     Bs = np.array([1e-6, 0.3, 1.0 - 1e-6, 1.0])
@@ -318,14 +345,12 @@ def test_tables_live_on_the_quarter(L, M, t1):
     assert data.D.shape == (L // 2, M)
     assert data.n_modes == L * M
     mode_sum(data, [(1, 1), (2, 3)], [(3, 2), (L, M)], scale_weight(-1, data.D), (1, 0))
-    # no (L, 2M) array until a Gram factor is read
+    multiscale.gram_report(g, cpl, [-1], n_pairs=4)
+    # no (L, 2M) array, not even for the Gram rows
     assert not any(np.shape(v)[:2] == (L, 2 * M) for v in vars(data).values())
     trans, image = full_mode_tables(data)
-    for quarter, full, root in ((data.trans, trans, data.sqrt_trans),
-                                (data.image, image, data.sqrt_image)):
+    for quarter, full in ((data.trans, trans), (data.image, image)):
         assert np.max(np.abs(unfold(quarter, SIGMA) - full)) <= 1e-14 * np.max(np.abs(full))
-        assert root.shape == (L, 2 * M, 4)
-        assert np.array_equal(root, np.sqrt(unfold(quarter, SIGMA)))
 
 
 def test_unfold_extends_even_functions_exactly():
@@ -354,3 +379,47 @@ def test_every_two_point_route_returns_float64_blocks(L, M, t1):
     for value, shape in results:
         assert type(value) is np.ndarray and value.dtype == np.float64
         assert value.shape == shape
+
+
+def _unique_offsets(values):
+    return np.unique(values, return_inverse=True)
+
+
+@pytest.mark.parametrize("L,M,t1", QUARTER_CASES)
+def test_one_distinct_offset_path_is_bit_identical(monkeypatch, L, M, t1):
+    g, cpl = _case(L, M, t1)
+    data = spectral_data(g, cpl)
+    stack = np.stack([scale_weight(h, data.D) for h in multiscale.scale_indices(g)])
+    # a single pair, and a batch whose offsets repeat one value each
+    cases = [((2, 3), (L, M)), ([(1, 1)] * 3, [(L, 0)] * 3),
+             ([(1, 2), (3, 2)], [(4, M), (6, M)])]
+    orders = [((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 2), (1, 1))]
+    fast = [mode_sum(data, z, zp, w, dz, dzp) for z, zp in cases
+            for w in (None, stack[1], stack) for dz, dzp in orders]
+    monkeypatch.setattr(spectral, "_distinct", _unique_offsets)
+    sorted_ = [mode_sum(data, z, zp, w, dz, dzp) for z, zp in cases
+               for w in (None, stack[1], stack) for dz, dzp in orders]
+    assert all(np.array_equal(a, b) for a, b in zip(fast, sorted_))
+
+
+@pytest.mark.parametrize("L,M,t1", QUARTER_CASES)
+def test_table_weights_are_bit_identical(L, M, t1):
+    g, cpl = _case(L, M, t1)
+    data = spectral_data(g, cpl)
+    hs = multiscale.scale_indices(g)
+    z, zp = [(1, 1), (2, M), (L, 0)], [(L, M), (3, 2), (1, M + 1)]
+    for h in hs:
+        assert np.array_equal(multiscale._weight(g, cpl, h), scale_weight(h, data.D))
+        assert np.array_equal(multiscale._weight(g, cpl, h, True), tail_weight(h, data.D))
+        assert np.array_equal(multiscale.single_scale_propagator(g, cpl, h, z, zp, (0, 1)),
+                              mode_sum(data, z, zp, scale_weight(h, data.D), (0, 1)))
+        assert np.array_equal(multiscale.tail_propagator(g, cpl, h, z[0], zp[0]),
+                              mode_sum(data, z[0], zp[0], tail_weight(h, data.D)))
+        ladder = np.stack([tail_weight(h, data.D)]
+                          + [scale_weight(j, data.D) for j in range(h + 1, 1)]
+                          + [np.ones_like(data.D)])
+        *pieces, full = mode_sum(data, z, zp, ladder)
+        resid = np.max(np.abs(sum(pieces) - full), axis=(-2, -1))
+        assert np.array_equal(multiscale.telescoping_residual(g, cpl, z, zp, h), resid)
+    with pytest.raises(ValueError, match="outside"):
+        multiscale._weight(g, cpl, hs[0] - 1)
