@@ -25,24 +25,25 @@ and table length taken from an a priori error bound.
 
 The Gram representation realizes every derivative block of g^{(h)} as an
 inner product of two explicit vectors indexed by (k1, q2, sigma, #), kept
-on the quarter of the modes like every mode sum, with norms in closed
-form; it exists to verify, numerically, the reconstruction identity, the
+on the quarter of the modes like every mode sum: the rows are built with
+weight 1 and w_h enters the inner product, and the norms are in closed
+form.  It exists to verify, numerically, the reconstruction identity, the
 Cauchy-Schwarz bounds, and the 2^h scaling of the vector norms.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import weakref
 
 import numpy as np
 
 from .lattice import per_range, ring_sign
 from .spectral import (
-    SIGMA,
     dispersion,
     forward_difference,
     mode_sum,
+    quarter_fold,
     spectral_data,
     symbol_numerator,
 )
@@ -82,15 +83,21 @@ def tail_weight(h, D):
     return np.exp(-a * np.asarray(D, dtype=float))
 
 
-@lru_cache(maxsize=256)
+# scale and tail weights per SpectralData, dropped with it
+_WEIGHTS = weakref.WeakKeyDictionary()
+
+
 def _weight(geometry, couplings, h, tail=False):
     """w_h(D), or w_<=h(D) with `tail`, on the quarter of the modes for
-    h* <= h <= 0; built once per (geometry, couplings, h), read-only."""
+    h* <= h <= 0; built once per spectral table and h, read-only."""
     if not h_star(geometry) <= h <= 0:
         raise ValueError(f"h={h} outside [{h_star(geometry)}, 0]")
-    weight = (tail_weight if tail else scale_weight)(h, spectral_data(geometry, couplings).D)
-    weight.setflags(write=False)
-    return weight
+    data = spectral_data(geometry, couplings)
+    weights = _WEIGHTS.setdefault(data, {})
+    if (h, tail) not in weights:
+        weights[h, tail] = (tail_weight if tail else scale_weight)(h, data.D)
+        weights[h, tail].setflags(write=False)
+    return weights[h, tail]
 
 
 def single_scale_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv_zp=(0, 0)):
@@ -107,7 +114,8 @@ def single_scale_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv
 
 def tail_propagator(geometry, couplings, h, z, zp):
     """Infrared remainder g^{(<= h)} on the cylinder (batches as above)."""
-    return mode_sum(spectral_data(geometry, couplings), z, zp, _weight(geometry, couplings, h, True))
+    return mode_sum(spectral_data(geometry, couplings), z, zp,
+                    _weight(geometry, couplings, h, True))
 
 
 def telescoping_residual(geometry, couplings, z, zp, h=None):
@@ -120,7 +128,7 @@ def telescoping_residual(geometry, couplings, z, zp, h=None):
         h = h_star(geometry)
     ladder = np.stack([_weight(geometry, couplings, h, True)]
                       + [_weight(geometry, couplings, j) for j in range(h + 1, 1)]
-                      + [_weight(geometry, couplings, 0, True)])
+                      + [np.ones_like(spectral_data(geometry, couplings).D)])
     *pieces, full = mode_sum(spectral_data(geometry, couplings), z, zp, ladder)
     resid = np.max(np.abs(sum(pieces) - full), axis=(-2, -1))
     return float(resid) if resid.ndim == 0 else resid
@@ -320,20 +328,10 @@ def _bulk_sample_displacements(h):
     every sampled value well above the quadrature tolerance; far samples
     would otherwise be pure quadrature noise at shallow scales.
     """
-    lo, hi = _FIT_X_RANGE
-    dists = sorted(
-        set(int(round(x * 2.0 ** (-h))) for x in np.linspace(lo, hi, 10))
-    )
-    out = []
-    for d in dists:
-        if d == 0:
-            continue
-        for ux, uy in ((1, 0), (0, 1), (1, 1), (2, 1)):
-            nrm = abs(ux) + abs(uy)
-            dz = (round(d * ux / nrm), round(d * uy / nrm))
-            if dz != (0, 0):
-                out.append(dz)
-    return sorted(set(out))
+    dists = {int(round(x * 2.0 ** (-h))) for x in np.linspace(*_FIT_X_RANGE, 10)} - {0}
+    dzs = {(round(d * ux / (ux + uy)), round(d * uy / (ux + uy)))
+           for d in dists for ux, uy in ((1, 0), (0, 1), (1, 1), (2, 1))}
+    return sorted(dzs - {(0, 0)})
 
 
 def bulk_decay_report(couplings, h_list):
@@ -367,48 +365,55 @@ _EDGE_RATE_X_RANGE = (1.0, 2.5)
 _EDGE_AMP_X_RANGE = (1.0, 1.5)
 
 
+def _sample_pairs(kind, geometry, h, rng, window, d_min, per_distance, span, draw):
+    """Site pairs at eight distances d covering a rescaled window.
+
+    Per d = max(d_min, round(x 2^-h)), x in the window, up to `per_distance`
+    pairs from at most 60 tries: a try draws t uniformly from the range
+    span(d), skipped when empty, and draw(d, t) returns a pair at distance
+    d or None.
+    """
+    pairs = []
+    for x in np.linspace(*window, 8):
+        d = max(d_min, int(round(x * 2.0 ** (-h))))
+        lo, hi = span(d)
+        placed = attempts = 0
+        while lo <= hi and placed < per_distance and attempts < 60:
+            attempts += 1
+            pair = draw(d, int(rng.integers(lo, hi + 1)))
+            if pair is not None:
+                pairs.append(pair)
+                placed += 1
+    if len(pairs) < 12:
+        raise SampleDepthError(f"could not place enough {kind} samples at h = {h} on "
+                               f"{geometry.L} x {geometry.M}; use shallower depths")
+    return pairs
+
+
 def _edge_sample_pairs(geometry, h, rng, window, per_distance=5):
     """Construct pairs whose edge distance covers a rescaled window.
 
     The edge distance is realized explicitly through the boundary branch
-    (ring offset plus combined boundary depth); rejection sampling would
-    essentially never land near the boundary at shallow scales on a large
-    cylinder.  The ring offset is kept below L/8 so the boundary branch
-    of the distance, not the wrap-around branch, is the binding one.
+    (ring offset d - b plus combined boundary depth b); rejection sampling
+    would essentially never land near the boundary at shallow scales on a
+    large cylinder.  The ring offset is kept below L/8 so the boundary
+    branch of the distance, not the wrap-around branch, is the binding one.
     """
     L, M = geometry.L, geometry.M
-    lo, hi = window
-    pairs = []
-    for x in np.linspace(lo, hi, 8):
-        d = max(2, int(round(x * 2.0 ** (-h))))
-        b_lo = max(2, d - L // 8)
-        b_hi = min(d, 2 * M - 1)
-        if b_lo > b_hi:
-            continue
-        placed = 0
-        attempts = 0
-        while placed < per_distance and attempts < 60:
-            attempts += 1
-            b = int(rng.integers(b_lo, b_hi + 1))
-            u = max(1, min(M, int(rng.integers(1, b))))
-            v = b - u
-            if not 1 <= v <= M:
-                continue
-            a1 = d - b
-            z1 = int(rng.integers(1, L + 1))
-            w1 = (z1 - 1 + a1) % L + 1
-            if rng.random() < 0.5:
-                z, zp = (z1, u), (w1, v)
-            else:
-                z, zp = (z1, M + 1 - u), (w1, M + 1 - v)
-            if geometry.edge_distance(z, zp) != d:
-                continue
-            pairs.append((z, zp))
-            placed += 1
-    if len(pairs) < 12:
-        raise SampleDepthError(f"could not place enough edge samples at h = {h} on "
-                               f"{L} x {M}; use shallower depths")
-    return pairs
+
+    def draw(d, b):
+        u = max(1, min(M, int(rng.integers(1, b))))
+        if not 1 <= b - u <= M:
+            return None
+        z1 = int(rng.integers(1, L + 1))
+        w1 = (z1 - 1 + d - b) % L + 1
+        z, zp = (z1, u), (w1, b - u)
+        if rng.random() >= 0.5:
+            z, zp = (z1, M + 1 - u), (w1, M + 1 - b + u)
+        return (z, zp) if geometry.edge_distance(z, zp) == d else None
+
+    return _sample_pairs("edge", geometry, h, rng, window, 2, per_distance,
+                         lambda d: (max(2, d - L // 8), min(d, 2 * M - 1)), draw)
 
 
 def _edge_samples(geometry, couplings, h, pairs):
@@ -428,22 +433,13 @@ def edge_decay_report(geometry, couplings, h_list, seed=0):
     distances, which would tilt a fit done there.
     """
     rng = np.random.default_rng(seed)
-    rate_hs = sorted(h_list, reverse=True)[: min(3, len(h_list))]
-    c_fits = []
-    rate_samples = {}
-    for h in rate_hs:
-        pairs = _edge_sample_pairs(geometry, h, rng, _EDGE_RATE_X_RANGE)
-        samples = _edge_samples(geometry, couplings, h, pairs)
-        rate_samples[h] = samples
-        c_fits.append(_fit_exponential(samples))
-    c = min(c_fits)
+    rate_samples = {h: _edge_samples(geometry, couplings, h, _edge_sample_pairs(
+        geometry, h, rng, _EDGE_RATE_X_RANGE)) for h in sorted(h_list, reverse=True)[:3]}
+    c = min(_fit_exponential(s) for s in rate_samples.values())
     if c <= 0:
         raise AssertionError(f"fitted edge decay rate nonpositive: {c}")
-    reports = []
-    for h in h_list:
-        pairs = _edge_sample_pairs(geometry, h, rng, _EDGE_AMP_X_RANGE)
-        samples = _edge_samples(geometry, couplings, h, pairs) + rate_samples.get(h, [])
-        reports.append(_envelope(h, c, samples))
+    reports = [_envelope(h, c, _edge_samples(geometry, couplings, h, _edge_sample_pairs(
+        geometry, h, rng, _EDGE_AMP_X_RANGE)) + rate_samples.get(h, [])) for h in h_list]
     return sorted(reports, key=lambda r: r["h"])
 
 
@@ -456,35 +452,19 @@ def _tail_sample_pairs(geometry, h, rng, per_distance=6):
     sup |g^{(<=h)}| * 2^-h is attained near distance 2^-h, where the
     infrared remainder crosses over from the 2^h plateau to the 1/d
     envelope of the full propagator; sampling that window at every scale
-    makes the per-scale constants comparable.
+    makes the per-scale constants comparable.  A pair at distance d is a
+    ring offset a plus a vertical offset d - a.
     """
     L, M = geometry.L, geometry.M
-    lo, hi = _TAIL_X_RANGE
-    pairs = []
-    for x in np.linspace(lo, hi, 8):
-        d = max(1, int(round(x * 2.0 ** (-h))))
-        a_lo = max(0, d - (M - 1))
-        a_hi = min(d, L // 2 - 1)
-        if a_lo > a_hi:
-            continue
-        placed = 0
-        attempts = 0
-        while placed < per_distance and attempts < 60:
-            attempts += 1
-            a = int(rng.integers(a_lo, a_hi + 1))
-            b = d - a
-            z2 = int(rng.integers(1, M + 1 - b))
-            z1 = int(rng.integers(1, L + 1))
-            w1 = (z1 - 1 + a) % L + 1
-            z, zp = (z1, z2 + b), (w1, z2)
-            if geometry.norm1(z, zp) != d:
-                continue
-            pairs.append((z, zp))
-            placed += 1
-    if len(pairs) < 12:
-        raise SampleDepthError(f"could not place enough tail samples at h = {h} on "
-                               f"{L} x {M}; use shallower depths")
-    return pairs
+
+    def draw(d, a):
+        z2 = int(rng.integers(1, M + 1 - (d - a)))
+        z1 = int(rng.integers(1, L + 1))
+        z, zp = (z1, z2 + d - a), ((z1 - 1 + a) % L + 1, z2)
+        return (z, zp) if geometry.norm1(z, zp) == d else None
+
+    return _sample_pairs("tail", geometry, h, rng, _TAIL_X_RANGE, 1, per_distance,
+                         lambda d: (max(0, d - (M - 1)), min(d, L // 2 - 1)), draw)
 
 
 def tail_bound_report(geometry, couplings, h_list, seed=0):
@@ -507,115 +487,106 @@ def tail_bound_report(geometry, couplings, h_list, seed=0):
 # ---------------------------------------------------------------------------
 
 
-# Gram slots sigma filled by each species omega, per side; slot j of a row
-# pairs it with the partner species (+1, -1)[j]
-_GRAM_SLOTS = {"left": {+1: [0, 1], -1: [2, 3]}, "right": {+1: [0, 2], -1: [1, 3]}}
 # phase of the # = - slice per side; the # = + slice has phase 1
 _SHARP_PHASE = {"left": -1j, "right": 1j}
-# modes per block of k1 rows in `gram_report` (six rows take 6 MB a side)
+# modes per block of k1 rows in `gram_report` (three orders take 6 MB a side)
 _GRAM_BLOCK = 1 << 14
 
 
-def gram_rows(geometry, couplings, h, z, side, rows, part=slice(None)):
-    """Gram rows at site z: vectors whose inner products rebuild g^{(h)}.
+def gram_rows(geometry, couplings, z, side, orders, part=slice(None)):
+    """Weight-1 Gram rows at site z, one per derivative order.
 
-    Slots sigma carry principal square roots of the table entries (pp, pm,
-    mp, mm) of the translation-invariant (# = +) and image (# = -) terms;
-    eta is integrated out as sqrt(w_h(D)), and the # = - slice is phased
-    -i on the left and +i on the right, absorbing the image sign.  Mode by
-    mode a left row times a right row is the summand of the direct mode
-    sum, so the rows live on the quarter k1 > 0, q2 = +k2 (`gram_inner`
-    folds them), each on the two slots its species fills.
+    Slot sigma carries the principal square root of table entry sigma
+    (pp, pm, mp, mm) of the translation-invariant (# = +) and image (# = -)
+    terms times the plane wave and the derivative multipliers; the # = -
+    slice is phased -i on the left and +i on the right, absorbing the image
+    sign.  The Gram vector of species omega is the part on the slots it
+    fills, (omega, .) on the left and (., omega) on the right
+    (`gram_vector`), so a left and a right vector share the one slot
+    (omega, omega').  Mode by mode their product is the summand of the
+    direct mode sum, so the rows live on the quarter k1 > 0, q2 = +k2;
+    `gram_inner` weights and folds them.
 
     Args:
-        h: the scale, or None for weight 1 (the rows of g_c).
         side: "left" for the first (conjugated) factor, "right" for the
             second.
-        rows: (omega, s) pairs: species +1 or -1 and derivative
-            multi-order (s1, s2), each in {0, 1, 2}.
+        orders: derivative multi-orders (s1, s2), each in {0, 1, 2}.
         part: the k1 rows of the quarter to keep, all by default.
 
     Returns:
-        (ring, vec): row r is ring[r, k1] vec[r, j, #, k1, k2], ring (R, n)
-        and vec (R, 2, 2, n, M) complex, slot j the partner species
-        (+1, -1)[j].
+        (ring, vec): row s is ring[s, k1] vec[s, sigma, #, k1, k2], ring
+        (S, n) and vec (S, 4, 2, n, M) complex.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if any(omega not in (+1, -1) for omega, _ in rows):
-        raise ValueError(f"omega must be +-1, got {[omega for omega, _ in rows]}")
     data = spectral_data(geometry, couplings)
     half, left = len(data.D), side == "left"
     k1, k2 = data.k1[half:][part], data.roots[half:][part]
-    scale = 1.0 if h is None else np.sqrt(_weight(geometry, couplings, h)[part])
-    ring = np.array([np.exp(1j * k1 * z[0]) * forward_difference(k1, s[0]) for _, s in rows])
-    vec = np.empty((len(rows), 2, 2) + k2.shape, dtype=complex)
+    ring = np.array([np.exp(1j * k1 * z[0]) * forward_difference(k1, s[0]) for s in orders])
+    vec = np.empty((len(orders), 4, 2) + k2.shape, dtype=complex)
     for sharp, table in enumerate((data.trans, data.image)):
         # the right image row carries the reflected momentum -k2
         q = -k2 if sharp and not left else k2
-        wave = np.exp(1j * q * z[1]) * scale * (_SHARP_PHASE[side] if sharp else 1.0)
-        waves = {s2: wave * forward_difference(q, s2) for s2 in {s[1] for _, s in rows}}
-        root = np.sqrt(table[part])
+        wave = np.exp(1j * q * z[1]) * (_SHARP_PHASE[side] if sharp else 1.0)
+        root = np.moveaxis(np.sqrt(table[part]), -1, 0)
         root = np.conj(root) if left else root
-        for r, (omega, s) in enumerate(rows):
-            for j, sigma in enumerate(_GRAM_SLOTS[side][omega]):
-                np.multiply(root[..., sigma], waves[s[1]], out=vec[r, j, sharp])
+        for r, s in enumerate(orders):
+            np.multiply(root, wave * forward_difference(q, s[1]), out=vec[r, :, sharp])
     return ring, vec
 
 
 def gram_vector(geometry, couplings, h, omega, s, z, side):
-    """The one Gram row of `gram_rows(..., z, side, [(omega, s)])`."""
-    return gram_rows(geometry, couplings, h, z, side, [(omega, s)])
+    """The scale-h Gram vector (ring, vec) of species omega and order s at
+    z: the slots of `gram_rows` that omega fills, times sqrt(w_h)."""
+    ring, vec = gram_rows(geometry, couplings, z, side, [s])
+    e = int(omega < 0)
+    slots = slice(2 * e, 2 * e + 2) if side == "left" else slice(e, None, 2)
+    return ring[0], vec[0, slots] * np.sqrt(_weight(geometry, couplings, h))
 
 
-def gram_inner(rows, left, right, weight=None):
-    """Real (R, R) inner products <left_a, right_b> of the rows `rows` at two
-    sites, on the k1 rows they hold; with an (H, n, M) stack of weights w,
-    the (H, R, R) products <left_a, w right_b>.
+def gram_inner(left, right, weights):
+    """(H, S, 2, S', 2) products <left_(s, omega), w right_(s', omega')> of
+    the rows of `gram_rows` at two sites, on the k1 rows they hold, for an
+    (H, n, M) stack of weights w.
 
-    Per k1 row, Y sums over k2 and # the products on the slot two rows share,
-    and the rows at -k1 and q2 = -k2 fold in as in `mode_sum`: 4 Re r Re Y
-    for pm, mp and -4 Im r Im Y for pp, mm, r the product of the rings.
+    Per k1 row, Y sums over k2 and # the products on the shared slot
+    (omega, omega'); `quarter_fold` adds the rows at -k1 and q2 = -k2.
     """
     (ring_l, vec_l), (ring_r, vec_r) = left, right
-    single = weight is None
-    w = np.ones((1,) + vec_l.shape[-2:]) if single else weight
-    H, n, M = w.shape
-    e = np.array([omega < 0 for omega, _ in rows], dtype=int)
-    # [a, b]: left row a on the slot of the species of b, right row b on that of a
-    prod = (np.conj(vec_l[:, e]) * vec_r[:, e].swapaxes(0, 1)).sum(axis=2)
-    ys = np.matmul(w.transpose(1, 0, 2).astype(complex), prod.reshape(-1, n, M).transpose(1, 2, 0))
-    r = (np.conj(ring_l)[:, None] * ring_r).reshape(-1, n)
-    out = 4.0 * np.where(SIGMA[2 * e[:, None] + e].ravel() > 0,
-                         np.einsum("ka,ahk->hk", r.real, ys.real),
-                         -np.einsum("ka,ahk->hk", r.imag, ys.imag)).reshape(H, len(e), len(e))
-    return out[0] if single else out
+    H, n, M = weights.shape
+    prod = (np.conj(vec_l[:, None]) * vec_r).sum(axis=3)                # (S, S', 4, n, M)
+    S, S2 = prod.shape[:2]
+    ys = np.matmul(weights.transpose(1, 0, 2), prod.reshape(-1, n, M).transpose(1, 2, 0))
+    ys = ys.reshape(n, H, S, S2, 4).transpose(1, 2, 3, 0, 4)[..., None, :]  # (H, S, S', n, 1, 4)
+    ring = 4.0 * (np.conj(ring_l)[:, None] * ring_r)[..., None, :]      # (S, S', 1, n)
+    return quarter_fold(ring, ys).reshape(H, S, S2, 2, 2).transpose(0, 1, 3, 2, 4)
 
 
-def gram_norms(geometry, couplings, hs, rows):
-    """(len(hs), R) squared norms of the Gram rows at the scales hs.
+def gram_norms(geometry, couplings, hs, orders):
+    """(len(hs), S, 2) squared norms of the Gram vectors of orders s and
+    species omega at the scales hs.
 
     The plane wave has modulus 1, |sqrt a|^2 = |a|, and |pm| = |mp|,
     |pp| = |mm| in both tables, so a norm depends on neither the site nor
     the side: one quarter reduction per (h, s, omega),
     4 sum w_h |e^{i k1} - 1|^{2 s1} |e^{i k2} - 1|^{2 s2}
-    sum_{sigma in slots(omega)} (|trans_sigma| + |image_sigma|).
+    sum_{sigma in (omega, .)} (|trans_sigma| + |image_sigma|).
     """
     data = spectral_data(geometry, couplings)
-    half = len(data.D)
-    size = np.abs(data.trans) + np.abs(data.image)
-    terms = np.array([np.abs(forward_difference(data.k1[half:, None], s[0])
-                             * forward_difference(data.roots[half:], s[1])) ** 2
-                      * size[..., _GRAM_SLOTS["left"][omega]].sum(-1) for omega, s in rows])
-    weights = np.array([scale_weight(h, data.D) for h in hs])
-    return 4.0 * weights.reshape(len(hs), -1) @ terms.reshape(len(rows), -1).T
+    half, M = data.D.shape
+    size = (np.abs(data.trans) + np.abs(data.image)).reshape(half, M, 2, 2).sum(-1)
+    terms = np.array([np.abs(forward_difference(data.k1[half:, None, None], s[0])
+                             * forward_difference(data.roots[half:, :, None], s[1])) ** 2 * size
+                      for s in orders]).reshape(len(orders), -1, 2)
+    weights = np.array([scale_weight(h, data.D) for h in hs]).reshape(len(hs), -1)
+    return 4.0 * np.matmul(weights, terms).transpose(1, 0, 2)
 
 
 def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0, slope_hs=(-1, -2, -3, -4)):
     """Verify the Gram representation and measure its norm scaling.
 
     For `n_pairs` random site pairs and all derivative orders with
-    |s|_1, |s'|_1 <= 1, compares `gram_inner` of six left and six right rows
+    |s|_1, |s'|_1 <= 1, compares `gram_inner` of the left and right rows
     with the directly computed derivative blocks of g^{(h)}, h in h_list.
     Both stack the scales: a site's rows are built once, with weight 1 and in
     blocks of k1 rows, and their products weighted by every w_h; the direct
@@ -636,11 +607,10 @@ def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0, slope_hs=(-1, -
         for _ in range(n_pairs)
     ]
     orders = [(0, 0), (1, 0), (0, 1)]
-    rows = [(om, s) for s in orders for om in (+1, -1)]
     used = pairs[: max(4, n_pairs // len(h_list))]
     weights = np.stack([_weight(geometry, couplings, h) for h in h_list])
     zs, zps = np.array(used).transpose(1, 0, 2)
-    # direct[h, p, (s, omega), (s', omega')], ordered as `rows`
+    # direct[h, p, (s, omega), (s', omega')]
     direct = np.array([[mode_sum(spectral_data(geometry, couplings), zs, zps, weights, s, sp)
                         for sp in orders] for s in orders])
     direct = direct.transpose(2, 3, 0, 4, 1, 5).reshape(len(h_list), len(used), 6, 6)
@@ -648,11 +618,12 @@ def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0, slope_hs=(-1, -
     step = max(1, _GRAM_BLOCK // M)
     for p, (z, zp) in enumerate(used):
         for part in (slice(lo, lo + step) for lo in range(0, L // 2, step)):
-            rec[:, p] += gram_inner(rows, gram_rows(geometry, couplings, None, z, "left", rows, part),
-                                    gram_rows(geometry, couplings, None, zp, "right", rows, part),
-                                    weights[:, part])
-    norms = np.sqrt(gram_norms(geometry, couplings, h_list, rows))
-    slope = np.polyfit(slope_hs, np.log2(gram_norms(geometry, couplings, slope_hs, rows)[:, 0]), 1)
+            rec[:, p] += gram_inner(gram_rows(geometry, couplings, z, "left", orders, part),
+                                    gram_rows(geometry, couplings, zp, "right", orders, part),
+                                    weights[:, part]).reshape(len(h_list), 6, 6)
+    norms = np.sqrt(gram_norms(geometry, couplings, h_list, orders)).reshape(len(h_list), 6)
+    plain = gram_norms(geometry, couplings, slope_hs, [(0, 0)])[:, 0, 0]      # s = 0, omega = +1
+    slope = np.polyfit(slope_hs, np.log2(plain), 1)
     return dict(
         max_reconstruction_error=float(np.max(np.abs(rec - direct))),
         min_cauchy_schwarz_margin=float(np.min(

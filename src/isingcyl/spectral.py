@@ -40,7 +40,7 @@ gives Y_a + sigma_a conj Y_a and the rows +-k1 add r + sigma_a conj r:
     block_a = 4 Re sum_{k1 > 0} r Z_a,   Z_a = (Y_a + sigma_a conj Y_a)/2,
 
 that is 4 sum Re r Re Y_a for pm, mp and -4 sum Im r Im Y_a for pp, mm.
-The Gram rows of `multiscale` fold onto the quarter the same way.
+`quarter_fold` does this sum, for `mode_sum` and the Gram rows of `multiscale`.
 
 Every two-point function of the package follows one convention: a real
 array indexed [omega, omega'] by the species pair, row/column 0 the +
@@ -251,12 +251,12 @@ def forward_difference(k, order):
 
 
 def _row_sums(data, table, mult, values):
-    """R[..., i, n, a] = Re Y (pm, mp) or Im Y (pp, mm) of Y = sum over k2
-    of quarter row i of e^{-i k2 values[n]} mult table[i, k2, a], one matmul
-    per (stack, row); `mult` is None, (L/2, M) or a stack (H, L/2, M)."""
+    """Y[..., i, n, a] = sum over k2 of quarter row i of e^{-i k2 values[n]}
+    mult table[i, k2, a], one matmul per (stack, row); `mult` is None,
+    (L/2, M) or a stack (H, L/2, M)."""
     half, M = data.D.shape
     stack = () if mult is None else mult.shape[:-2]
-    out = np.empty(stack + (half, len(values), 4))
+    out = np.empty(stack + (half, len(values), 4), dtype=complex)
     step = max(1, _CHUNK_ENTRIES // (math.prod(stack) * half * M))
     for lo in range(0, len(values), step):
         arg = data.roots[half:, None, :] * -values[None, lo:lo + step, None]  # (L/2, n, M)
@@ -265,9 +265,7 @@ def _row_sums(data, table, mult, values):
         np.sin(arg, out=wave.imag)
         if mult is not None:
             wave = wave * mult[..., None, :]                              # (..., L/2, n, M)
-        rows = np.matmul(wave, table)
-        out[..., lo:lo + step, :] = rows.real
-        out[..., lo:lo + step, ::3] = rows.imag[..., ::3]
+        out[..., lo:lo + step, :] = np.matmul(wave, table)
     return out
 
 
@@ -290,6 +288,19 @@ def _mode_factor(*factors):
     for f in arrays[2:]:
         out *= f
     return out
+
+
+def quarter_fold(ring, rows):
+    """(..., n1, n2, 4) sums over the quarter rows k1 of 4 Re r Re Y for pm,
+    mp and -4 Im r Im Y for pp, mm (module docstring), from ring = 4 r,
+    (..., n1, L/2), and the complex row sums Y, (..., L/2, n2, 4)."""
+    n1 = ring.shape[-2]
+    *stack, half, n2, _ = rows.shape
+    kern = np.concatenate([ring.real, -ring.imag], axis=-2)
+    parts = np.where(SIGMA > 0, rows.real, rows.imag).reshape(*stack, half, 4 * n2)
+    sums = np.matmul(kern, parts).reshape(*stack, 2 * n1, n2, 4)
+    sums[..., :n1, :, ::3] = sums[..., n1:, :, ::3]
+    return sums[..., :n1, :, :]
 
 
 def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
@@ -326,18 +337,12 @@ def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
     d1 = forward_difference(-k1, deriv_z[0]) * forward_difference(k1, deriv_zp[0])
     dz1, i1 = _distinct(z[:, 0] - zp[:, 0])
     ring = 4.0 * np.exp(-1j * np.outer(dz1, k1)) * d1                  # (n1, L/2)
-    # 4 Re r against Re Y for (pm, mp), -4 Im r against Im Y for (pp, mm)
-    kern, n1 = np.concatenate([ring.real, -ring.imag]), len(dz1)
     out = 0.0
     for sign, table, q2, offsets in ((1.0, data.trans, k2, z[:, 1] - zp[:, 1]),
                                      (-1.0, data.image, -k2, z[:, 1] + zp[:, 1])):
         values, index = _distinct(offsets)
-        rows = _row_sums(data, table, _mode_factor(weight, diff_z, forward_difference(
-            q2, deriv_zp[1])), values)                                    # (..., L/2, n2, 4)
-        *stack, _, n2, _ = rows.shape
-        # one real matmul per stack entry over the distinct (z1 - z1', offset)
-        sums = np.matmul(kern, rows.reshape(*stack, half, 4 * n2)).reshape(*stack, 2 * n1, n2, 4)
-        sums[..., :n1, :, ::3] = sums[..., n1:, :, ::3]
+        mult = _mode_factor(weight, diff_z, forward_difference(q2, deriv_zp[1]))
+        sums = quarter_fold(ring, _row_sums(data, table, mult, values))  # (..., n1, n2, 4)
         out = out + sign * sums[..., i1, index, :]                       # (..., P, 4)
     out = out.reshape(out.shape[:-1] + (2, 2))
     return out[..., 0, :, :] if single else out

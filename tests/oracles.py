@@ -238,13 +238,14 @@ SHARP_PHASE = {"left": -1j, "right": 1j}
 
 def full_gram_rows(geometry, couplings, h, z, side, rows, slots=GRAM_SLOTS,
                    phases=SHARP_PHASE):
-    """Gram vectors of shape (len(rows), L, 2M, 4, 2) over (k1, q2, sigma, #);
-    the reconstruction is np.vdot(left row, right row).  `slots` and
-    `phases` replace the assignment of slots and # phases."""
+    """Gram vectors of shape (len(rows), L, 2M, 4, 2) over (k1, q2, sigma, #)
+    at scale h, or with weight 1 for h None; the reconstruction is
+    np.vdot(left row, right row).  `slots` and `phases` replace the
+    assignment of slots and # phases."""
     data = spectral_data(geometry, couplings)
     k1 = data.k1[:, None]                                        # (L, 1)
     q2 = np.concatenate([data.roots, -data.roots], axis=1)       # (L, 2M)
-    sqrt_w = unfold(np.sqrt(scale_weight(h, data.D)))
+    sqrt_w = 1.0 if h is None else unfold(np.sqrt(scale_weight(h, data.D)))
     out = np.zeros((len(rows),) + q2.shape + (4, 2), dtype=complex)
     left = side == "left"
     # sharp = + uses ghat itself; sharp = - uses the reflected matrix

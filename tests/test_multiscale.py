@@ -9,8 +9,8 @@ from isingcyl import multiscale, spectral
 from isingcyl.exact import Couplings
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.multiscale import (
-    _GRAM_SLOTS,
     _SHARP_PHASE,
+    _weight,
     PLANE_TOL,
     _bulk_sample_displacements,
     _plane_error_bound,
@@ -33,7 +33,7 @@ from isingcyl.multiscale import (
     tail_weight,
     telescoping_residual,
 )
-from oracles import full_gram_rows, plane_block_trapezoid
+from oracles import GRAM_SLOTS, full_gram_rows, plane_block_trapezoid
 
 ISO = Couplings.isotropic_critical()
 EPS = np.finfo(float).eps
@@ -195,65 +195,85 @@ def test_gram_reconstruction_small():
     h = -1
     z, zp = (2, 3), (7, 6)
     direct = single_scale_propagator(g, ISO, h, z, zp)
-    rows = [(1, (0, 0)), (-1, (0, 0))]
-    norms = np.sqrt(gram_norms(g, ISO, [h], rows)[0])
-    rec = gram_inner(rows, gram_rows(g, ISO, h, z, "left", rows),
-                     gram_rows(g, ISO, h, zp, "right", rows))
-    assert rec.shape == (2, 2)
+    norms = np.sqrt(gram_norms(g, ISO, [h], [(0, 0)])[0, 0])
+    rec = gram_inner(gram_rows(g, ISO, z, "left", [(0, 0)]),
+                     gram_rows(g, ISO, zp, "right", [(0, 0)]), _weight(g, ISO, h)[None])
+    assert rec.shape == (1, 1, 2, 1, 2)
+    rec = rec[0, 0, :, 0]
     assert np.max(np.abs(rec - direct)) < 1e-12
     assert np.all(np.outer(norms, norms) >= np.abs(rec) - 1e-15)
+
+
+GRAM_ORDERS = [(0, 0), (1, 0), (0, 1)]
+# the Gram vectors (omega, s), in the (s, omega) order of `gram_inner`'s axes
+GRAM_ROWS = [(om, s) for s in GRAM_ORDERS for om in (+1, -1)]
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_gram_rows_equal_single_gram_vectors(side):
     g = CylinderGeometry(12, 10)
-    rows = [(om, s) for s in ((0, 0), (1, 0), (0, 1)) for om in (+1, -1)]
+    D = spectral.spectral_data(g, ISO).D
     for h, z in ((-1, (3, 4)), (-2, (12, 1)), (0, (7, 10))):
-        ring, vec = gram_rows(g, ISO, h, z, side, rows)
-        assert vec.shape == (6, 2, 2, 6, 10) and ring.shape == (6, 6)
-        singles = [gram_vector(g, ISO, h, om, s, z, side) for om, s in rows]
-        assert np.max(np.abs(ring - np.concatenate([r for r, _ in singles]))) <= 1e-16
-        assert np.max(np.abs(vec - np.concatenate([v for _, v in singles]))) <= 1e-16
+        ring, vec = gram_rows(g, ISO, z, side, GRAM_ORDERS)
+        assert vec.shape == (3, 4, 2, 6, 10) and ring.shape == (3, 6)
+        for r, (om, s) in enumerate(GRAM_ROWS):
+            one_ring, one_vec = gram_vector(g, ISO, h, om, s, z, side)
+            assert np.array_equal(one_ring, ring[r // 2])
+            assert np.array_equal(one_vec, vec[r // 2, GRAM_SLOTS[side][om]] * np.sqrt(
+                scale_weight(h, D)))
         # a block of k1 rows is that block of the whole
-        part = gram_rows(g, ISO, h, z, side, rows, slice(2, 5))
+        part = gram_rows(g, ISO, z, side, GRAM_ORDERS, slice(2, 5))
         assert np.array_equal(part[0], ring[:, 2:5])
         assert np.max(np.abs(part[1] - vec[..., 2:5, :])) <= 1e-16
 
 
 # three geometries and couplings for the Gram oracle checks
 GRAM_CASES = [(8, 5, None), (12, 7, 0.3), (32, 24, 0.5)]
-GRAM_ROWS = [(om, s) for s in ((0, 0), (1, 0), (0, 1)) for om in (+1, -1)]
 
 
 def _gram_case(L, M, t1):
     return CylinderGeometry(L, M), ISO if t1 is None else Couplings.critical_from_t1(t1)
 
 
+def _weighted_inner(g, cpl, h, z, zp):
+    """The (6, 6) products of the Gram vectors GRAM_ROWS at z and zp at scale h,
+    from the weight-1 rows and the weight w_h."""
+    rec = gram_inner(gram_rows(g, cpl, z, "left", GRAM_ORDERS),
+                     gram_rows(g, cpl, zp, "right", GRAM_ORDERS), _weight(g, cpl, h)[None])
+    assert rec.shape == (1, 3, 2, 3, 2) and rec.dtype == np.float64
+    return rec.reshape(6, 6)
+
+
 @pytest.mark.parametrize("L,M,t1", GRAM_CASES)
 def test_quarter_rows_are_the_oracle_rows_on_the_quarter(L, M, t1):
     g, cpl = _gram_case(L, M, t1)
     for side, z in (("left", (2, 3)), ("right", (L, M))):
-        ring, vec = gram_rows(g, cpl, -1, z, side, GRAM_ROWS)
-        full = full_gram_rows(g, cpl, -1, z, side, GRAM_ROWS)         # (6, L, 2M, 4, 2)
-        for r, (om, _) in enumerate(GRAM_ROWS):
-            slots = _GRAM_SLOTS[side][om]
-            rows = ring[r][None, None, :, None] * vec[r]                 # (2, 2, L/2, M)
-            ref = full[r, L // 2:, :M][..., slots, :].transpose(2, 3, 0, 1)
-            # the oracle takes one exponential of k1 z1 + q2 z2, the rows two;
-            # the arguments round to within eps |k z|, |k| < pi
-            tol = EPS * (16 + 2 * np.pi * (z[0] + z[1])) * np.max(np.abs(ref))
-            assert np.max(np.abs(rows - ref)) <= tol
-            # the other two slots of the oracle row are empty
-            assert not np.any(full[r][..., [k for k in range(4) if k not in slots], :])
+        ring, vec = gram_rows(g, cpl, z, side, GRAM_ORDERS)
+        for h in (None, -1):
+            full = full_gram_rows(g, cpl, h, z, side, GRAM_ROWS)     # (6, L, 2M, 4, 2)
+            for r, (om, s) in enumerate(GRAM_ROWS):
+                slots = GRAM_SLOTS[side][om]
+                if h is None:
+                    one = ring[r // 2], vec[r // 2, slots]
+                else:
+                    one = gram_vector(g, cpl, h, om, s, z, side)
+                rows = one[0][None, None, :, None] * one[1]              # (2, 2, L/2, M)
+                ref = full[r, L // 2:, :M][..., slots, :].transpose(2, 3, 0, 1)
+                # the oracle takes one exponential of k1 z1 + q2 z2, the rows
+                # two; the arguments round to within eps |k z|, |k| < pi
+                tol = EPS * (16 + 2 * np.pi * (z[0] + z[1])) * np.max(np.abs(ref))
+                assert np.max(np.abs(rows - ref)) <= tol
+                # the other two slots of the oracle row are empty
+                assert not np.any(full[r][..., [k for k in range(4) if k not in slots], :])
 
 
 @pytest.mark.parametrize("L,M,t1", GRAM_CASES)
 def test_closed_form_gram_norms_match_oracle_vectors(L, M, t1):
     g, cpl = _gram_case(L, M, t1)
     hs = [0, -1, -2]
-    closed = gram_norms(g, cpl, hs, GRAM_ROWS)
-    assert closed.shape == (3, 6)
-    for h, row in zip(hs, closed):
+    closed = gram_norms(g, cpl, hs, GRAM_ORDERS)
+    assert closed.shape == (3, 3, 2)
+    for h, row in zip(hs, closed.reshape(3, 6)):
         for side, z in (("left", (1, 1)), ("right", (L // 2, M))):
             full = full_gram_rows(g, cpl, h, z, side, GRAM_ROWS).reshape(6, -1)
             oracle = np.linalg.norm(full, axis=1) ** 2
@@ -268,27 +288,36 @@ def test_quarter_reconstruction_matches_oracle_vdot(L, M, t1):
         right = full_gram_rows(g, cpl, h, zp, "right", GRAM_ROWS).reshape(6, -1)
         oracle = np.array([[np.vdot(a, b) for b in right] for a in left])
         assert np.max(np.abs(oracle.imag)) <= 1e-15
-        rec = gram_inner(GRAM_ROWS, gram_rows(g, cpl, h, z, "left", GRAM_ROWS),
-                         gram_rows(g, cpl, h, zp, "right", GRAM_ROWS))
-        assert rec.shape == (6, 6) and rec.dtype == np.float64
-        assert np.max(np.abs(rec - oracle.real)) <= 1e-15
+        assert np.max(np.abs(_weighted_inner(g, cpl, h, z, zp) - oracle.real)) <= 1e-15
 
 
-@pytest.mark.parametrize("slots,phases", [
-    ({"left": {+1: [0, 2], -1: [1, 3]}, "right": _GRAM_SLOTS["right"]}, _SHARP_PHASE),
-    (_GRAM_SLOTS, {"left": 1.0, "right": 1.0}),
-])
-def test_wrong_slot_or_dropped_sharp_phase_fails_reconstruction(monkeypatch, slots, phases):
+def _transposed_left_slots(rows_of):
+    """`gram_rows` with the slot axis of the left rows read as (., omega)."""
+    def rows(geometry, couplings, z, side, orders, part=slice(None)):
+        ring, vec = rows_of(geometry, couplings, z, side, orders, part)
+        return ring, vec[:, [0, 2, 1, 3]] if side == "left" else vec
+    return rows
+
+
+@pytest.mark.parametrize("wrong", ["slot", "phase"])
+def test_wrong_slot_or_dropped_sharp_phase_fails_reconstruction(monkeypatch, wrong):
     g = CylinderGeometry(8, 8)
     z, zp = (2, 3), (7, 6)
     direct = single_scale_propagator(g, ISO, -1, z, zp)
     rows = [(+1, (0, 0)), (-1, (0, 0))]
+    if wrong == "slot":
+        # left species omega on the slots (., omega)
+        slots, phases = {"left": GRAM_SLOTS["right"], "right": GRAM_SLOTS["right"]}, _SHARP_PHASE
+    else:
+        slots, phases = GRAM_SLOTS, {"left": 1.0, "right": 1.0}
     left = full_gram_rows(g, ISO, -1, z, "left", rows, slots, phases).reshape(2, -1)
     right = full_gram_rows(g, ISO, -1, zp, "right", rows, slots, phases).reshape(2, -1)
     oracle = np.array([[np.vdot(a, b) for b in right] for a in left])
     assert np.max(np.abs(oracle - direct)) > 1e-3
-    monkeypatch.setattr(multiscale, "_GRAM_SLOTS", slots)
-    monkeypatch.setattr(multiscale, "_SHARP_PHASE", phases)
+    if wrong == "slot":
+        monkeypatch.setattr(multiscale, "gram_rows", _transposed_left_slots(gram_rows))
+    else:
+        monkeypatch.setattr(multiscale, "_SHARP_PHASE", phases)
     rep = gram_report(g, ISO, [-1, -2], n_pairs=4, seed=0, slope_hs=(-1, -2))
     assert rep["max_reconstruction_error"] > 1e-3
 
