@@ -2,13 +2,17 @@
 
 Subcommands mirror the library layout: `partition`, `propagator`,
 `multiscale`, `scaling`, `correlations`, `kernels`, `verify`.  Options
-come from flags or from a single JSON config file (via ``--config``);
-explicit flags win over file values.  Tabular output is CSV (RFC-4180
-style, dot decimal, 17 significant digits) with a ``schema,1`` prelude
-row and the run seed recorded.  Exit codes: 0 on success, 1 on usage
-error, 2 on tolerance failure or on a failed internal certificate (an
-AssertionError, RuntimeError, ArithmeticError or SingularSkewError from
-the library, reported in one line).
+come from flags or from a single JSON config file (via ``--config``),
+one object keyed by option name (``n_pairs`` for ``--n-pairs``).  Each
+entry becomes the flag it names, placed before the command line's and
+parsed with them, so it passes the same types, choices and defaults and
+explicit flags win: a switch takes true or false, null leaves an option
+unset, and lists and objects are written as JSON text.  Tabular output
+is CSV (RFC-4180 style, dot decimal, 17 significant digits) with a
+``schema,1`` prelude row and the run seed recorded.  Exit codes: 0 on
+success, 1 on usage error, 2 on tolerance failure or on a failed
+internal certificate (an AssertionError, RuntimeError, ArithmeticError
+or SingularSkewError from the library, reported in one line).
 
 Runs are deterministic: the same (config, seed) produces byte-identical
 output.  The spectral propagator table is evaluated as one batch.
@@ -33,6 +37,9 @@ ORACLE_SITE_CAP = 20
 # largest arity for `kernels --random`: its draw enumerates 6^n splittings,
 # ~2 s at n = 8 and 36 times that at n = 10
 RANDOM_KERNEL_MAX_N = 8
+# random site pairs that `multiscale --check-telescoping` adds to its
+# three fixed corner and centre pairs
+TELESCOPING_RANDOM_PAIRS = 8
 
 
 class UsageError(Exception):
@@ -57,14 +64,13 @@ def _emit_csv(args, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["schema", SCHEMA_VERSION])
-    writer.writerow(["seed", str(getattr(args, "seed", 0) or 0)])
+    writer.writerow(["seed", str(args.seed)])
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(x) for x in row])
     text = buf.getvalue()
-    out = getattr(args, "output", None)
-    if out:
-        _write_file(out, text, "--output")
+    if args.output:
+        _write_file(args.output, text, "--output")
     else:
         sys.stdout.write(text)
 
@@ -77,40 +83,47 @@ def _write_file(path, text, flag):
         raise UsageError(f"{flag}: cannot write: {err}")
 
 
+def _read_json(path, flag):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as err:  # JSONDecodeError is a ValueError
+        raise UsageError(f"{flag}: cannot read {path} as JSON ({err})")
+
+
 def _load_json_arg(value, flag):
     """A JSON literal or a path to a JSON file."""
-    if isinstance(value, (list, dict)):
-        return value
     if os.path.exists(value):
-        try:
-            with open(value) as fh:
-                return json.load(fh)
-        except (OSError, ValueError) as err:  # JSONDecodeError is a ValueError
-            raise UsageError(f"{flag}: cannot read {value} as JSON ({err})")
+        return _read_json(value, flag)
     try:
         return json.loads(value)
     except json.JSONDecodeError as err:
         raise UsageError(f"{flag}: not a file and not valid JSON ({err})")
 
 
-def _apply_config(args):
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise UsageError(f"cannot read config: {err}")
-    except json.JSONDecodeError as err:
-        raise UsageError(f"config is not valid JSON: {err}")
+def _config_flags(sub, path):
+    """The flags of subcommand parser `sub` that the --config file at
+    `path` stands for: key k is the option of dest k, a switch is given
+    when true, null is skipped and any other non-string is JSON text."""
+    data = _read_json(path, "--config")
     if not isinstance(data, dict):
-        raise UsageError("config must be a JSON object")
+        raise UsageError("--config: must be a JSON object")
+    options = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    flags = []
     for key, value in data.items():
-        if not hasattr(args, key):
+        action = options.get(key)
+        if action is None:
             raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+        if value is None:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r}: {flag} takes true or false")
+            flags += [flag] if value else []
+        else:
+            flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return flags
 
 
 def _resolve_couplings(args):
@@ -121,16 +134,14 @@ def _resolve_couplings(args):
     beta, J1, J2) with the Boltzmann parameters synthesized as beta = 1,
     J_l = atanh(t_l) in the critical case.
     """
-    critical = bool(getattr(args, "critical", None))
-    t1 = getattr(args, "t1", None)
-    if critical or t1 is not None:
-        if t1 is None:
+    if args.critical or args.t1 is not None:
+        if args.t1 is None:
             raise UsageError("--critical requires --t1 (a float or 'isotropic')")
-        if isinstance(t1, str) and t1.strip().lower() == "isotropic":
+        if args.t1.strip().lower() == "isotropic":
             cpl = exact.Couplings.isotropic_critical()
         else:
             try:
-                cpl = exact.Couplings.critical_from_t1(float(t1))
+                cpl = exact.Couplings.critical_from_t1(float(args.t1))
             except ValueError as err:
                 raise UsageError(str(err))
         return cpl, 1.0, math.atanh(cpl.t1), math.atanh(cpl.t2)
@@ -138,24 +149,38 @@ def _resolve_couplings(args):
     if beta is None or J1 is None or J2 is None:
         raise UsageError("need --beta, --J1, --J2 or --critical --t1")
     try:
-        cpl = exact.Couplings.from_beta(beta, J1, J2)
+        return exact.Couplings.from_beta(beta, J1, J2), beta, J1, J2
     except ValueError as err:
         raise UsageError(str(err))
-    return cpl, float(beta), float(J1), float(J2)
+
+
+def _continuum_couplings(args):
+    """The continuum commands sit at criticality: isotropic unless --t1
+    or --critical is given."""
+    if args.t1 is None and not args.critical:
+        return exact.Couplings.isotropic_critical()
+    return _resolve_couplings(args)[0]
 
 
 def _resolve_geometry(args):
     if args.L is None or args.M is None:
         raise UsageError("need --L and --M")
     try:
-        return CylinderGeometry(int(args.L), int(args.M))
+        return CylinderGeometry(args.L, args.M)
+    except ValueError as err:
+        raise UsageError(str(err))
+
+
+def _continuum_cylinder(args):
+    try:
+        return scaling.ContinuumCylinder(args.l1, args.l2)
     except ValueError as err:
         raise UsageError(str(err))
 
 
 def _parse_site(text, flag):
     try:
-        x, y = (int(tok) for tok in str(text).replace(",", " ").split())
+        x, y = (int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
         raise UsageError(f"{flag}: expected two integers, got {text!r}")
     return (x, y)
@@ -213,14 +238,10 @@ def cmd_propagator(args):
     for z, zp in pairs:
         if not (geometry.contains(z) and geometry.contains(zp)):
             raise UsageError(f"site pair {z} {zp} is outside the cylinder")
-    route = args.route or "dense"
-    # a config file can name a route that argparse never sees
-    propagate = {"dense": exact.dense_propagator,
-                 "spectral": spectral.critical_propagator}.get(route)
-    if propagate is None:
-        raise UsageError(f"unknown route {route!r}")
-    if route == "spectral" and not couplings.is_critical:
+    if args.route == "spectral" and not couplings.is_critical:
         raise UsageError("the spectral route requires critical couplings")
+    propagate = {"dense": exact.dense_propagator,
+                 "spectral": spectral.critical_propagator}[args.route]
     blocks = propagate(geometry, couplings, [z for z, _ in pairs], [zp for _, zp in pairs])
     header = ["z1", "z2", "zp1", "zp2", "g_pp", "g_pm", "g_mp", "g_mm"]
     rows = [[*z, *zp, *map(float, blk.ravel())] for (z, zp), blk in zip(pairs, blocks)]
@@ -228,12 +249,12 @@ def cmd_propagator(args):
     return 0
 
 
-def _telescoping_pairs(geometry, seed, n_random=8):
+def _telescoping_pairs(geometry, seed):
     L, M = geometry.L, geometry.M
     rng = np.random.default_rng(seed)
     pairs = [((1, 1), (L, M)), ((1, M), (L, 1)),
              ((L // 2, max(1, M // 2)), (L // 2 + 1, max(1, M // 2)))]
-    for _ in range(n_random):
+    for _ in range(TELESCOPING_RANDOM_PAIRS):
         pairs.append(((int(rng.integers(1, L + 1)), int(rng.integers(1, M + 1))),
                       (int(rng.integers(1, L + 1)), int(rng.integers(1, M + 1)))))
     return pairs
@@ -244,16 +265,12 @@ def cmd_multiscale(args):
     couplings, _, _, _ = _resolve_couplings(args)
     if not couplings.is_critical:
         raise UsageError("multiscale decompositions require critical couplings")
-    seed = args.seed if args.seed is not None else 0
-    args.seed = seed
-    modes = [bool(args.check_telescoping), args.decay is not None,
-             bool(args.gram)]
-    if sum(modes) != 1:
+    if sum([args.check_telescoping, args.decay is not None, args.gram]) != 1:
         raise UsageError("pick exactly one of --check-telescoping, "
                          "--decay, --gram")
 
     if args.check_telescoping:
-        pairs = _telescoping_pairs(geometry, seed)
+        pairs = _telescoping_pairs(geometry, args.seed)
         zs, zps = zip(*pairs)
         resid = {h: multiscale.telescoping_residual(geometry, couplings, zs, zps, h)
                  for h in multiscale.scale_indices(geometry)}
@@ -268,18 +285,15 @@ def cmd_multiscale(args):
 
     h_list = _parse_h_list(args, geometry)
     if args.decay is not None:
-        kind = args.decay
-        if kind not in ("bulk", "edge", "tail"):
-            raise UsageError("--decay takes bulk, edge, or tail")
         try:
-            if kind == "bulk":
+            if args.decay == "bulk":
                 report = multiscale.bulk_decay_report(couplings, h_list)
-            elif kind == "edge":
+            elif args.decay == "edge":
                 report = multiscale.edge_decay_report(geometry, couplings,
-                                                      h_list, seed=seed)
+                                                      h_list, seed=args.seed)
             else:
                 report = multiscale.tail_bound_report(geometry, couplings,
-                                                      h_list, seed=seed)
+                                                      h_list, seed=args.seed)
         except multiscale.SampleDepthError as err:
             raise UsageError(f"--h-list: {err}")
         header = ["h", "fitted_C", "fitted_c", "max_residual", "n_samples"]
@@ -288,11 +302,10 @@ def cmd_multiscale(args):
         _emit_csv(args, header, rows)
         return 0
 
-    n_pairs = args.n_pairs if args.n_pairs is not None else 20
-    if n_pairs < 1:
-        raise UsageError(f"--n-pairs: need at least one pair, got {n_pairs}")
+    if args.n_pairs < 1:
+        raise UsageError(f"--n-pairs: need at least one pair, got {args.n_pairs}")
     rep = multiscale.gram_report(geometry, couplings, h_list,
-                                 n_pairs=n_pairs, seed=seed)
+                                 n_pairs=args.n_pairs, seed=args.seed)
     header = ["max_reconstruction_error", "min_cauchy_schwarz_margin",
               "norm_slope", "n_pairs"]
     rows = [[rep["max_reconstruction_error"],
@@ -311,7 +324,7 @@ def _parse_h_list(args, geometry):
     # "1,2,3" and "-1,-2,-3" both mean h = -1, -2, -3 (argparse would
     # otherwise eat a leading dash unless written as --h-list=-1,-2,-3)
     try:
-        hs = [-abs(int(tok)) for tok in str(args.h_list).split(",")
+        hs = [-abs(int(tok)) for tok in args.h_list.split(",")
               if tok.strip()]
     except ValueError:
         raise UsageError("--h-list: expected comma-separated integers")
@@ -327,7 +340,7 @@ def _parse_h_list(args, geometry):
 def _parse_meshes(text):
     meshes = []
     try:
-        for tok in str(text).split(","):
+        for tok in text.split(","):
             tok = tok.strip()
             if not tok:
                 continue
@@ -346,16 +359,8 @@ def _parse_meshes(text):
 def cmd_scaling(args):
     if args.l1 is None or args.l2 is None:
         raise UsageError("need --l1 and --l2")
-    try:
-        cylinder = scaling.ContinuumCylinder(float(args.l1), float(args.l2))
-    except ValueError as err:
-        raise UsageError(str(err))
-    if args.t1 is None and not args.critical:
-        couplings = exact.Couplings.isotropic_critical()
-    else:
-        couplings, _, _, _ = _resolve_couplings(args)
-    if not couplings.is_critical:
-        raise UsageError("the scaling limit requires critical couplings")
+    cylinder = _continuum_cylinder(args)
+    couplings = _continuum_couplings(args)
     if args.meshes is None:
         raise UsageError("need --meshes (e.g. 16,32,64)")
     meshes = _parse_meshes(args.meshes)
@@ -411,14 +416,8 @@ def cmd_correlations(args):
         if args.marked is None:
             raise UsageError("continuum mode needs --marked "
                              "(JSON list of [x, y, direction])")
-        try:
-            cylinder = scaling.ContinuumCylinder(float(args.l1), float(args.l2))
-        except ValueError as err:
-            raise UsageError(str(err))
-        if args.t1 is None and not args.critical:
-            couplings = exact.Couplings.isotropic_critical()
-        else:
-            couplings, _, _, _ = _resolve_couplings(args)
+        cylinder = _continuum_cylinder(args)
+        couplings = _continuum_couplings(args)
         raw = _load_json_arg(args.marked, "--marked")
         try:
             marked = [((float(p[0]), float(p[1])), int(p[2])) for p in raw]
@@ -477,18 +476,15 @@ def _load_kernel_arg(args):
         except ValueError as err:
             raise UsageError(f"--input: {err}")
     try:
-        n, p = (int(tok) for tok in str(args.random).split(","))
+        n, p = (int(tok) for tok in args.random.split(","))
     except ValueError:
         raise UsageError("--random: expected n,p (e.g. 2,1)")
     if n > RANDOM_KERNEL_MAX_N:
         raise UsageError(f"--random: n = {n} exceeds {RANDOM_KERNEL_MAX_N}; drawing "
                          f"enumerates all 6^n derivative splittings")
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    entries = args.entries if args.entries is not None else 6
-    box = args.box if args.box is not None else 3
     try:
-        return kernels.random_sparse_kernel(rng, n, p, entries=entries,
-                                            box=box)
+        return kernels.random_sparse_kernel(np.random.default_rng(args.seed), n, p,
+                                            entries=args.entries, box=args.box)
     except ValueError as err:
         raise UsageError(f"--random: {err}")
 
@@ -496,30 +492,21 @@ def _load_kernel_arg(args):
 def cmd_kernels(args):
     kernel = _load_kernel_arg(args)
     if args.apply is not None:
-        op = args.apply
+        operator = {"localize": kernels.localization_operator,
+                    "renormalize": kernels.renormalization_operator,
+                    "symmetrize": kernels.symmetrize}[args.apply]
         try:
-            if op == "localize":
-                kernel = kernels.localization_operator(kernel)
-            elif op == "renormalize":
-                kernel = kernels.renormalization_operator(kernel)
-            elif op == "symmetrize":
-                kernel = kernels.symmetrize(kernel)
-            else:
-                raise UsageError("--apply takes localize, renormalize, "
-                                 "or symmetrize")
+            kernel = operator(kernel)
         except ValueError as err:
             raise UsageError(str(err))
     if args.save is not None:
         _write_file(args.save, kernels.kernel_to_text(kernel), "--save")
     if args.bounds:
-        rate_step = args.rate_step if args.rate_step is not None else 0.5
-        rates_txt = args.rate if args.rate is not None else "0"
         try:
-            rates = [float(tok) for tok in str(rates_txt).split(",")
-                     if tok.strip()]
+            rates = [float(tok) for tok in args.rate.split(",") if tok.strip()]
         except ValueError:
             raise UsageError("--rate: expected comma-separated numbers")
-        combos = [(rate, rate_step) for rate in rates]
+        combos = [(rate, args.rate_step) for rate in rates]
         try:
             reports = kernels.interpolation_bound_reports(kernel, combos)
         except ValueError as err:
@@ -542,10 +529,9 @@ def cmd_kernels(args):
 
 
 def cmd_verify(args):
-    suite = args.suite or "all"
     names = None
-    if suite != "all":
-        names = [tok.strip() for tok in suite.split(",") if tok.strip()]
+    if args.suite != "all":
+        names = [tok.strip() for tok in args.suite.split(",") if tok.strip()]
         known = [c.__name__.replace("check_", "") for c in verify.CHECKS]
         for tok in names:
             if not any(tok in name for name in known):
@@ -555,7 +541,7 @@ def cmd_verify(args):
     print(verify.format_table(records))
     failed = [rec for rec in records if not rec["passed"]]
     payload = {"schema": int(SCHEMA_VERSION), "seed": args.seed,
-               "suite": suite, "records": records}
+               "suite": args.suite, "records": records}
     if args.json is not None:
         _write_file(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     "--json")
@@ -578,9 +564,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sub):
-    sub.add_argument("--config", help="JSON file supplying any unset option")
+    sub.add_argument("--config", help="JSON file of option values; flags win")
     sub.add_argument("--output", help="write CSV here instead of stdout")
-    sub.add_argument("--seed", type=int, help="RNG seed, recorded in output")
+    sub.add_argument("--seed", type=int, default=0, help="RNG seed, recorded in output")
 
 
 def _add_geometry(sub):
@@ -592,7 +578,7 @@ def _add_couplings(sub):
     sub.add_argument("--beta", type=float, help="inverse temperature")
     sub.add_argument("--J1", type=float, help="horizontal exchange coupling")
     sub.add_argument("--J2", type=float, help="vertical exchange coupling")
-    sub.add_argument("--critical", action="store_true", default=None,
+    sub.add_argument("--critical", action="store_true",
                      help="place t2 on the critical line from --t1")
     sub.add_argument("--t1", help="horizontal tanh-coupling, or 'isotropic'")
 
@@ -600,13 +586,13 @@ def _add_couplings(sub):
 def build_parser():
     parser = _Parser(prog="isingcyl",
                      description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command")
+    commands = parser.commands = parser.add_subparsers(dest="command")
 
     sub = commands.add_parser("partition", help="exact log partition function")
     _add_common(sub)
     _add_geometry(sub)
     _add_couplings(sub)
-    sub.add_argument("--oracle", action="store_true", default=None,
+    sub.add_argument("--oracle", action="store_true",
                      help="compare against brute-force enumeration")
     sub.add_argument("--tol", type=float, default=1e-10,
                      help="relative tolerance for --oracle")
@@ -619,7 +605,7 @@ def build_parser():
     sub.add_argument("--pairs", help="JSON [[[x,y],[x',y']], ...] or a file")
     sub.add_argument("--z", help="single source site 'x,y'")
     sub.add_argument("--zp", help="single target site 'x,y'")
-    sub.add_argument("--route", choices=["dense", "spectral"],
+    sub.add_argument("--route", choices=["dense", "spectral"], default="dense",
                      help="matrix inverse (any couplings) or momentum sum "
                           "(critical only); default dense")
     sub.set_defaults(func=cmd_propagator)
@@ -628,16 +614,16 @@ def build_parser():
     _add_common(sub)
     _add_geometry(sub)
     _add_couplings(sub)
-    sub.add_argument("--check-telescoping", action="store_true", default=None,
+    sub.add_argument("--check-telescoping", action="store_true",
                      help="verify the scales resum to the full propagator")
     sub.add_argument("--decay", choices=["bulk", "edge", "tail"],
                      help="fit decay envelopes for these single-scale parts")
-    sub.add_argument("--gram", action="store_true", default=None,
+    sub.add_argument("--gram", action="store_true",
                      help="Gram reconstruction and norm-scaling report")
     sub.add_argument("--h-list", dest="h_list",
                      help="comma-separated scale depths, e.g. 1,2,3 for "
                           "h = -1,-2,-3 (default: every scale below 0)")
-    sub.add_argument("--n-pairs", dest="n_pairs", type=int,
+    sub.add_argument("--n-pairs", dest="n_pairs", type=int, default=20,
                      help="sample pairs for --gram (default 20)")
     sub.add_argument("--tol", type=float, default=1e-9,
                      help="residual tolerance for --check-telescoping")
@@ -658,7 +644,7 @@ def build_parser():
     _add_geometry(sub)
     _add_couplings(sub)
     sub.add_argument("--bonds", help="JSON [[x, y, direction], ...] or a file")
-    sub.add_argument("--oracle", action="store_true", default=None,
+    sub.add_argument("--oracle", action="store_true",
                      help="compare against brute-force enumeration")
     sub.add_argument("--tol", type=float, default=1e-9,
                      help="tolerance for --oracle")
@@ -673,36 +659,43 @@ def build_parser():
     _add_common(sub)
     sub.add_argument("--input", help="kernel text file to load")
     sub.add_argument("--random", help="generate a random 'n,p' sector kernel")
-    sub.add_argument("--entries", type=int, help="entries for --random")
-    sub.add_argument("--box", type=int, help="position box for --random")
+    sub.add_argument("--entries", type=int, default=6, help="entries for --random")
+    sub.add_argument("--box", type=int, default=3, help="position box for --random")
     sub.add_argument("--apply",
                      choices=["localize", "renormalize", "symmetrize"],
                      help="operator to apply before reporting/saving")
     sub.add_argument("--save", help="write the (transformed) kernel here")
-    sub.add_argument("--bounds", action="store_true", default=None,
+    sub.add_argument("--bounds", action="store_true",
                      help="emit the interpolation bound margins as CSV")
-    sub.add_argument("--rate", help="comma list of decay rates (default 0)")
-    sub.add_argument("--rate-step", dest="rate_step", type=float,
+    sub.add_argument("--rate", default="0", help="comma list of decay rates (default 0)")
+    sub.add_argument("--rate-step", dest="rate_step", type=float, default=0.5,
                      help="rate increment for the bounds (default 0.5)")
     sub.set_defaults(func=cmd_kernels)
 
     sub = commands.add_parser("verify", help="acceptance criteria suite")
     _add_common(sub)
-    sub.add_argument("--suite", help="'all' or comma list of check names")
+    sub.add_argument("--suite", default="all",
+                     help="'all' or comma list of check names")
     sub.add_argument("--json", help="write machine-readable records here")
-    sub.set_defaults(func=cmd_verify)
+    # no seed: each check runs at its own frozen default
+    sub.set_defaults(func=cmd_verify, seed=None)
 
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "command", None) is None:
+        if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        _apply_config(args)
+        if args.config is not None:
+            # the file's flags go before the command line's, which win
+            sub = parser.commands.choices[args.command]
+            args = parser.parse_args([args.command, *_config_flags(sub, args.config),
+                                      *argv[1:]])
         return args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

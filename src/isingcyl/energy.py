@@ -330,7 +330,7 @@ class BruteForceGibbs:
         return cumulant_from_moments(lambda block: table[tuple(block)], bonds)
 
 
-def scal_energy_correlation(cylinder, couplings, marked, tol=IMAGE_TOL):
+def scal_energy_correlation(cylinder, couplings, marked):
     """Scaling limit of the truncated correlation of m energy observables.
 
     Args:
@@ -368,7 +368,7 @@ def scal_energy_correlation(cylinder, couplings, marked, tol=IMAGE_TOL):
     mat = np.zeros((2 * m, 2 * m))
     for i in range(m):
         for j in range(i + 1, m):
-            blk = cylinder_scal_block(cylinder, couplings, pts[i], pts[j], tol)
+            blk = cylinder_scal_block(cylinder, couplings, pts[i], pts[j], IMAGE_TOL)
             mat[2 * i:2 * i + 2, 2 * j:2 * j + 2] = blk
             mat[2 * j:2 * j + 2, 2 * i:2 * i + 2] = -blk.T
     return ((2.0 * couplings.t2) ** m1 * (1.0 - couplings.t2 ** 2) ** m2

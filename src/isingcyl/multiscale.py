@@ -363,6 +363,7 @@ class SampleDepthError(ValueError):
 
 _EDGE_RATE_X_RANGE = (1.0, 2.5)
 _EDGE_AMP_X_RANGE = (1.0, 1.5)
+_EDGE_PER_DISTANCE = 5
 
 
 def _sample_pairs(kind, geometry, h, rng, window, d_min, per_distance, span, draw):
@@ -390,7 +391,7 @@ def _sample_pairs(kind, geometry, h, rng, window, d_min, per_distance, span, dra
     return pairs
 
 
-def _edge_sample_pairs(geometry, h, rng, window, per_distance=5):
+def _edge_sample_pairs(geometry, h, rng, window):
     """Construct pairs whose edge distance covers a rescaled window.
 
     The edge distance is realized explicitly through the boundary branch
@@ -412,7 +413,7 @@ def _edge_sample_pairs(geometry, h, rng, window, per_distance=5):
             z, zp = (z1, M + 1 - u), (w1, M + 1 - b + u)
         return (z, zp) if geometry.edge_distance(z, zp) == d else None
 
-    return _sample_pairs("edge", geometry, h, rng, window, 2, per_distance,
+    return _sample_pairs("edge", geometry, h, rng, window, 2, _EDGE_PER_DISTANCE,
                          lambda d: (max(2, d - L // 8), min(d, 2 * M - 1)), draw)
 
 
@@ -444,9 +445,10 @@ def edge_decay_report(geometry, couplings, h_list, seed=0):
 
 
 _TAIL_X_RANGE = (0.25, 2.5)
+_TAIL_PER_DISTANCE = 6
 
 
-def _tail_sample_pairs(geometry, h, rng, per_distance=6):
+def _tail_sample_pairs(geometry, h, rng):
     """Pairs at cylinder distances covering the binding regime ~2^-h.
 
     sup |g^{(<=h)}| * 2^-h is attained near distance 2^-h, where the
@@ -463,7 +465,7 @@ def _tail_sample_pairs(geometry, h, rng, per_distance=6):
         z, zp = (z1, z2 + d - a), ((z1 - 1 + a) % L + 1, z2)
         return (z, zp) if geometry.norm1(z, zp) == d else None
 
-    return _sample_pairs("tail", geometry, h, rng, _TAIL_X_RANGE, 1, per_distance,
+    return _sample_pairs("tail", geometry, h, rng, _TAIL_X_RANGE, 1, _TAIL_PER_DISTANCE,
                          lambda d: (max(0, d - (M - 1)), min(d, L // 2 - 1)), draw)
 
 
@@ -491,6 +493,8 @@ def tail_bound_report(geometry, couplings, h_list, seed=0):
 _SHARP_PHASE = {"left": -1j, "right": 1j}
 # modes per block of k1 rows in `gram_report` (three orders take 6 MB a side)
 _GRAM_BLOCK = 1 << 14
+# scales of the norm-vs-h slope that `gram_report` fits at s = 0
+GRAM_SLOPE_HS = (-1, -2, -3, -4)
 
 
 def gram_rows(geometry, couplings, z, side, orders, part=slice(None)):
@@ -520,8 +524,8 @@ def gram_rows(geometry, couplings, z, side, orders, part=slice(None)):
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     data = spectral_data(geometry, couplings)
-    half, left = len(data.D), side == "left"
-    k1, k2 = data.k1[half:][part], data.roots[half:][part]
+    left = side == "left"
+    k1, k2 = data.k1[part], data.roots[part]
     ring = np.array([np.exp(1j * k1 * z[0]) * forward_difference(k1, s[0]) for s in orders])
     vec = np.empty((len(orders), 4, 2) + k2.shape, dtype=complex)
     for sharp, table in enumerate((data.trans, data.image)):
@@ -575,14 +579,14 @@ def gram_norms(geometry, couplings, hs, orders):
     data = spectral_data(geometry, couplings)
     half, M = data.D.shape
     size = (np.abs(data.trans) + np.abs(data.image)).reshape(half, M, 2, 2).sum(-1)
-    terms = np.array([np.abs(forward_difference(data.k1[half:, None, None], s[0])
-                             * forward_difference(data.roots[half:, :, None], s[1])) ** 2 * size
+    terms = np.array([np.abs(forward_difference(data.k1[:, None, None], s[0])
+                             * forward_difference(data.roots[:, :, None], s[1])) ** 2 * size
                       for s in orders]).reshape(len(orders), -1, 2)
     weights = np.array([scale_weight(h, data.D) for h in hs]).reshape(len(hs), -1)
     return 4.0 * np.matmul(weights, terms).transpose(1, 0, 2)
 
 
-def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0, slope_hs=(-1, -2, -3, -4)):
+def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0):
     """Verify the Gram representation and measure its norm scaling.
 
     For `n_pairs` random site pairs and all derivative orders with
@@ -622,8 +626,8 @@ def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0, slope_hs=(-1, -
                                     gram_rows(geometry, couplings, zp, "right", orders, part),
                                     weights[:, part]).reshape(len(h_list), 6, 6)
     norms = np.sqrt(gram_norms(geometry, couplings, h_list, orders)).reshape(len(h_list), 6)
-    plain = gram_norms(geometry, couplings, slope_hs, [(0, 0)])[:, 0, 0]      # s = 0, omega = +1
-    slope = np.polyfit(slope_hs, np.log2(plain), 1)
+    plain = gram_norms(geometry, couplings, GRAM_SLOPE_HS, [(0, 0)])[:, 0, 0]  # s = 0, omega = +1
+    slope = np.polyfit(GRAM_SLOPE_HS, np.log2(plain), 1)
     return dict(
         max_reconstruction_error=float(np.max(np.abs(rec - direct))),
         min_cauchy_schwarz_margin=float(np.min(

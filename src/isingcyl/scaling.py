@@ -215,7 +215,7 @@ def fourier_profile_check(couplings, points):
     return worst
 
 
-def scaling_remainder_records(cylinder, couplings, pairs, meshes, tol=IMAGE_TOL):
+def scaling_remainder_records(cylinder, couplings, pairs, meshes):
     """Lattice-to-continuum residual sweep.
 
     For each continuum pair and mesh a, evaluates the rescaled lattice
@@ -231,7 +231,7 @@ def scaling_remainder_records(cylinder, couplings, pairs, meshes, tol=IMAGE_TOL)
 
     records = []
     for pid, (z, zp) in enumerate(pairs):
-        target = cylinder_scal_block(cylinder, couplings, z, zp, tol)
+        target = cylinder_scal_block(cylinder, couplings, z, zp, IMAGE_TOL)
         rows = []
         for a in meshes:
             geo = cylinder.lattice_geometry(a)

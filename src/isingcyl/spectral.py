@@ -192,20 +192,20 @@ class SpectralData:
     """Root, normalization and mode tables for one (geometry, couplings) pair.
 
     Attributes:
-        k1: (L,) antiperiodic momenta, ascending; the quarter rows are
-            k1[L/2:] > 0.
-        B: (L,) values of B(k1), all in (0, 1).
-        roots: (L, M) positive transverse roots, row i for k1[i]; the
-            rows with k1 < 0 mirror those with k1 > 0.
-        norms: (L, M) mode normalizations N_M(k1, k2) >= M.
+        k1: (L/2,) antiperiodic momenta k1 > 0, ascending: the quarter
+            rows.  B, the roots and N_M are even in k1, so the rows
+            k1 < 0 are not stored.
+        B: (L/2,) values of B(k1), all in (0, 1).
+        roots: (L/2, M) positive transverse roots, row i for k1[i].
+        norms: (L/2, M) mode normalizations N_M(k1, k2) >= M.
         D: (L/2, M) dispersion D(k1, k2) on the quarter k1 > 0, q2 = +k2,
             the argument of the scale weights.
         trans, image: (L/2, M, 4) complex mode coefficients on the same
             quarter, entries (pp, pm, mp, mm) over 2 L N_M: ghat(k1, k2),
             and ghat with pm taken at -k2 and mm times e^{2 i k2 (M+1)}.
 
-    The roots come from one `transverse_roots` call on the L/2 rows with
-    k1 > 0.  Construction validates their forward error |resid / resid'|
+    The roots come from one `transverse_roots` call on the L/2 rows.
+    Construction validates their forward error |resid / resid'|
     (<= ROOT_TOL, independent of M), bracketing (which keeps every root at
     least pi/(M+1) below the spurious solution pi), monotonicity, and the
     agreement of the two N_M formulas relative to N_M.
@@ -220,23 +220,21 @@ class SpectralData:
         L, M = geometry.L, geometry.M
         self.geometry = geometry
         self.couplings = couplings
-        self.k1 = antiperiodic_momenta(L)
+        self.k1 = antiperiodic_momenta(L)[L // 2:]
         self.B = b_of_k1(self.k1, couplings)
         if np.any(self.B <= 0.0) or np.any(self.B >= 1.0):
             raise AssertionError("B(k1) left (0, 1) on the antiperiodic momenta")
-        k1, B = self.k1[L // 2:], self.B[L // 2:]
-        roots, norms = _mode_roots(B, M)
-        self.roots = np.concatenate([roots[::-1], roots])
-        self.norms = np.concatenate([norms[::-1], norms])
-        self.D = dispersion(couplings, k1[:, None], roots)
-        self.trans, self.image = _mode_tables(couplings, L, k1, B, roots, norms, self.D)
+        self.roots, self.norms = _mode_roots(self.B, M)
+        self.D = dispersion(couplings, self.k1[:, None], self.roots)
+        self.trans, self.image = _mode_tables(couplings, L, self.k1, self.B, self.roots,
+                                              self.norms, self.D)
         for arr in (self.k1, self.B, self.roots, self.norms, self.D, self.trans, self.image):
             arr.setflags(write=False)
 
     @property
     def n_modes(self):
         """Number of (k1, k2) modes, L * M."""
-        return self.roots.size
+        return 2 * self.roots.size
 
 
 @lru_cache(maxsize=32)
@@ -259,7 +257,7 @@ def _row_sums(data, table, mult, values):
     out = np.empty(stack + (half, len(values), 4), dtype=complex)
     step = max(1, _CHUNK_ENTRIES // (math.prod(stack) * half * M))
     for lo in range(0, len(values), step):
-        arg = data.roots[half:, None, :] * -values[None, lo:lo + step, None]  # (L/2, n, M)
+        arg = data.roots[:, None, :] * -values[None, lo:lo + step, None]     # (L/2, n, M)
         wave = np.empty(arg.shape, dtype=complex)                        # e^{-i k2 v}
         np.cos(arg, out=wave.real)
         np.sin(arg, out=wave.imag)
@@ -331,8 +329,7 @@ def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
     """
     single = np.shape(z) == (2,)
     z, zp = data.geometry.site_arrays(z, zp, extended=True)
-    half = len(data.D)
-    k1, k2 = data.k1[half:], data.roots[half:]
+    k1, k2 = data.k1, data.roots
     diff_z = forward_difference(-k2, deriv_z[1])
     d1 = forward_difference(-k1, deriv_z[0]) * forward_difference(k1, deriv_zp[0])
     dz1, i1 = _distinct(z[:, 0] - zp[:, 0])

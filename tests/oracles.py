@@ -156,15 +156,23 @@ def minor_cumulant(w):
     return cumulant_from_moments(moment, range(w.shape[0] // 2))
 
 
+def full_modes(data):
+    """k1 (L, 1), ascending, q2 = [roots, -roots] (L, 2M) and N_M on the
+    same (L, 2M) grid, over all modes: `SpectralData` keeps the rows
+    k1 > 0 only, and B, the roots and N_M are even in k1."""
+    k1 = np.concatenate([-data.k1[::-1], data.k1])[:, None]
+    roots = np.concatenate([data.roots[::-1], data.roots])
+    return k1, np.concatenate([roots, -roots], axis=1), unfold(data.norms)
+
+
 def full_mode_tables(data):
     """(trans, image) on all (L, 2M) modes, rows k1 and columns
     q2 = [roots, -roots], straight from `symbol_numerator` over
     2 L N_M D: ghat, and ghat with pm taken at -q2 and mm times
     e^{2 i q2 (M+1)}."""
     couplings, L, M = data.couplings, data.geometry.L, data.geometry.M
-    k1 = data.k1[:, None]
-    q2 = np.concatenate([data.roots, -data.roots], axis=1)
-    scale = 1.0 / (2 * L * np.tile(data.norms, 2) * dispersion(couplings, k1, q2))
+    k1, q2, norms = full_modes(data)
+    scale = 1.0 / (2 * L * norms * dispersion(couplings, k1, q2))
     npp, npm, nmp, nmm = symbol_numerator(couplings, k1, q2)
     npm_reflected = symbol_numerator(couplings, k1, -q2)[1]
     trans = np.stack([npp, npm, nmp, nmm], axis=-1) * scale[..., None]
@@ -186,8 +194,7 @@ def full_mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
     L, M = data.geometry.L, data.geometry.M
     single = np.shape(z) == (2,)
     z, zp = data.geometry.site_arrays(z, zp, extended=True)
-    k1 = data.k1[:, None]
-    q2 = np.concatenate([data.roots, -data.roots], axis=1)               # (L, 2M)
+    k1, q2, _ = full_modes(data)                                         # (L, 1), (L, 2M)
     trans, image = full_mode_tables(data)
     if weight is None:
         weight = np.ones((L // 2, M))
@@ -243,8 +250,7 @@ def full_gram_rows(geometry, couplings, h, z, side, rows, slots=GRAM_SLOTS,
     np.vdot(left row, right row).  `slots` and `phases` replace the
     assignment of slots and # phases."""
     data = spectral_data(geometry, couplings)
-    k1 = data.k1[:, None]                                        # (L, 1)
-    q2 = np.concatenate([data.roots, -data.roots], axis=1)       # (L, 2M)
+    k1, q2, _ = full_modes(data)                                 # (L, 1), (L, 2M)
     sqrt_w = 1.0 if h is None else unfold(np.sqrt(scale_weight(h, data.D)))
     out = np.zeros((len(rows),) + q2.shape + (4, 2), dtype=complex)
     left = side == "left"

@@ -81,16 +81,67 @@ def test_config_file_fills_flags(capsys, tmp_path):
     code, out, _ = run(capsys, "partition", "--config", str(cfg), "--M", "2")
     assert code == 0
     assert out.splitlines()[3].split(",")[1] == "2"
+    # a config tol is the gate, as --tol is, and a later flag still wins
+    cfg.write_text(json.dumps({
+        "L": 4, "M": 3, "beta": 0.25, "J1": 1.0, "J2": 2.0, "oracle": True, "tol": 0,
+    }))
+    code, out, err = run(capsys, "partition", "--config", str(cfg))
+    assert code == 2 and err.startswith("tolerance failure:") and "rel_err" in out
+    code, _, _ = run(capsys, "partition", "--config", str(cfg), "--tol", "1")
+    assert code == 0
+    # null leaves an option unset: the seed keeps its default, the switch is off
+    cfg.write_text(json.dumps({
+        "L": 4, "M": 3, "beta": 0.25, "J1": 1.0, "J2": 2.0, "oracle": None, "seed": None,
+        "output": None,
+    }))
+    code, out, _ = run(capsys, "partition", "--config", str(cfg))
+    assert code == 0
+    assert out.splitlines()[1] == "seed,0" and "oracle_log_z" not in out
 
 
 def test_unknown_config_key_rejected(capsys, tmp_path):
-    # "parallel" is no option either: the CLI runs single-threaded
-    for key in ("bogus", "parallel"):
+    # "parallel" is no option either: the CLI runs single-threaded; "func"
+    # and "command" are parser internals, "config" and "help" no settings
+    for key in ("bogus", "parallel", "func", "command", "config", "help"):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({key: 1}))
         code, _, err = run(capsys, "partition", "--config", str(cfg))
         assert code == 1
         assert key in err
+
+
+@pytest.mark.parametrize("command,config,message", [
+    (["multiscale", "--L", "8", "--M", "8", "--critical", "--t1", "isotropic",
+      "--check-telescoping"], {"seed": "x"}, "argument --seed: invalid int value: 'x'"),
+    (["partition", "--L", "4", "--M", "3", "--beta", "0.25", "--J1", "1", "--J2", "2",
+      "--oracle"], {"tol": "abc"}, "argument --tol: invalid float value: 'abc'"),
+    (["partition", "--M", "3", "--beta", "0.25", "--J1", "1", "--J2", "2"],
+     {"L": 8.9}, "argument --L: invalid int value: '8.9'"),
+    (["propagator", "--L", "6", "--M", "4", "--critical", "--t1", "isotropic",
+      "--z", "2,1", "--zp", "5,3"], {"route": "fast"}, "argument --route: invalid choice"),
+    (["multiscale", "--L", "8", "--M", "8", "--critical", "--t1", "isotropic"],
+     {"gram": 1}, "config key 'gram': --gram takes true or false"),
+    (["kernels", "--random", "2,1", "--bounds"], {"rate_step": "a"},
+     "argument --rate-step: invalid float value: 'a'"),
+], ids=["seed", "tol", "L", "route", "gram", "rate_step"])
+def test_config_values_are_checked_like_flags(capsys, tmp_path, command, config, message):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, *command, "--config", str(cfg))
+    assert_one_usage_line(code, err)
+    assert message in err
+    assert out == ""
+
+
+def test_config_numbers_in_strings_parse_like_flags(capsys, tmp_path):
+    cfg = tmp_path / "gram.json"
+    cfg.write_text(json.dumps({"n_pairs": "3", "seed": "2", "gram": True}))
+    base = ["multiscale", "--L", "8", "--M", "8", "--critical", "--t1", "isotropic"]
+    code, out, _ = run(capsys, *base, "--config", str(cfg))
+    assert code == 0
+    assert out.splitlines()[1] == "seed,2" and out.splitlines()[3].endswith(",3")
+    code, flags, _ = run(capsys, *base, "--gram", "--n-pairs", "3", "--seed", "2")
+    assert code == 0 and flags == out
 
 
 def test_propagator_routes_agree(capsys):

@@ -318,7 +318,7 @@ def test_wrong_slot_or_dropped_sharp_phase_fails_reconstruction(monkeypatch, wro
         monkeypatch.setattr(multiscale, "gram_rows", _transposed_left_slots(gram_rows))
     else:
         monkeypatch.setattr(multiscale, "_SHARP_PHASE", phases)
-    rep = gram_report(g, ISO, [-1, -2], n_pairs=4, seed=0, slope_hs=(-1, -2))
+    rep = gram_report(g, ISO, [-1, -2], n_pairs=4, seed=0)
     assert rep["max_reconstruction_error"] > 1e-3
 
 
@@ -332,8 +332,7 @@ def test_gram_report_at_printed_precision():
 
 def test_gram_report_keys():
     g = CylinderGeometry(8, 8)
-    rep = gram_report(g, ISO, [-1, -2], n_pairs=4, seed=0,
-                      slope_hs=(-1, -2))
+    rep = gram_report(g, ISO, [-1, -2], n_pairs=4, seed=0)
     assert rep["max_reconstruction_error"] < 1e-10
     assert rep["min_cauchy_schwarz_margin"] >= 0.0
     assert rep["n_pairs"] == 4

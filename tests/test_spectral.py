@@ -28,6 +28,7 @@ from oracles import (
     bisection_roots,
     full_mode_sum,
     full_mode_tables,
+    full_modes,
     mode_normalization_ratio_form,
     unfold,
 )
@@ -201,7 +202,7 @@ def test_single_pair_is_a_row_of_its_batch(route):
 @pytest.mark.parametrize("t1", [math.sqrt(2.0) - 1.0, 0.5, 0.2])
 def test_root_certificate_holds_at_large_M(M, t1):
     data = SpectralData(CylinderGeometry(8, M), Couplings.critical_from_t1(t1))
-    assert data.roots.shape == (8, M)
+    assert data.roots.shape == (4, M)
 
 
 @pytest.mark.parametrize("M", [8, 256])
@@ -277,11 +278,12 @@ def test_roots_reject_b_outside_unit_interval():
             transverse_roots(B, 4)
 
 
-def test_spectral_rows_mirror_in_k1():
-    data = spectral_data(CylinderGeometry(12, 7), Couplings.critical_from_t1(0.3))
-    assert np.array_equal(data.roots, data.roots[::-1])
-    assert np.array_equal(data.norms, data.norms[::-1])
-    assert np.array_equal(data.k1, -data.k1[::-1])
+def test_spectral_rows_are_the_roots_at_positive_k1():
+    cpl = Couplings.critical_from_t1(0.3)
+    data = spectral_data(CylinderGeometry(12, 7), cpl)
+    assert np.array_equal(data.k1, antiperiodic_momenta(12)[6:]) and np.all(data.k1 > 0)
+    assert np.array_equal(data.roots, transverse_roots(b_of_k1(data.k1, cpl), 7))
+    assert np.array_equal(data.norms, mode_normalization(data.B[:, None], 7, data.roots))
 
 
 @pytest.mark.parametrize("L,M,t1", [(8, 5, None), (32, 32, 0.5)])
@@ -346,8 +348,9 @@ def test_tables_live_on_the_quarter(L, M, t1):
     assert data.n_modes == L * M
     mode_sum(data, [(1, 1), (2, 3)], [(3, 2), (L, M)], scale_weight(-1, data.D), (1, 0))
     multiscale.gram_report(g, cpl, [-1], n_pairs=4)
-    # no (L, 2M) array, not even for the Gram rows
-    assert not any(np.shape(v)[:2] == (L, 2 * M) for v in vars(data).values())
+    # only the L/2 rows k1 > 0, not even an (L, 2M) array for the Gram rows
+    assert all(np.shape(v)[:1] == (L // 2,) for v in vars(data).values()
+               if isinstance(v, np.ndarray))
     trans, image = full_mode_tables(data)
     for quarter, full in ((data.trans, trans), (data.image, image)):
         assert np.max(np.abs(unfold(quarter, SIGMA) - full)) <= 1e-14 * np.max(np.abs(full))
@@ -355,8 +358,8 @@ def test_tables_live_on_the_quarter(L, M, t1):
 
 def test_unfold_extends_even_functions_exactly():
     data = spectral_data(CylinderGeometry(12, 7), Couplings.critical_from_t1(0.3))
-    q2 = np.concatenate([data.roots, -data.roots], axis=1)
-    assert np.array_equal(unfold(data.D), dispersion(data.couplings, data.k1[:, None], q2))
+    k1, q2, _ = full_modes(data)
+    assert np.array_equal(unfold(data.D), dispersion(data.couplings, k1, q2))
 
 
 @pytest.mark.parametrize("L,M,t1", QUARTER_CASES)
