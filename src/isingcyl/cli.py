@@ -40,6 +40,9 @@ RANDOM_KERNEL_MAX_N = 8
 # random site pairs that `multiscale --check-telescoping` adds to its
 # three fixed corner and centre pairs
 TELESCOPING_RANDOM_PAIRS = 8
+# largest induced L*M that `scaling` builds mode tables for: a 2048 x 2048
+# `SpectralData` already peaks near 0.6 GB
+SCALING_SITE_CAP = 2048 * 2048
 
 
 class UsageError(Exception):
@@ -156,7 +159,12 @@ def _resolve_couplings(args):
 
 def _continuum_couplings(args):
     """The continuum commands sit at criticality: isotropic unless --t1
-    or --critical is given."""
+    or --critical is given; a temperature is a usage error."""
+    given = [flag for flag, value in (("--beta", args.beta), ("--J1", args.J1),
+                                      ("--J2", args.J2)) if value is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)}: the continuum limit sits at criticality; "
+                         "choose it with --critical --t1 (default isotropic)")
     if args.t1 is None and not args.critical:
         return exact.Couplings.isotropic_critical()
     return _resolve_couplings(args)[0]
@@ -345,7 +353,7 @@ def _parse_meshes(text):
             if not tok:
                 continue
             val = float(tok)
-            if val <= 0:
+            if not 0 < val < math.inf:
                 raise ValueError
             meshes.append(1.0 / val if val > 1.0 else val)
     except ValueError:
@@ -364,11 +372,16 @@ def cmd_scaling(args):
     if args.meshes is None:
         raise UsageError("need --meshes (e.g. 16,32,64)")
     meshes = _parse_meshes(args.meshes)
-    try:
-        for a in meshes:
-            cylinder.lattice_sizes(a)
-    except ValueError as err:
-        raise UsageError(f"--meshes: {err}")
+    for a in meshes:
+        try:
+            L, M = cylinder.lattice_sizes(a)
+        except ValueError as err:
+            raise UsageError(f"--meshes: {err}")
+        except OverflowError:
+            L = M = math.inf
+        if L * M > SCALING_SITE_CAP:
+            raise UsageError(f"--meshes: mesh a={a:g} induces L={L}, M={M}; "
+                             f"L*M exceeds the cap {SCALING_SITE_CAP}")
     if args.pairs is None:
         raise UsageError("need --pairs (JSON list of continuum point pairs)")
     raw = _load_json_arg(args.pairs, "--pairs")

@@ -41,12 +41,58 @@ Pf B_k = det C_k with C_k = X_k + i Y_k (n = 4M rows, n even):
     squares agree, so they agree up to one global sign.
   - At X = 0, Y = 1 both equal (-1)^{n(n-1)/2} = i^n, hence Pf B = det C.
 
-`partition_function_log` takes the sign and log|Pf| of every block from
-one batched LU (`numpy.linalg.slogdet`), for a cost of O(L M^3) instead
-of O((LM)^3).  The LU phase of a real determinant is +-1, so its
-imaginary part is a scale-free roundoff certificate, gated by
-PHASE_TOL.  The dense matrix itself (`build_action_matrix`) is kept as
-the oracle the tests compare against.
+Each C_k is block tridiagonal in the row index z2, with 4 x 4 blocks
+over the species.  Every row carries the same diagonal block D_k, the
+one-site action at momentum k (`ring_blocks`), and rows j and j + 1
+touch only through the vertical hop: t2 at (Vbar_j, V_{j+1}) and -t2
+at its mirror, the rank-one blocks E = t2 e_b e_v^T above the diagonal
+and F = -E^T below it (b = Vbar, v = V).  Eliminating from the bottom
+row up gives the left Schur complements
+
+    S_1 = D_k,   S_{j+1} = D_k - F S_j^{-1} E = D_k + t2^2 [S_j^{-1}]_bb e_v e_v^T,
+
+so every S_j = D_k + sigma_j e_v e_v^T is a rank-one update of D_k with
+sigma_1 = 0.  With P = D_k^{-1}, Sherman-Morrison and the matrix
+determinant lemma give
+
+    f_j = 1 + sigma_j P_vv = det S_j / det D_k,
+    sigma_{j+1} = t2^2 (P_bb + sigma_j (P_bb P_vv - P_bv P_vb)) / f_j,
+
+    det C_k = prod_j det S_j = (det D_k)^M prod_j f_j.
+
+`partition_function_log` runs this recursion for all L/2 momenta at
+once: M scalar steps on (L/2,) arrays, O(LM) time and memory, and no
+4M x 4M array.
+
+Sign.  i C_k = i X_k - Y_k is Hermitian, and so is i times each of its
+Schur complements; det(i S) = det S for 4 x 4 blocks, so every det S_j is
+real, and so are det D_k (the M = 1 case) and f_j = det S_j / det D_k.
+The sign of Pf A is the product of their signs.  Their imaginary parts
+are roundoff, and |Im f_j| / |f_j| and |Im det D_k| / |det D_k| are the
+scale-free certificate gated by PHASE_TOL.  An exactly zero det D_k or
+f_j is a singular action matrix (ArithmeticError).  The dense matrix
+itself (`build_action_matrix`) is kept as the oracle the tests compare
+against.
+
+Inverse.  Eliminating from the top row down gives the right Schur
+complements S^R_M = D_k, S^R_j = D_k - E (S^R_{j+1})^{-1} F =
+D_k + tau_j e_b e_b^T: the same recursion with V and Vbar swapped.
+Block-tridiagonal inversion (Meurant, SIAM J. Matrix Anal. Appl. 13, 707
+(1992)) then gives every 4 x 4 block of G = C_k^{-1}:
+
+    G_jj = (D_k + sigma_j e_v e_v^T + tau_j e_b e_b^T)^{-1},
+    G_ij = -t2 S_i^{-1} e_b (e_v^T G_{i+1,j})        for i < j,
+    G_ij =  t2 (S^R_i)^{-1} e_v (e_b^T G_{i-1,j})    for i > j,
+
+the off-diagonal blocks as rank-one chains filled outward from the
+diagonal, one row of blocks per step; the columns S_i^{-1} e_b and
+(S^R_i)^{-1} e_v are Sherman-Morrison again.  `PropagatorCache`
+certifies each block invertible by the lower bound
+1 / (||C_k||_1 ||C_k^{-1}||_F) <= sigma_min / sigma_max: |C_k| is
+entrywise symmetric, so ||C_k||_2 <= ||C_k||_1, and
+||C_k^{-1}||_2 <= ||C_k^{-1}||_F, summed over the computed blocks.  A bound
+below PIVOT_TOL raises SingularSkewError, so every block with a singular
+value ratio below PIVOT_TOL is rejected.
 
 Wick's rule reduces every even correlation to a Pfaffian of two-point
 functions <Phi_i Phi_j> = -[A^{-1}]_{ij}.  The same blocks give the
@@ -193,30 +239,50 @@ def ring_momenta(L):
 
 
 def ring_blocks(geometry, couplings):
-    """The parts X_k, Y_k of the ring blocks B_k = [[X_k, Y_k], [-Y_k, X_k]].
+    """The parts X_k, Y_k of the row blocks D_k = X_k + i Y_k.
 
-    X_k + i Y_k = A0 + e^{ik} A1 - e^{-ik} A1^T over `ring_momenta`, rows
-    and columns ordered (z2, species) as in `flat_index`.  X_k is built as
-    A0 + cos k (A1 - A1^T) and Y_k as sin k (A1 + A1^T), so X_k is exactly
-    antisymmetric and Y_k exactly symmetric in floating point.
+    D_k is the diagonal 4 x 4 block of every row of the ring block
+    C_k = A0 + e^{ik} A1 - e^{-ik} A1^T over `ring_momenta`: the six local
+    monomials and the t1 hop into the next column, rows and columns
+    ordered by `Species`.  X_k is built as A0 + cos k (A1 - A1^T) and Y_k
+    as sin k (A1 + A1^T), so X_k is exactly antisymmetric and Y_k exactly
+    symmetric in floating point.  The rows couple only through the t2 hop
+    (module docstring), which the sweeps add themselves.
 
     Returns:
-        (X, Y), two real arrays of shape (L/2, 4M, 4M).
+        (X, Y), two real arrays of shape (L/2, 4, 4).
     """
-    n = 4 * geometry.M
-    base = 4 * np.arange(geometry.M)
-    a0 = np.zeros((n, n))
+    a0 = np.zeros((4, 4))
     for i, j in _LOCAL_MONOMIALS:
-        a0[base + i, base + j] = 1.0
-        a0[base + j, base + i] = -1.0
-    # vertical hopping Vbar_z V_{z+e2}, open at the top
-    a0[base[:-1] + Species.VBAR, base[1:] + Species.V] = couplings.t2
-    a0[base[1:] + Species.V, base[:-1] + Species.VBAR] = -couplings.t2
-    # horizontal hopping Hbar_z H_{z+e1} into the next column
-    a1 = np.zeros((n, n))
-    a1[base + Species.HBAR, base + Species.H] = couplings.t1
+        a0[i, j] = 1.0
+        a0[j, i] = -1.0
+    a1 = np.zeros((4, 4))
+    a1[Species.HBAR, Species.H] = couplings.t1
     k = ring_momenta(geometry.L)[:, None, None]
     return a0 + np.cos(k) * (a1 - a1.T), np.sin(k) * (a1 + a1.T)
+
+
+_B, _V = Species.VBAR, Species.V
+
+
+def _schur_sweep(p, t2, M, slot, read):
+    """Rank-one Schur complements D + s_j e_slot e_slot^T, j = 1..M.
+
+    s_1 = 0 and s_{j+1} = t2^2 [(D + s_j e_slot e_slot^T)^{-1}]_{read, read}
+    by Sherman-Morrison on P = D^{-1} (L/2, 4, 4).  `slot` and `read` are
+    species, or equal-length species arrays to run several sweeps at once.
+    Returns (s, f), complex arrays of shape (M, L/2) (or (M, L/2, n) for
+    n sweeps) with f_j = 1 + s_j P_{slot, slot}; an exactly zero f_j is
+    left for the caller to reject.
+    """
+    a, c = p[:, read, read], p[:, slot, slot]
+    b = a * c - p[:, read, slot] * p[:, slot, read]
+    a, b = t2 * t2 * a, t2 * t2 * b
+    s = np.zeros((M, *a.shape), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(1, M):
+            s[j] = (a + s[j - 1] * b) / (1.0 + s[j - 1] * c)
+    return s, 1.0 + s * c
 
 
 @dataclass(frozen=True)
@@ -231,8 +297,9 @@ class PartitionResult:
 def partition_function_log(geometry, beta, J1, J2):
     """Exact log partition function via the Pfaffian formula.
 
-    Pf A is the product of the ring-block determinants det C_k (module
-    docstring); the dense action matrix is never formed.
+    Pf A = prod_k (det D_k)^M prod_j f_j, from the left Schur sweep over
+    the rows of every ring block (module docstring); no matrix larger
+    than 4 x 4 is formed.
 
     Args:
         geometry: CylinderGeometry.
@@ -244,23 +311,29 @@ def partition_function_log(geometry, beta, J1, J2):
         the canonical index ordering.
 
     Raises:
-        ArithmeticError: a block determinant is exactly zero.
-        AssertionError: a block's determinant phase is off the real axis
-            by more than PHASE_TOL.
+        ArithmeticError: a row block or Schur factor is exactly zero.
+        AssertionError: a det D_k or f_j is off the real axis by more
+            than PHASE_TOL relative to its modulus.
     """
     L, M = geometry.L, geometry.M
     couplings = Couplings.from_beta(beta, J1, J2)
     x, y = ring_blocks(geometry, couplings)
-    phase, logabs = np.linalg.slogdet(x + 1j * y)
-    if np.any(phase == 0):
+    d = x + 1j * y
+    det = np.linalg.det(d)
+    if np.any(det == 0):
         raise ArithmeticError("action matrix is singular; Z would vanish")
-    imag = np.max(np.abs(phase.imag))
+    _, f = _schur_sweep(np.linalg.inv(d), couplings.t2, M, _V, _B)
+    if np.any(f == 0):
+        raise ArithmeticError("action matrix is singular; Z would vanish")
+    det_abs, f_abs = np.abs(det), np.abs(f)
+    imag = max(np.max(np.abs(det.imag) / det_abs), np.max(np.abs(f.imag) / f_abs))
     if imag > PHASE_TOL:
         raise AssertionError(
             f"ring-block determinant phase off the real axis by {imag:.3e} > {PHASE_TOL:.0e}"
         )
-    sign = float(np.prod(np.sign(phase.real)))
-    log_pf = float(np.sum(logabs))
+    negative = M * np.count_nonzero(det.real < 0) + np.count_nonzero(f.real < 0)
+    sign = -1.0 if negative % 2 else 1.0
+    log_pf = float(M * np.sum(np.log(det_abs)) + np.sum(np.log(f_abs)))
     prefactor = (
         L * M * math.log(2.0)
         + L * M * math.log(math.cosh(beta * J1))
@@ -269,40 +342,95 @@ def partition_function_log(geometry, beta, J1, J2):
     return PartitionResult(prefactor + log_pf, sign, log_pf)
 
 
+def _ring_inverse(geometry, couplings):
+    """G_k = C_k^{-1} for every ring momentum, as (L/2, M, 4, M, 4).
+
+    Diagonal blocks from the left and right Schur sweeps, off-diagonal
+    blocks as rank-one chains (module docstring).  Each block is
+    certified by 1 / (||C_k||_1 ||G_k||_F) >= PIVOT_TOL; below it, or at
+    an exactly zero pivot, raises SingularSkewError.
+    """
+    L, M = geometry.L, geometry.M
+    t2 = couplings.t2
+    x, y = ring_blocks(geometry, couplings)
+    d = x + 1j * y
+    if np.any(np.linalg.det(d) == 0):
+        raise SingularSkewError(0.0)
+    p = np.linalg.inv(d)
+    # the left sweep from the bottom row and the right one from the top
+    s, f = _schur_sweep(p, t2, M, [_V, _B], [_B, _V])
+    if np.any(f == 0):
+        raise SingularSkewError(0.0)
+    sigma, tau = s[:, :, 0].T, s[::-1, :, 1].T
+    # S_j^{-1} e_b and (S^R_j)^{-1} e_v by Sherman-Morrison, (L/2, M, 4)
+    q = p[:, None]
+    left = q[..., _B] - (sigma / f[:, :, 0].T)[..., None] * q[..., _V] * q[..., _V, _B, None]
+    right = q[..., _V] - (tau / f[::-1, :, 1].T)[..., None] * q[..., _B] * q[..., _B, _V, None]
+    diag = np.repeat(d[:, None], M, axis=1)
+    diag[..., _V, _V] += sigma
+    diag[..., _B, _B] += tau
+    try:
+        diag = np.linalg.inv(diag)
+    except np.linalg.LinAlgError:
+        raise SingularSkewError(0.0) from None
+    inv = np.empty((L // 2, M, 4, M, 4), dtype=complex)
+    rows = np.arange(M)
+    inv[:, rows, :, rows, :] = diag.transpose(1, 0, 2, 3)
+    for i in range(1, M):
+        inv[:, i, :, :i] = t2 * right[:, i, :, None, None] * inv[:, i - 1, None, _B, :i]
+    for i in range(M - 2, -1, -1):
+        inv[:, i, :, i + 1:] = -t2 * left[:, i, :, None, None] * inv[:, i + 1, None, _V, i + 1:]
+    # ||C_k||_1: the largest column sum of |D_k|, plus t2 on the vertical
+    # species when the rows couple
+    cols = np.abs(d).sum(axis=1)
+    if M > 1:
+        cols[:, [_B, _V]] += t2
+    flat = inv.reshape(L // 2, -1)
+    bound = 1.0 / (cols.max(axis=1) * np.sqrt(np.sum(flat.real ** 2 + flat.imag ** 2, axis=1)))
+    if not bound.min() >= PIVOT_TOL:
+        raise SingularSkewError(float(np.nan_to_num(bound.min())))
+    return inv
+
+
+def _offset_kernel(inv):
+    """The back-transform g(d) = -(2/L) Re sum_k e^{ikd} G_k of the ring
+    inverses (L/2, M, 4, M, 4): (2L - 1, 4M, 4M), d = 1 - L .. L - 1."""
+    L, n = 2 * inv.shape[0], 4 * inv.shape[1]
+    inv = inv.reshape(L // 2, -1)
+    # Re e^{ikd} G = cos(kd) Re G - sin(kd) Im G, one real matmul over k
+    kd = np.outer(np.arange(1 - L, L), ring_momenta(L))
+    phase = np.hstack([np.cos(kd), np.sin(kd)])
+    phase *= -2.0 / L
+    return (phase @ np.concatenate([inv.real, -inv.imag])).reshape(2 * L - 1, n, n)
+
+
 class PropagatorCache:
     """Two-point function <Phi_i Phi_j> = -[A^{-1}]_{ij} as its ring-offset kernel.
 
-    Built from the ring blocks: each complex 4M x 4M block C_k = X_k + i Y_k
-    is certified invertible by its reciprocal condition number
-    sigma_min / sigma_max (below PIVOT_TOL raises SingularSkewError), the
-    blocks are inverted, and the back-transform gives the 4M x 4M
-    kernel g(d) of every column offset d = z1 - z1' in (-L, L).  g is
-    antisymmetrized exactly, g(d) -> (g(d) - g(-d)^T)/2, after checking
-    that this moves it by no more than roundoff.  The read-only array
-    `kernel` of shape (2L - 1, 4M, 4M), rows and columns ordered (z2,
-    species), is all the cache stores.  The dense 4LM x 4LM `matrix` is a
-    test oracle view, built only on request.
+    Built from the ring blocks: the blocks of each inverse C_k^{-1} come
+    from the left and right Schur sweeps over the rows (module
+    docstring), each C_k certified invertible by the lower bound
+    1 / (||C_k||_1 ||C_k^{-1}||_F) on sigma_min / sigma_max (below
+    PIVOT_TOL, or at an exactly zero pivot, raises SingularSkewError),
+    and the back-transform gives the 4M x 4M kernel g(d) of every column
+    offset d = z1 - z1' in (-L, L).  g is antisymmetrized exactly,
+    g(d) -> (g(d) - g(-d)^T)/2, after checking that this moves it by no
+    more than roundoff.  The read-only array `kernel` of shape
+    (2L - 1, 4M, 4M), rows and columns ordered (z2, species), is all the
+    cache stores.  The dense 4LM x 4LM `matrix` is a test oracle view,
+    built only on request.
     """
 
     def __init__(self, geometry, couplings):
         self.geometry = geometry
         self.couplings = couplings
-        L, M = geometry.L, geometry.M
-        x, y = ring_blocks(geometry, couplings)
-        c = x + 1j * y
-        sv = np.linalg.svd(c, compute_uv=False)
-        # an all-zero block has sigma_max = 0 and counts as ratio 0
-        ratio = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
-        if ratio.min() < PIVOT_TOL:
-            raise SingularSkewError(float(ratio.min()))
-        inv = np.linalg.inv(c)
-        offsets = np.arange(1 - L, L)
-        phase = np.exp(1j * np.outer(offsets, ring_momenta(L)))
-        g = (-2.0 / L) * (phase @ inv.reshape(L // 2, -1)).real
-        g = g.reshape(2 * L - 1, 4 * M, 4 * M)
-        anti = (g - g[::-1].transpose(0, 2, 1)) / 2.0
-        defect = np.max(np.abs(g - anti))
-        norm = np.max(np.abs(anti))
+        g = _offset_kernel(_ring_inverse(geometry, couplings))
+        anti = g - g[::-1].transpose(0, 2, 1)
+        anti *= 0.5
+        # at -d both are the transposes of those at d, so d >= 0 suffices
+        L = geometry.L
+        defect = np.max(np.abs(g[L - 1:] - anti[L - 1:]))
+        norm = np.max(np.abs(anti[L - 1:]))
         if defect > 1e-10 * norm:
             raise AssertionError(
                 f"inverse symmetrization defect {defect:.3e} exceeds 1e-10 * {norm:.3e}"

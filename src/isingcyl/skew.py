@@ -12,9 +12,10 @@ the Pfaffian over perfect matchings.  It is exponential and restricted to
 dimension <= 8; it is a test oracle, never called by the library.
 
 Partition functions need Pf A of the 4LM x 4LM action matrix.  `exact`
-block-diagonalizes A by ring translation invariance and takes each real
-8M x 8M block's Pfaffian as the determinant of a complex 4M x 4M matrix,
-so the sweep is not on that path.  On the dense action matrix,
+block-diagonalizes A by ring translation invariance, takes each real
+8M x 8M block's Pfaffian as the determinant of a complex 4M x 4M matrix
+and that determinant from a Schur sweep over its rows, so the
+elimination is not on that path.  On the dense action matrix,
 `pfaffian_sign_logabs` and `skew_inverse` are the oracles the tests
 check that route against; the (sign, log|Pf|) form keeps them safe
 where the product of pivots over- or underflows double precision.
@@ -32,7 +33,8 @@ import numpy as np
 
 # smallest relative singularity measure that certifies a matrix invertible:
 # a sweep pivot over the largest entry (`skew_inverse`), or a ring block's
-# smallest over its largest singular value (`exact.PropagatorCache`)
+# certified lower bound 1 / (||C||_1 ||C^-1||_F) on sigma_min / sigma_max
+# (`exact.PropagatorCache`)
 PIVOT_TOL = 1e-12
 
 
@@ -41,8 +43,9 @@ class SingularSkewError(ValueError):
 
     Attributes:
         pivot: the offending relative measure: an elimination pivot over
-            the largest entry of the input matrix, or a block's smallest
-            over its largest singular value.
+            the largest entry of the input matrix, or a ring block's lower
+            bound 1 / (||C||_1 ||C^-1||_F) on sigma_min / sigma_max (0 at
+            an exactly zero pivot).
     """
 
     def __init__(self, pivot):

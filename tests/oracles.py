@@ -19,12 +19,18 @@
   check, the oracle for the quarter-mode real sum of `spectral.mode_sum`;
 - `unfold`, `sqrt_tables` and `full_gram_rows`: the Gram vectors on all
   (L, 2M) modes and all four slots, the oracle for the quarter rows,
-  closed-form norms and folded inner products of `multiscale`.
+  closed-form norms and folded inner products of `multiscale`;
+- `full_ring_blocks`, `slogdet_log_pf` and `dense_ring_kernel`: the
+  dense 4M x 4M ring blocks X_k + i Y_k, their determinants by LU and
+  their inverses back-transformed to the offset kernel, the oracles for
+  the row Schur sweeps of `exact.partition_function_log` and
+  `exact.PropagatorCache`.
 """
 
 import numpy as np
 
 from isingcyl.energy import cumulant_from_moments
+from isingcyl.exact import _LOCAL_MONOMIALS, Species, ring_momenta
 from isingcyl.multiscale import eta_window, scale_weight
 from isingcyl.skew import pfaffian
 from isingcyl.spectral import (
@@ -265,3 +271,46 @@ def full_gram_rows(geometry, couplings, h, z, side, rows, slots=GRAM_SLOTS,
             scalar = wave * forward_difference(k1, s[0]) * forward_difference(q, s[1]) * phase
             row[:, :, sigmas, si] = scalar[:, :, None] * comps[:, :, sigmas]
     return out
+
+
+def full_ring_blocks(geometry, couplings, momenta):
+    """X_k, Y_k of the 4M x 4M ring blocks X_k + i Y_k = A0 + e^{ik} A1 -
+    e^{-ik} A1^T at the given momenta, rows ordered (z2, species): two
+    real (K, 4M, 4M) arrays, X exactly skew and Y exactly symmetric."""
+    n = 4 * geometry.M
+    base = 4 * np.arange(geometry.M)
+    a0 = np.zeros((n, n))
+    for i, j in _LOCAL_MONOMIALS:
+        a0[base + i, base + j] = 1.0
+        a0[base + j, base + i] = -1.0
+    a0[base[:-1] + Species.VBAR, base[1:] + Species.V] = couplings.t2
+    a0[base[1:] + Species.V, base[:-1] + Species.VBAR] = -couplings.t2
+    a1 = np.zeros((n, n))
+    a1[base + Species.HBAR, base + Species.H] = couplings.t1
+    k = np.asarray(momenta)[:, None, None]
+    return a0 + np.cos(k) * (a1 - a1.T), np.sin(k) * (a1 + a1.T)
+
+
+def slogdet_log_pf(geometry, couplings):
+    """(sign, log|Pf A|) as the product of the ring-block determinants,
+    each by LU (`numpy.linalg.slogdet`), a few momenta per batch so the
+    4M x 4M stack stays small."""
+    sign, log_pf = 1.0, 0.0
+    for momenta in np.array_split(ring_momenta(geometry.L), max(1, geometry.L // 16)):
+        x, y = full_ring_blocks(geometry, couplings, momenta)
+        phase, logabs = np.linalg.slogdet(x + 1j * y)
+        assert np.max(np.abs(phase.imag)) <= 1e-8
+        sign *= float(np.prod(np.sign(phase.real)))
+        log_pf += float(np.sum(logabs))
+    return sign, log_pf
+
+
+def dense_ring_kernel(geometry, couplings):
+    """The offset kernel -(2/L) Re sum_k e^{ikd} (X_k + i Y_k)^{-1} for
+    d = 1 - L .. L - 1 from dense inverses: (2L - 1, 4M, 4M)."""
+    L, M = geometry.L, geometry.M
+    k = ring_momenta(L)
+    x, y = full_ring_blocks(geometry, couplings, k)
+    inv = np.linalg.inv(x + 1j * y).reshape(L // 2, -1)
+    phase = np.exp(1j * np.outer(np.arange(1 - L, L), k))
+    return ((-2.0 / L) * (phase @ inv).real).reshape(2 * L - 1, 4 * M, 4 * M)

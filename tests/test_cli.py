@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from isingcyl import energy, exact, scaling, verify
+from isingcyl import cli, energy, exact, scaling, spectral, verify
 from isingcyl.cli import main
 from isingcyl.lattice import CylinderGeometry
 
@@ -278,7 +278,7 @@ def test_singular_ring_block_exits_two_in_one_line(capsys, monkeypatch, command)
 
 def test_imaginary_ring_determinant_exits_two_in_one_line(capsys, monkeypatch):
     original = exact.ring_blocks
-    theta = math.pi / (2 * 4 * 3)  # det(e^{i theta} C_k) is imaginary for 4M = 12
+    theta = math.pi / (2 * 4 * 3)  # det(e^{i theta} D_k) is 30 degrees off the real axis
 
     def rotated_blocks(geometry, couplings):
         x, y = original(geometry, couplings)
@@ -503,6 +503,48 @@ def test_scaling_coarse_mesh_blames_meshes(capsys):
                          "--pairs", "[[[0.3,0.3],[0.6,0.6]]]")
     assert_one_usage_line(code, err)
     assert err.startswith("error: --meshes: mesh a=0.5 too coarse")
+    assert out == ""
+
+
+@pytest.mark.parametrize("meshes", ["1e-9,32", "32,4096", "1e-320,32"])
+def test_scaling_rejects_a_mesh_beyond_the_site_cap(capsys, monkeypatch, meshes):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mode tables built for a rejected mesh")
+
+    monkeypatch.setattr(spectral.SpectralData, "__init__", forbidden)
+    monkeypatch.setattr(scaling, "scaling_remainder_records", forbidden)
+    code, out, err = run(capsys, "scaling", "--l1", "1", "--l2", "1", "--meshes", meshes,
+                         "--pairs", "[[[0.3,0.3],[0.6,0.6]]]")
+    assert_one_usage_line(code, err)
+    assert err.startswith("error: --meshes:")
+    assert out == ""
+
+
+def test_scaling_accepts_a_mesh_at_the_site_cap(capsys, monkeypatch):
+    seen = []
+
+    def record(cylinder, couplings, pairs, meshes):
+        seen.append([cylinder.lattice_sizes(a) for a in meshes])
+        return []
+
+    monkeypatch.setattr(scaling, "scaling_remainder_records", record)
+    code, _, err = run(capsys, "scaling", "--l1", "1", "--l2", "1", "--meshes", "32,2048",
+                       "--pairs", "[[[0.3,0.3],[0.6,0.6]]]")
+    assert code == 0, err
+    assert seen == [[(32, 32), (2048, 2048)]]
+    assert 2048 * 2048 == cli.SCALING_SITE_CAP
+
+
+@pytest.mark.parametrize("command", [
+    ["scaling", "--meshes", "8,16", "--pairs", "[[[0.25,0.25],[0.75,0.5]]]"],
+    ["correlations", "--marked", "[[0.3125,0.375,2],[0.6875,0.625,2]]"],
+])
+@pytest.mark.parametrize("flags", [["--beta", "0.3"], ["--J1", "1"], ["--J2", "5"],
+                                   ["--beta", "0.3", "--J1", "1", "--J2", "5"]])
+def test_continuum_commands_reject_a_temperature(capsys, command, flags):
+    code, out, err = run(capsys, *command, "--l1", "1", "--l2", "1", *flags)
+    assert_one_usage_line(code, err)
+    assert err.startswith(f"error: {flags[0]}") and "criticality" in err
     assert out == ""
 
 

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,18 @@ from isingcyl.exact import (
     horizontal_kernel,
     massive_propagator,
     partition_function_log,
+    ring_momenta,
 )
 from isingcyl.lattice import CylinderGeometry
 from isingcyl.skew import SingularSkewError, pfaffian_sign_logabs, skew_inverse
-from oracles import horizontal_kernel_infinite
+from oracles import (
+    dense_ring_kernel,
+    full_ring_blocks,
+    horizontal_kernel_infinite,
+    slogdet_log_pf,
+)
+
+ISOTROPIC_BETA = 0.5 * math.log(1.0 + math.sqrt(2.0))
 
 
 def test_couplings_validation_and_critical_line():
@@ -174,6 +183,61 @@ def test_ring_route_matches_slogdet(L, M):
     assert _log_pf_close(res.log_pf_abs, 0.5 * logdet)
 
 
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_row_sweep_matches_ring_block_slogdet(n):
+    g = CylinderGeometry(n, n)
+    for draw in ((0.4, 1.0, 0.9), (0.7, 1.3, 0.5), (ISOTROPIC_BETA, 1.0, 1.0)):
+        res = partition_function_log(g, *draw)
+        sign, log_pf = slogdet_log_pf(g, Couplings.from_beta(*draw))
+        assert res.pf_sign == sign == 1.0, draw
+        assert _log_pf_close(res.log_pf_abs, log_pf), draw
+        ref = _log_z_prefactor(g, *draw) + log_pf
+        assert abs(res.log_z - ref) <= 1e-12 * abs(ref), draw
+
+
+def test_log_z_memory_is_linear_in_the_size():
+    g = CylinderGeometry(256, 1024)
+    tracemalloc.start()
+    try:
+        partition_function_log(g, 0.4, 1.0, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few complex numbers per row and momentum; one dense 4M x 4M
+    # ring block alone would be 268 MB
+    assert peak <= 64 * g.L * g.M
+
+
+@pytest.mark.parametrize("L,M", [(16, 24), (8, 40), (24, 8), (2, 30)])
+def test_propagator_kernel_matches_dense_ring_inverses(L, M):
+    g = CylinderGeometry(L, M)
+    for cpl in (Couplings(0.35, 0.45), Couplings.isotropic_critical(),
+                Couplings.from_beta(0.7, 1.0, 0.4), Couplings(0.9, 0.95)):
+        kernel = PropagatorCache(g, cpl).kernel
+        ref = dense_ring_kernel(g, cpl)
+        assert np.max(np.abs(kernel - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("L,M", [(2, 1), (4, 3), (8, 6), (6, 12)])
+def test_cache_gate_bounds_the_singular_value_ratio(monkeypatch, L, M):
+    # with the gate at 1 every block fails, and the error carries the
+    # certified bound: between the true sigma_min / sigma_max and 1/(4M)
+    # of it (||C||_1 <= sqrt(4M) ||C||_2, ||C^-1||_F <= sqrt(4M) ||C^-1||_2)
+    g = CylinderGeometry(L, M)
+    monkeypatch.setattr(exact, "PIVOT_TOL", 1.0)
+    for cpl in (Couplings(0.35, 0.45), Couplings.isotropic_critical(), Couplings(0.9, 0.95)):
+        x, y = full_ring_blocks(g, cpl, ring_momenta(L))
+        c = x + 1j * y
+        sv = np.linalg.svd(c, compute_uv=False)
+        ratio = float(np.min(sv[:, -1] / sv[:, 0]))
+        norm_1 = np.abs(c).sum(axis=1).max(axis=1)
+        norm_f = np.linalg.norm(np.linalg.inv(c), axis=(1, 2))
+        with pytest.raises(SingularSkewError) as info:
+            PropagatorCache(g, cpl)
+        assert math.isclose(info.value.pivot, np.min(1.0 / (norm_1 * norm_f)), rel_tol=1e-12)
+        assert ratio / (4 * M) <= info.value.pivot <= ratio
+
+
 @pytest.mark.parametrize("L,M", [(2, 1), (2, 5), (4, 3), (6, 4), (8, 8), (12, 3)])
 def test_propagator_cache_matches_skew_inverse(L, M):
     g = CylinderGeometry(L, M)
@@ -240,8 +304,21 @@ def _with_rotated_blocks(theta):
 
 def test_imaginary_ring_determinant_trips_the_phase_gate(monkeypatch):
     g = CylinderGeometry(4, 3)
-    # det(e^{i theta} C) = e^{i n theta} det C with n = 4M rows: purely imaginary
+    # det(e^{i theta} D_k) = e^{4i theta} det D_k: 30 degrees off the real axis
     monkeypatch.setattr(exact, "ring_blocks", _with_rotated_blocks(math.pi / (2 * 4 * g.M)))
+    with pytest.raises(AssertionError, match="phase"):
+        partition_function_log(g, 0.4, 1.0, 1.0)
+
+
+def test_imaginary_schur_factor_trips_the_phase_gate(monkeypatch):
+    # det(e^{i pi/4} D_k) = -det D_k stays real, but the rotated rows make
+    # every Schur factor f_j with j > 1 leave the real axis
+    g = CylinderGeometry(4, 3)
+    rotated = _with_rotated_blocks(math.pi / 4)
+    x, y = rotated(g, Couplings.from_beta(0.4, 1.0, 1.0))
+    det = np.linalg.det(x + 1j * y)
+    assert np.max(np.abs(det.imag) / np.abs(det)) <= 1e-14
+    monkeypatch.setattr(exact, "ring_blocks", rotated)
     with pytest.raises(AssertionError, match="phase"):
         partition_function_log(g, 0.4, 1.0, 1.0)
 
@@ -329,3 +406,17 @@ def test_casimir_amplitude_of_log_z_at_isotropic_criticality():
              for M in (128, 129)]
     amplitude = L * (log_z[1] - log_z[0] - L * f_b)
     assert abs(amplitude - math.pi / 12.0) <= 1e-4
+
+
+def test_casimir_amplitude_at_circumference_256():
+    # the same step at L = 256, where the O(L^-2) lattice correction is
+    # about 2e-6.  The cylinder is four circumferences long: at two
+    # (M = 512) the step still carries a finite-aspect correction of
+    # -2.1e-5 that does not shrink with L
+    catalan = 0.915965594177219015054603514932384110774
+    f_b = 0.5 * math.log(2.0) + 2.0 * catalan / math.pi
+    L = 256
+    log_z = [partition_function_log(CylinderGeometry(L, M), ISOTROPIC_BETA, 1.0, 1.0).log_z
+             for M in (1024, 1025)]
+    amplitude = L * (log_z[1] - log_z[0] - L * f_b)
+    assert abs(amplitude - math.pi / 12.0) <= 1e-5
