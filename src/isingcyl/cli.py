@@ -377,8 +377,6 @@ def cmd_scaling(args):
             L, M = cylinder.lattice_sizes(a)
         except ValueError as err:
             raise UsageError(f"--meshes: {err}")
-        except OverflowError:
-            L = M = math.inf
         if L * M > SCALING_SITE_CAP:
             raise UsageError(f"--meshes: mesh a={a:g} induces L={L}, M={M}; "
                              f"L*M exceeds the cap {SCALING_SITE_CAP}")

@@ -117,7 +117,7 @@ def cumulant_from_moments(moment, items):
 
 
 def dense_correlator(geometry, couplings):
-    """Two-point callable gathered from the offset kernel of -A^{-1}: any
+    """Two-point callable summed from the row generators of -A^{-1}: any
     couplings, all four species.  `corr(z, s, zp, sp)` maps (P, 2) site
     and (P,) `Species` arrays to the P values <Phi_{z,s} Phi_{z',s'}>."""
     cache = propagator_from_A(geometry, couplings)

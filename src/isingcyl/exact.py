@@ -78,27 +78,30 @@ Inverse.  Eliminating from the top row down gives the right Schur
 complements S^R_M = D_k, S^R_j = D_k - E (S^R_{j+1})^{-1} F =
 D_k + tau_j e_b e_b^T: the same recursion with V and Vbar swapped.
 Block-tridiagonal inversion (Meurant, SIAM J. Matrix Anal. Appl. 13, 707
-(1992)) then gives every 4 x 4 block of G = C_k^{-1}:
+(1992)) makes G = C_k^{-1} semiseparable, fixed by O(M) row generators:
 
     G_jj = (D_k + sigma_j e_v e_v^T + tau_j e_b e_b^T)^{-1},
-    G_ij = -t2 S_i^{-1} e_b (e_v^T G_{i+1,j})        for i < j,
-    G_ij =  t2 (S^R_i)^{-1} e_v (e_b^T G_{i-1,j})    for i > j,
+    G_ij = t2 e^{A_{i-1} - A_j} r_i (e_b^T G_jj)        for i > j,
 
-the off-diagonal blocks as rank-one chains filled outward from the
-diagonal, one row of blocks per step; the columns S_i^{-1} e_b and
-(S^R_i)^{-1} e_v are Sherman-Morrison again.  `PropagatorCache`
-certifies each block invertible by the lower bound
+with the column r_i = (S^R_i)^{-1} e_v (Sherman-Morrison again) and the
+chain logarithm A_i = sum_{1 <= m <= i} log(t2 r_m[b]), whose differences
+stay finite where the plain products underflow.  Only this lower chain
+is formed: i C_k is Hermitian, so G is anti-Hermitian, and a site pair
+above the diagonal is taken as minus the transpose of the swapped pair;
+-A^{-1} is then antisymmetric by construction.
+`PropagatorCache` certifies each block invertible by the lower bound
 1 / (||C_k||_1 ||C_k^{-1}||_F) <= sigma_min / sigma_max: |C_k| is
 entrywise symmetric, so ||C_k||_2 <= ||C_k||_1, and
-||C_k^{-1}||_2 <= ||C_k^{-1}||_F, summed over the computed blocks.  A bound
-below PIVOT_TOL raises SingularSkewError, so every block with a singular
-value ratio below PIVOT_TOL is rejected.
+||C_k^{-1}||_2 <= ||C_k^{-1}||_F, whose square is sum_j ||G_jj||^2 plus
+twice the chain blocks, an O(M) recursion per k.  A bound below
+PIVOT_TOL raises SingularSkewError, so every block with a singular value
+ratio below PIVOT_TOL is rejected.
 
 Wick's rule reduces every even correlation to a Pfaffian of two-point
-functions <Phi_i Phi_j> = -[A^{-1}]_{ij}.  The same blocks give the
-inverse: -A^{-1} depends on z1 - z1' only and is the back-transform
--(2/L) Re sum_k e^{ik(z1 - z1')} (X_k + i Y_k)^{-1}; `propagator_from_A`
-keeps only this offset kernel and gathers site pairs from it in batches.
+functions <Phi_i Phi_j> = -[A^{-1}]_{ij}.  -A^{-1} depends on z1 - z1'
+only, as the back-transform -(2/L) Re sum_k e^{ik(z1 - z1')} G_k;
+`propagator_from_A` keeps the O(LM) generators and sums over k per site
+pair, in batches.
 The horizontal (xi) sector decouples from
 the vertical (phi) sector after a Schur reduction and has the explicit
 "massive" propagator computed by `massive_propagator` as an
@@ -122,7 +125,8 @@ from .spectral import antiperiodic_momenta
 
 CRITICAL_TOL = 1e-14
 
-# largest |Im| of a ring block's determinant phase, which is +-1 exactly
+# largest |Im x| / |x| of det D_k and of the Schur factors f_j, which are
+# real in exact arithmetic (module docstring)
 PHASE_TOL = 1e-8
 
 
@@ -342,110 +346,103 @@ def partition_function_log(geometry, beta, J1, J2):
     return PartitionResult(prefactor + log_pf, sign, log_pf)
 
 
-def _ring_inverse(geometry, couplings):
-    """G_k = C_k^{-1} for every ring momentum, as (L/2, M, 4, M, 4).
-
-    Diagonal blocks from the left and right Schur sweeps, off-diagonal
-    blocks as rank-one chains (module docstring).  Each block is
-    certified by 1 / (||C_k||_1 ||G_k||_F) >= PIVOT_TOL; below it, or at
-    an exactly zero pivot, raises SingularSkewError.
-    """
-    L, M = geometry.L, geometry.M
-    t2 = couplings.t2
-    x, y = ring_blocks(geometry, couplings)
-    d = x + 1j * y
-    if np.any(np.linalg.det(d) == 0):
-        raise SingularSkewError(0.0)
-    p = np.linalg.inv(d)
-    # the left sweep from the bottom row and the right one from the top
-    s, f = _schur_sweep(p, t2, M, [_V, _B], [_B, _V])
-    if np.any(f == 0):
-        raise SingularSkewError(0.0)
-    sigma, tau = s[:, :, 0].T, s[::-1, :, 1].T
-    # S_j^{-1} e_b and (S^R_j)^{-1} e_v by Sherman-Morrison, (L/2, M, 4)
-    q = p[:, None]
-    left = q[..., _B] - (sigma / f[:, :, 0].T)[..., None] * q[..., _V] * q[..., _V, _B, None]
-    right = q[..., _V] - (tau / f[::-1, :, 1].T)[..., None] * q[..., _B] * q[..., _B, _V, None]
-    diag = np.repeat(d[:, None], M, axis=1)
-    diag[..., _V, _V] += sigma
-    diag[..., _B, _B] += tau
-    try:
-        diag = np.linalg.inv(diag)
-    except np.linalg.LinAlgError:
-        raise SingularSkewError(0.0) from None
-    inv = np.empty((L // 2, M, 4, M, 4), dtype=complex)
-    rows = np.arange(M)
-    inv[:, rows, :, rows, :] = diag.transpose(1, 0, 2, 3)
-    for i in range(1, M):
-        inv[:, i, :, :i] = t2 * right[:, i, :, None, None] * inv[:, i - 1, None, _B, :i]
-    for i in range(M - 2, -1, -1):
-        inv[:, i, :, i + 1:] = -t2 * left[:, i, :, None, None] * inv[:, i + 1, None, _V, i + 1:]
-    # ||C_k||_1: the largest column sum of |D_k|, plus t2 on the vertical
-    # species when the rows couple
-    cols = np.abs(d).sum(axis=1)
-    if M > 1:
-        cols[:, [_B, _V]] += t2
-    flat = inv.reshape(L // 2, -1)
-    bound = 1.0 / (cols.max(axis=1) * np.sqrt(np.sum(flat.real ** 2 + flat.imag ** 2, axis=1)))
-    if not bound.min() >= PIVOT_TOL:
-        raise SingularSkewError(float(np.nan_to_num(bound.min())))
-    return inv
-
-
-def _offset_kernel(inv):
-    """The back-transform g(d) = -(2/L) Re sum_k e^{ikd} G_k of the ring
-    inverses (L/2, M, 4, M, 4): (2L - 1, 4M, 4M), d = 1 - L .. L - 1."""
-    L, n = 2 * inv.shape[0], 4 * inv.shape[1]
-    inv = inv.reshape(L // 2, -1)
-    # Re e^{ikd} G = cos(kd) Re G - sin(kd) Im G, one real matmul over k
-    kd = np.outer(np.arange(1 - L, L), ring_momenta(L))
-    phase = np.hstack([np.cos(kd), np.sin(kd)])
-    phase *= -2.0 / L
-    return (phase @ np.concatenate([inv.real, -inv.imag])).reshape(2 * L - 1, n, n)
+# site pairs summed per pass of `PropagatorCache.species_block`
+_CHUNK = 256
 
 
 class PropagatorCache:
-    """Two-point function <Phi_i Phi_j> = -[A^{-1}]_{ij} as its ring-offset kernel.
+    """Two-point function <Phi_i Phi_j> = -[A^{-1}]_{ij} from the row
+    generators of the ring inverses G_k = C_k^{-1}.
 
-    Built from the ring blocks: the blocks of each inverse C_k^{-1} come
-    from the left and right Schur sweeps over the rows (module
-    docstring), each C_k certified invertible by the lower bound
-    1 / (||C_k||_1 ||C_k^{-1}||_F) on sigma_min / sigma_max (below
-    PIVOT_TOL, or at an exactly zero pivot, raises SingularSkewError),
-    and the back-transform gives the 4M x 4M kernel g(d) of every column
-    offset d = z1 - z1' in (-L, L).  g is antisymmetrized exactly,
-    g(d) -> (g(d) - g(-d)^T)/2, after checking that this moves it by no
-    more than roundoff.  The read-only array `kernel` of shape
-    (2L - 1, 4M, 4M), rows and columns ordered (z2, species), is all the
-    cache stores.  The dense 4LM x 4LM `matrix` is a test oracle view,
-    built only on request.
+    The left and right Schur sweeps over the rows (module docstring) give,
+    for every ring momentum k and row j, the diagonal block G_jj, the
+    column r_j = (S^R_j)^{-1} e_v and the chain logarithm
+    A_j = sum_{1 <= m <= j} log(t2 r_m[b]); each block below the diagonal
+    is G_ij = t2 e^{A_{i-1} - A_j} r_i (e_b^T G_jj).  Each C_k is certified
+    invertible by the lower bound 1 / (||C_k||_1 ||C_k^{-1}||_F) on
+    sigma_min / sigma_max (below PIVOT_TOL, or at an exactly zero pivot,
+    raises SingularSkewError).  The cache holds O(L M) numbers and
+    `species_block` does one k-sum per site pair.  The dense 4LM x 4LM
+    `matrix` is a test oracle view, built only on request.
     """
 
     def __init__(self, geometry, couplings):
-        self.geometry = geometry
-        self.couplings = couplings
-        g = _offset_kernel(_ring_inverse(geometry, couplings))
-        anti = g - g[::-1].transpose(0, 2, 1)
+        self.geometry, self.couplings = geometry, couplings
+        L, M, t2 = geometry.L, geometry.M, couplings.t2
+        x, y = ring_blocks(geometry, couplings)
+        d = x + 1j * y
+        try:
+            p = np.linalg.inv(d)
+            # the left sweep from the bottom row and the right one from the top
+            s, f = _schur_sweep(p, t2, M, [_V, _B], [_B, _V])
+            if np.any(f == 0):
+                raise np.linalg.LinAlgError
+            tau = s[::-1, :, 1]
+            g = np.repeat(d[None], M, axis=0)
+            g[..., _V, _V] += s[:, :, 0]
+            g[..., _B, _B] += tau
+            g = np.linalg.inv(g)
+        except np.linalg.LinAlgError:
+            raise SingularSkewError(0.0) from None
+        # r_j = (S^R_j)^{-1} e_v by Sherman-Morrison, (M, 4, L/2)
+        right = self._right = np.ascontiguousarray(
+            p[:, :, _V].T - (tau / f[::-1, :, 1])[:, None] * p[:, :, _B].T * p[:, _B, _V])
+        # G_jj is anti-Hermitian (i C_k is Hermitian): project onto that
+        anti = g - np.conjugate(np.swapaxes(g, 2, 3))
         anti *= 0.5
-        # at -d both are the transposes of those at d, so d >= 0 suffices
-        L = geometry.L
-        defect = np.max(np.abs(g[L - 1:] - anti[L - 1:]))
-        norm = np.max(np.abs(anti[L - 1:]))
+        defect, norm = np.max(np.abs(g - anti)), np.max(np.abs(anti))
+        del g
+        # ||C_k^{-1}||_F^2: the diagonal blocks plus twice those below it,
+        # sum_i ||t2 r_i||^2 S_i with S_{i+1} = ||row_i||^2 + |t2 r_i[b]|^2 S_i
+        link = np.abs(t2 * right[:, _B]) ** 2
+        row_sq = np.sum(np.abs(anti[..., _B, :]) ** 2, axis=2)
+        right_sq = t2 * t2 * np.sum(np.abs(right) ** 2, axis=1)
+        tail = lower = 0.0
+        for i in range(1, M):
+            tail = row_sq[i - 1] + link[i - 1] * tail
+            lower += right_sq[i] * tail
+        frob = np.sum(np.abs(anti) ** 2, axis=(0, 2, 3)) + 2.0 * lower
+        # ||C_k||_1: the largest column sum of |D_k|, plus t2 on the vertical
+        # species when the rows couple
+        cols = np.abs(d).sum(axis=1)
+        cols[:, [_B, _V]] += t2 * (M > 1)
+        bound = 1.0 / (cols.max(axis=1) * np.sqrt(frob))
+        if not bound.min() >= PIVOT_TOL:
+            raise SingularSkewError(float(np.nan_to_num(bound.min())))
         if defect > 1e-10 * norm:
-            raise AssertionError(
-                f"inverse symmetrization defect {defect:.3e} exceeds 1e-10 * {norm:.3e}"
-            )
-        anti.setflags(write=False)
-        self.kernel = anti
+            raise AssertionError(f"inverse symmetrization defect {defect:.3e} > 1e-10 * {norm:.3e}")
+        self._k = ring_momenta(L)
+        self._chain = np.zeros((M, L // 2), dtype=complex)
+        np.cumsum(np.log(t2 * right[1:, _B]), axis=0, out=self._chain[1:])
+        # scaled so that a block is Re sum_k e^{ikd} (...) of the stored factors
+        self._diag = (-2.0 / L) * anti.reshape(M, L // 2, 16)
+        self._rows = (-2.0 * t2 / L) * anti[..., _B, :]
 
     def species_block(self, z, zp):
         """<Phi_{z,s} Phi_{z',s'}> indexed [s, s'] by `Species`: (4, 4) for
-        one site pair, (P, 4, 4) for (P, 2) site arrays."""
+        one site pair, (P, 4, 4) for (P, 2) site arrays.
+
+        Only pairs with z2 > z2', or z2 = z2' and z1 >= z1', are summed,
+        in chunks of _CHUNK: the back-transformed G_jj on one row, the
+        rank-one chain below it.  The others are minus the transpose of
+        the swapped pair, so the blocks are exactly antisymmetric."""
         single = np.shape(z) == (2,)
         z, zp = self.geometry.site_arrays(z, zp)
-        L, M = self.geometry.L, self.geometry.M
-        kernel = self.kernel.reshape(2 * L - 1, M, 4, M, 4)
-        out = kernel[z[:, 0] - zp[:, 0] + L - 1, z[:, 1] - 1, :, zp[:, 1] - 1]
+        d, i, j = z[:, 0] - zp[:, 0], z[:, 1] - 1, zp[:, 1] - 1
+        swap = (i < j) | ((i == j) & (d < 0))
+        i, j, d = np.where(swap, j, i), np.where(swap, i, j), np.where(swap, -d, d)
+        out = np.empty((len(d), 4, 4))
+        same, low = np.flatnonzero(i == j), np.flatnonzero(i != j)
+        for c in range(0, len(d), _CHUNK):
+            s, q = same[c:c + _CHUNK], low[c:c + _CHUNK]
+            phase = np.exp(1j * np.multiply.outer(d[s], self._k))[:, None]
+            out[s] = (phase @ self._diag[j[s]]).real.reshape(-1, 4, 4)
+            w = np.exp(1j * np.multiply.outer(d[q], self._k)
+                       + self._chain[i[q] - 1] - self._chain[j[q]])
+            out[q] = ((w[:, None] * self._right[i[q]]) @ self._rows[j[q]]).real
+        out[swap] = -out[swap].transpose(0, 2, 1)
+        site = (i == j) & (d == 0)
+        out[site] = 0.5 * (out[site] - out[site].transpose(0, 2, 1))
         return out[0] if single else out
 
     def vertical_block(self, z, zp):
@@ -455,19 +452,19 @@ class PropagatorCache:
     @cached_property
     def matrix(self):
         """Dense read-only -A^{-1} in `flat_index` order: a test oracle,
-        gathered from `kernel` on first access; the library never builds it."""
-        L, M = self.geometry.L, self.geometry.M
-        cols = np.arange(L)
-        # full[z1, z1', z2, s, z2', s'] = kernel[z1 - z1' + L - 1][(z2, s), (z2', s')]
-        full = self.kernel.reshape(2 * L - 1, M, 4, M, 4)[cols[:, None] - cols + L - 1]
-        g = full.transpose(2, 0, 3, 4, 1, 5).reshape(4 * L * M, 4 * L * M)
+        assembled from `species_block` over every site pair on first
+        access; the library never builds it."""
+        sites = np.array(list(self.geometry.sites()))
+        n = len(sites)
+        g = self.species_block(np.repeat(sites, n, axis=0), np.tile(sites, (n, 1)))
+        g = g.reshape(n, n, 4, 4).transpose(0, 2, 1, 3).reshape(4 * n, 4 * n)
         g.setflags(write=False)
         return g
 
 
 @lru_cache(maxsize=16)
 def propagator_from_A(geometry, couplings):
-    """Cached offset-kernel propagator of (geometry, couplings)."""
+    """Cached `PropagatorCache` of (geometry, couplings)."""
     return PropagatorCache(geometry, couplings)
 
 

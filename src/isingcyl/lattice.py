@@ -162,16 +162,6 @@ class CylinderGeometry:
     def n_sites(self):
         return self.L * self.M
 
-    @property
-    def n_horizontal_bonds(self):
-        # one bond per site: (z1, z2) -- (z1 + 1, z2), wrapping at z1 = L
-        return self.L * self.M
-
-    @property
-    def n_vertical_bonds(self):
-        # open rows: no bond leaves the top row
-        return self.L * (self.M - 1)
-
     def sites(self):
         """Iterate sites row-major: (1,1), (2,1), ..., (L,M)."""
         for z2 in range(1, self.M + 1):

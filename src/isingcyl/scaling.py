@@ -45,10 +45,12 @@ class ContinuumCylinder:
 
     def lattice_sizes(self, a):
         """Induced lattice sizes at mesh a: L = 2 floor(l1/(2a)), M = floor(l2/a)."""
-        if a <= 0:
-            raise ValueError("mesh must be positive")
-        L = 2 * int(math.floor(self.ell1 / (2.0 * a)))
-        M = int(math.floor(self.ell2 / a))
+        if not 0 < a < math.inf:
+            raise ValueError(f"mesh must be positive and finite, got a={a}")
+        n1, n2 = self.ell1 / (2.0 * a), self.ell2 / a
+        if max(n1, n2) == math.inf:
+            raise ValueError(f"mesh a={a} too fine: l/a overflows a double")
+        L, M = 2 * math.floor(n1), math.floor(n2)
         if L < 4 or M < 4:
             raise ValueError(f"mesh a={a} too coarse: induced sizes L={L}, M={M}")
         return L, M

@@ -520,6 +520,19 @@ def test_scaling_rejects_a_mesh_beyond_the_site_cap(capsys, monkeypatch, meshes)
     assert out == ""
 
 
+@pytest.mark.parametrize("meshes,message", [
+    ("1e-320,32", "mesh a=1e-320 too fine"),
+    ("nan,32", "expected positive numbers"),
+    ("inf,32", "expected positive numbers"),
+])
+def test_scaling_rejects_a_non_finite_mesh(capsys, meshes, message):
+    code, out, err = run(capsys, "scaling", "--l1", "1", "--l2", "1", "--meshes", meshes,
+                         "--pairs", "[[[0.3,0.3],[0.6,0.6]]]")
+    assert_one_usage_line(code, err)
+    assert err.startswith(f"error: --meshes: {message}")
+    assert out == ""
+
+
 def test_scaling_accepts_a_mesh_at_the_site_cap(capsys, monkeypatch):
     seen = []
 

@@ -131,14 +131,23 @@ def test_species_blocks_gather_the_dense_oracle(L, M):
             cache.species_block(sites[0], bad)
 
 
-def test_propagator_cache_stores_only_the_offset_kernel():
+def test_propagator_cache_stores_only_row_generators():
     g = CylinderGeometry(8, 6)
     cache = PropagatorCache(g, Couplings(0.35, 0.45))
-    assert set(vars(cache)) == {"geometry", "couplings", "kernel"}
-    assert cache.kernel.shape == (2 * 8 - 1, 4 * 6, 4 * 6)
-    assert not cache.kernel.flags.writeable
+    generators = set(vars(cache)) - {"geometry", "couplings"}
+    assert generators == {"_k", "_chain", "_right", "_diag", "_rows"}
+    # the diagonal blocks are the largest: 16 complex numbers per row and
+    # momentum, 128 L M bytes
+    assert max(vars(cache)[name].nbytes for name in generators) == 128 * 8 * 6
     dense = cache.matrix
     assert "matrix" in vars(cache) and cache.matrix is dense
+
+
+def _gather(kernel, geometry, zs, zps):
+    """Site-pair blocks (P, 4, 4) of an offset kernel (2L - 1, 4M, 4M)."""
+    L, M = geometry.L, geometry.M
+    return kernel.reshape(2 * L - 1, M, 4, M, 4)[
+        zs[:, 0] - zps[:, 0] + L - 1, zs[:, 1] - 1, :, zps[:, 1] - 1]
 
 
 def _log_z_prefactor(geometry, beta, J1, J2):
@@ -208,14 +217,33 @@ def test_log_z_memory_is_linear_in_the_size():
     assert peak <= 64 * g.L * g.M
 
 
+def test_propagator_memory_is_linear_in_the_size():
+    g = CylinderGeometry(256, 1024)
+    rng = np.random.default_rng(256)
+    zs, zps = (np.column_stack([rng.integers(1, g.L + 1, 10_000), rng.integers(1, g.M + 1, 10_000)])
+               for _ in range(2))
+    tracemalloc.start()
+    try:
+        blocks = PropagatorCache(g, Couplings.from_beta(0.4, 1.0, 0.9)).species_block(zs, zps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks.shape == (10_000, 4, 4) and np.all(np.isfinite(blocks))
+    # a few stacks of 4 x 4 blocks per row and momentum; the dense
+    # (2L - 1, 4M, 4M) offset kernel alone would be 69 GB
+    assert peak <= 1024 * g.L * g.M
+
+
 @pytest.mark.parametrize("L,M", [(16, 24), (8, 40), (24, 8), (2, 30)])
 def test_propagator_kernel_matches_dense_ring_inverses(L, M):
     g = CylinderGeometry(L, M)
+    sites = np.array(list(g.sites()))
+    zs, zps = np.repeat(sites, len(sites), axis=0), np.tile(sites, (len(sites), 1))
     for cpl in (Couplings(0.35, 0.45), Couplings.isotropic_critical(),
                 Couplings.from_beta(0.7, 1.0, 0.4), Couplings(0.9, 0.95)):
-        kernel = PropagatorCache(g, cpl).kernel
-        ref = dense_ring_kernel(g, cpl)
-        assert np.max(np.abs(kernel - ref)) <= 1e-12 * np.max(np.abs(ref))
+        blocks = PropagatorCache(g, cpl).species_block(zs, zps)
+        ref = _gather(dense_ring_kernel(g, cpl), g, zs, zps)
+        assert np.max(np.abs(blocks - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("L,M", [(2, 1), (4, 3), (8, 6), (6, 12)])
@@ -275,6 +303,20 @@ def test_singular_ring_block_is_rejected(monkeypatch, scale):
     if scale == 0.0:
         with pytest.raises(ArithmeticError):
             partition_function_log(g, 0.4, 1.0, 1.0)
+
+
+def test_non_hermitian_ring_block_trips_the_defect_gate(monkeypatch):
+    # an asymmetric Y_k makes i C_k non-Hermitian, so the diagonal blocks
+    # of its inverse leave the anti-Hermitian subspace by far more than roundoff
+    original = exact.ring_blocks
+
+    def blocks(geometry, couplings):
+        x, y = original(geometry, couplings)
+        return x, y + 1e-3 * np.triu(np.ones((4, 4)), 1)
+
+    monkeypatch.setattr(exact, "ring_blocks", blocks)
+    with pytest.raises(AssertionError, match="symmetrization defect"):
+        PropagatorCache(CylinderGeometry(4, 3), Couplings(0.35, 0.45))
 
 
 def test_ring_route_runs_no_elimination_sweep(monkeypatch):

@@ -32,8 +32,6 @@ def test_sites_row_major():
         (1, 2), (2, 2), (3, 2), (4, 2),
     ]
     assert g.n_sites == 8
-    assert g.n_horizontal_bonds == 8
-    assert g.n_vertical_bonds == 4
 
 
 def test_contains_and_extended_rows():

@@ -42,6 +42,18 @@ def test_continuum_cylinder_validation():
         ContinuumCylinder(1.0, -2.0)
 
 
+@pytest.mark.parametrize("a", [1e-320, math.nan, math.inf])
+def test_non_finite_or_overflowing_mesh_is_a_value_error(a):
+    # 1/1e-320 overflows a double; nan and inf are no mesh at all
+    message = "too fine" if a == 1e-320 else "positive and finite"
+    with pytest.raises(ValueError, match=message):
+        CYL.lattice_sizes(a)
+    with pytest.raises(ValueError, match=message):
+        CYL.lattice_geometry(a)
+    with pytest.raises(ValueError, match=message):
+        scaling_remainder_records(CYL, ISO, [((0.3, 0.3), (0.6, 0.6))], meshes=(a, 1 / 8))
+
+
 def test_lattice_embedding():
     geo = CYL.lattice_geometry(1.0 / 16.0)
     assert (geo.L, geo.M) == (16, 16)

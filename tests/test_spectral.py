@@ -118,6 +118,18 @@ def test_dense_batch_route_matches_critical_propagator_at_32(cpl):
     assert np.max(np.abs(dense - spectral)) <= 1e-12 * np.max(np.abs(dense))
 
 
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("cpl", [ISO, Couplings.critical_from_t1(0.5)])
+def test_dense_batch_route_matches_critical_propagator_at_size(cpl, n):
+    # the dense route's generators are O(L M): no 4LM x 4LM array at 256^2
+    g = CylinderGeometry(n, n)
+    rng = np.random.default_rng(n)
+    zs, zps = (rng.integers(1, n + 1, size=(2000, 2)) for _ in range(2))
+    dense = exact.dense_propagator(g, cpl, zs, zps)
+    spectral = critical_propagator(g, cpl, zs, zps)
+    assert np.max(np.abs(dense - spectral)) <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_boundary_rows_vanish():
     g = CylinderGeometry(8, 5)
     data = spectral_data(g, ISO)
