@@ -20,6 +20,7 @@ output.  The spectral propagator table is evaluated as one batch.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -63,14 +64,29 @@ def _fmt(value):
     return str(value)
 
 
+@functools.cache
+def _line_format(kinds):
+    """%-format of one CSV line for a row with values of these types,
+    each formatted as by `_fmt`."""
+    return ",".join("%.17g" if issubclass(t, float) else "%s" for t in kinds) + "\n"
+
+
 def _emit_csv(args, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["schema", SCHEMA_VERSION])
     writer.writerow(["seed", str(args.seed)])
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    body = "".join([_line_format(tuple(map(type, row))) % tuple(row) for row in rows])
+    # the csv module would quote a field with a comma, a quote or a line
+    # break, and a lone empty field; such rows go through it instead
+    if ('"' in body or "\r" in body or "\n\n" in body or body.startswith("\n")
+            or body.count("\n") != len(rows)
+            or body.count(",") != sum(map(len, rows)) - len(rows)):
+        for row in rows:
+            writer.writerow([_fmt(x) for x in row])
+    else:
+        buf.write(body)
     text = buf.getvalue()
     if args.output:
         _write_file(args.output, text, "--output")

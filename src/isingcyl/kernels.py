@@ -17,6 +17,12 @@ operators sort and group rows by these keys.  A coordinate outside the
 range raises ValueError.  Python tuples appear only at the edges:
 `add` stages entries in a dict, and `items` and `value` read tuples;
 the text format is written from and parsed into the label arrays.
+`symmetrize` still writes every ordering of every orbit, but on
+translation-invariant kernels it also keeps each sector's canonical
+rows (one per orbit) and their totals, and the weighted norms are read
+from those (`_orbit_rows`); any other kernel is measured on its rows.
+A kernel memoizes its interpolations for the operators and the bounds;
+`add` drops the orbits and the memo.
 
 Translation-invariant kernels are stored anchored: every multilabel is
 shifted so the first position is the origin, and the invariance is a
@@ -177,13 +183,17 @@ class Kernel:
     operator here preserves it, re-anchoring after label motions.
     Entries given to `add` are staged in a dict and packed into the
     sector arrays when an operator first reads them; `value` keeps such
-    a dict as its lookup table.
+    a dict as its lookup table.  `symmetrize` leaves the orbits of an
+    anchored result beside its blocks and `_interpolations` memoizes on
+    the instance; `add` drops both.
     """
 
     def __init__(self, translation_invariant=False):
         self.translation_invariant = translation_invariant
         self._blocks = {}
         self._entries = None  # {multilabel: value}, authoritative while _blocks is None
+        self._orbits = {}  # {(n, p): (canonical labels, totals)}, set by `symmetrize`
+        self._memo = {}  # interpolations of this kernel, see `_interpolations`
 
     @classmethod
     def _of(cls, blocks, translation_invariant):
@@ -209,6 +219,7 @@ class Kernel:
         if self._entries is None:
             self._entries = dict(self.items())
         self._blocks = None
+        self._orbits, self._memo = {}, {}
         new = self._entries.get(labels, 0.0) + value
         if new == 0.0:
             self._entries.pop(labels, None)
@@ -399,7 +410,8 @@ def symmetrize(kernel):
     Per canonical entry the contributions are summed as in `_reduce`,
     divided once by 4 n! and written at all n! orderings with their
     signs.  Translation keeps the order, so anchored canonical entries
-    label whole orbits.
+    label whole orbits; on translation-invariant kernels the result
+    keeps them and their totals per sector, for `_norm_table`.
 
     On translation-invariant kernels this never increases the weighted
     norm of an underived sector, and never increases any sector norm at
@@ -410,7 +422,7 @@ def symmetrize(kernel):
     most p.
     """
     ti = kernel.translation_invariant
-    blocks = {}
+    blocks, orbits = {}, {}
     for (n, p), (labels, values) in kernel._arrays().items():
         images, parity = _reflections(labels)
         fkeys = _field_keys(images)
@@ -428,6 +440,7 @@ def symmetrize(kernel):
         canon = canon[rows[starts[nonzero]]]
         perms, signs = _orderings(n)
         if ti:
+            orbits[(n, p)] = (canon, total[nonzero])
             # every canonical entry re-anchored at each of its fields, then ordered
             rebased = np.repeat(canon[:, None], n, axis=1)
             rebased[..., 3:5] -= canon[:, :, None, 3:5]
@@ -437,7 +450,9 @@ def symmetrize(kernel):
         else:
             out = canon[:, perms]
         blocks[(n, p)] = (out.reshape(-1, n, 5), (total[nonzero][:, None] * signs).ravel())
-    return Kernel._of(blocks, ti)
+    result = Kernel._of(blocks, ti)
+    result._orbits = orbits
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +478,17 @@ def localization_operator(kernel):
     """
     _require_certified(kernel)
     local20 = symmetrize(localize_collapse(kernel, 2, 0))
-    spread = interpolate_remainder(kernel, 2, 0)
+    spread = _remainder(kernel, 2, 0)
     local21 = symmetrize(
         localize_collapse(kernel, 2, 1).plus(localize_collapse(spread)))
     return local20.plus(local21)
+
+
+def _remainder(kernel, n, p):
+    """`interpolate_remainder(kernel, n, p)`, memoized on the kernel."""
+    if (n, p) not in kernel._memo:
+        kernel._memo[(n, p)] = interpolate_remainder(kernel, n, p)
+    return kernel._memo[(n, p)]
 
 
 def _interpolations(kernel):
@@ -475,15 +497,18 @@ def _interpolations(kernel):
     Returns (once, twice, renormalized): the interpolated remainder of
     each sector in INTERPOLATED_SECTORS, the (2, 0) sector interpolated
     twice, and the symmetrized renormalized blocks keyed by sector.
+    Memoized on the kernel, which `add` clears, so the operators and
+    the bound reports share one computation; callers only read them.
     """
-    once = {(n, p): interpolate_remainder(kernel, n, p)
-            for n, p in INTERPOLATED_SECTORS}
-    twice = interpolate_remainder(once[(2, 0)], 2, 1)
-    renormalized = {
-        (2, 2): symmetrize(kernel.sector(2, 2).plus(once[(2, 1)]).plus(twice)),
-        (4, 1): symmetrize(kernel.sector(4, 1).plus(once[(4, 0)])),
-    }
-    return once, twice, renormalized
+    if "interpolations" not in kernel._memo:
+        once = {(n, p): _remainder(kernel, n, p) for n, p in INTERPOLATED_SECTORS}
+        twice = interpolate_remainder(once[(2, 0)], 2, 1)
+        renormalized = {
+            (2, 2): symmetrize(kernel.sector(2, 2).plus(once[(2, 1)]).plus(twice)),
+            (4, 1): symmetrize(kernel.sector(4, 1).plus(once[(4, 0)])),
+        }
+        kernel._memo["interpolations"] = once, twice, renormalized
+    return kernel._memo["interpolations"]
 
 
 def renormalization_operator(kernel):
@@ -550,12 +575,15 @@ def _norm_table(kernel, n, p):
     bounds): one magnitude per (omega-tuple, z-tuple), the sup over
     derivative labels already folded in, with its Steiner length
     deltas[which], sorted so that bounds delimit the (omega-tuple, z1)
-    groups.
+    groups.  A sector that `symmetrize` left with its orbits is read
+    from them instead, one group per count of plus fields (`_orbit_rows`),
+    to the same norm.
     """
     block = kernel._arrays().get((n, p))
     if block is None:
         return None
-    labels, values = block
+    orbits = kernel._orbits.get((n, p))
+    labels, values = block if orbits is None else orbits
     sites = _site_keys(labels)
     if n > STEINER_MAX_POINTS:
         ranked = np.sort(sites, axis=1)
@@ -565,23 +593,71 @@ def _norm_table(kernel, n, p):
             raise ValueError(f"sector ({n}, {p}) has an entry on {distinct[over[0]]} distinct "
                              f"sites; the closed-form Steiner length covers at most "
                              f"{STEINER_MAX_POINTS}")
-    # rows keyed by (omega-tuple, z1), then z2 ... zn: equal keys differ in D only
-    lead = ((labels[..., 0] > 0) @ (1 << np.arange(n))) << 26 | sites[:, 0]
-    order, starts = _group([lead] + [sites[:, i] << 26 | sites[:, i + 1]
-                                     for i in range(1, n - 1, 2)] + [sites[:, -1]])
-    magnitudes = np.maximum.reduceat(np.abs(values[order]), starts)
-    reps = order[starts]
-    deltas, which = np.unique(steiner_length(labels[reps][..., 3:5]), return_inverse=True)
-    bounds = np.flatnonzero(np.append(True, lead[reps[1:]] != lead[reps[:-1]]))
-    return deltas.tolist(), which, magnitudes, bounds.tolist() + [len(reps)]
+    if orbits is not None:
+        lengths, magnitudes, bounds = _orbit_rows(labels, values)
+    else:
+        # rows keyed by (omega-tuple, z1), then z2 ... zn: equal keys differ in D only
+        lead = ((labels[..., 0] > 0) @ (1 << np.arange(n))) << 26 | sites[:, 0]
+        order, starts = _group([lead] + [sites[:, i] << 26 | sites[:, i + 1]
+                                         for i in range(1, n - 1, 2)] + [sites[:, -1]])
+        magnitudes = np.maximum.reduceat(np.abs(values[order]), starts)
+        reps = order[starts]
+        lengths = steiner_length(labels[reps][..., 3:5])
+        bounds = np.flatnonzero(np.append(True, lead[reps[1:]] != lead[reps[:-1]])).tolist()
+    deltas, which = np.unique(lengths, return_inverse=True)
+    return deltas.tolist(), which, magnitudes, bounds + [len(magnitudes)]
+
+
+def _orbit_rows(canon, totals):
+    """(Steiner lengths, magnitudes, bounds) of the rows of `_norm_table`
+    from the canonical rows and totals of a symmetrized anchored sector.
+
+    Orbits sharing their (omega, z) multiset up to translation form one
+    group G with a plus fields out of n.  Every omega-tuple with a plus
+    signs meets G in a!(n-a)!/prod(mult!) anchored z-tuples (mult: the
+    multiplicities of the multiset), each with magnitude max |total| over
+    G and G's Steiner length.  So per a the rows are these copies, a
+    representative row of G standing for each: the same terms as every
+    omega-tuple's group of the expanded block, in one group per a, and
+    `math.fsum` is exact whatever the order of its terms.
+    """
+    n = canon.shape[1]
+    keys = _field_keys(canon, derivs=False)
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys = _field_keys(_anchored(np.take_along_axis(canon, order[..., None], axis=1)),
+                       derivs=False)
+    rows, starts = _group(_row_keys(keys))
+    magnitudes = np.maximum.reduceat(np.abs(totals[rows]), starts)
+    reps = rows[starts]
+    first = keys[reps]
+    plus = np.count_nonzero(canon[reps, :, 0] > 0, axis=1)
+    run = stabilizer = np.ones(len(starts), np.int64)
+    for j in range(1, n):
+        run = np.where(first[:, j] == first[:, j - 1], run + 1, 1)
+        stabilizer = stabilizer * run
+    factorial = np.array([math.factorial(k) for k in range(n + 1)])
+    copies = factorial[plus] * factorial[n - plus] // stabilizer
+    by_plus = np.argsort(plus, kind="stable")
+    take = np.repeat(by_plus, copies[by_plus])
+    bounds = np.flatnonzero(np.append(True, np.diff(plus[take]))).tolist()
+    return steiner_length(canon[reps][..., 3:5])[take], magnitudes[take], bounds
 
 
 def _evaluate_norm(table, rate):
+    """The weighted norm of a `_norm_table` at one rate; OverflowError or
+    FloatingPointError when a weight or a sum leaves the floats."""
     if table is None:
         return 0.0
     deltas, which, magnitudes, bounds = table
-    weights = (np.array([math.exp(rate * d) for d in deltas])[which] * magnitudes).tolist()
+    scale = [math.exp(rate * d) for d in deltas]
+    if not all(map(math.isfinite, scale)):  # rate * d itself overflowed
+        raise OverflowError(f"e^(rate * delta) is not finite at rate {rate}")
+    with np.errstate(over="raise"):
+        weights = (np.array(scale)[which] * magnitudes).tolist()
     return max(math.fsum(weights[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+_OVERFLOW = (OverflowError, FloatingPointError)
 
 
 def _check_rate(rate):
@@ -602,10 +678,15 @@ def weighted_norm(kernel, n, p, rate):
     e^(rate * delta) is taken once per distinct delta.  Defined when
     every entry of the sector sits on at most STEINER_MAX_POINTS = 4
     distinct sites (the closed form of `lattice.steiner_length`), as
-    all n <= 4 sectors do; ValueError else.
+    all n <= 4 sectors do; ValueError else, and also when a weight or
+    the norm overflows a float at this rate.
     """
     _check_rate(rate)
-    return _evaluate_norm(_norm_table(kernel, n, p), rate)
+    try:
+        return _evaluate_norm(_norm_table(kernel, n, p), rate)
+    except _OVERFLOW:
+        raise ValueError(f"rate {rate}: the weighted norm of sector ({n}, {p}) "
+                         f"overflows a float") from None
 
 
 def interpolation_bound_reports(kernel, combos):
@@ -630,9 +711,13 @@ def interpolation_bound_reports(kernel, combos):
     _require_certified(kernel)
     for rate, rate_step in combos:
         _check_rate(rate)
-        if not (rate_step > 0 and math.isfinite(rate_step)):
-            raise ValueError(
-                f"rate_step must be finite and positive, got {rate_step}")
+        try:  # the double-step bound scales by rate_step^-2
+            finite = math.isfinite(rate_step ** -2)
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not (rate_step > 0 and math.isfinite(rate_step) and finite):
+            raise ValueError(f"rate_step must be finite and positive, with rate_step^-2 "
+                             f"a finite float, got {rate_step}")
     once, twice, renormalized = _interpolations(kernel)
     single = {}
     input_tables = {}
@@ -647,31 +732,35 @@ def interpolation_bound_reports(kernel, combos):
     renorm41 = _norm_table(renormalized[(4, 1)], 4, 1)
 
     reports = []
-    for rate, rate_step in combos:
-        report = {}
-        for (n, p), table in single.items():
-            lhs = _evaluate_norm(table, rate)
-            rhs = (n - 1) / rate_step * _evaluate_norm(
-                input_tables[(n, p)], rate + rate_step)
-            report[f"single_{n}{p}_to_{n}{p + 1}"] = (lhs, rhs, rhs - lhs)
-        if input_tables[(2, 0)] is not None:
-            lhs = _evaluate_norm(double_table, rate)
-            rhs = rate_step ** -2 * _evaluate_norm(
-                input_tables[(2, 0)], rate + 2 * rate_step)
-            report["double_20_to_22"] = (lhs, rhs, rhs - lhs)
-        lhs = _evaluate_norm(renorm22, rate)
-        rhs = (_evaluate_norm(input_tables[(2, 2)], rate)
-               + _evaluate_norm(input_tables[(2, 1)], rate + rate_step)
-               / rate_step
-               + _evaluate_norm(input_tables[(2, 0)], rate + 2 * rate_step)
-               / rate_step ** 2)
-        report["renormalized_22"] = (lhs, rhs, rhs - lhs)
-        lhs = _evaluate_norm(renorm41, rate)
-        rhs = (_evaluate_norm(input_tables[(4, 1)], rate)
-               + 3.0 / rate_step * _evaluate_norm(input_tables[(4, 0)],
-                                                  rate + rate_step))
-        report["renormalized_41"] = (lhs, rhs, rhs - lhs)
-        reports.append(report)
+    try:
+        for rate, rate_step in combos:
+            report = {}
+            for (n, p), table in single.items():
+                lhs = _evaluate_norm(table, rate)
+                rhs = (n - 1) / rate_step * _evaluate_norm(
+                    input_tables[(n, p)], rate + rate_step)
+                report[f"single_{n}{p}_to_{n}{p + 1}"] = (lhs, rhs, rhs - lhs)
+            if input_tables[(2, 0)] is not None:
+                lhs = _evaluate_norm(double_table, rate)
+                rhs = rate_step ** -2 * _evaluate_norm(
+                    input_tables[(2, 0)], rate + 2 * rate_step)
+                report["double_20_to_22"] = (lhs, rhs, rhs - lhs)
+            lhs = _evaluate_norm(renorm22, rate)
+            rhs = (_evaluate_norm(input_tables[(2, 2)], rate)
+                   + _evaluate_norm(input_tables[(2, 1)], rate + rate_step)
+                   / rate_step
+                   + _evaluate_norm(input_tables[(2, 0)], rate + 2 * rate_step)
+                   / rate_step ** 2)
+            report["renormalized_22"] = (lhs, rhs, rhs - lhs)
+            lhs = _evaluate_norm(renorm41, rate)
+            rhs = (_evaluate_norm(input_tables[(4, 1)], rate)
+                   + 3.0 / rate_step * _evaluate_norm(input_tables[(4, 0)],
+                                                      rate + rate_step))
+            report["renormalized_41"] = (lhs, rhs, rhs - lhs)
+            reports.append(report)
+    except _OVERFLOW:
+        raise ValueError(f"rate {rate} (rate_step {rate_step}): a weighted norm "
+                         f"overflows a float") from None
     return reports
 
 

@@ -83,8 +83,17 @@ def tail_weight(h, D):
     return np.exp(-a * np.asarray(D, dtype=float))
 
 
-# scale and tail weights per SpectralData, dropped with it
+# scale and tail weights and telescoping ladders per SpectralData, dropped with it
 _WEIGHTS = weakref.WeakKeyDictionary()
+
+
+def _kept(data, key, build):
+    """build(), kept read-only in _WEIGHTS under `key` for the table `data`."""
+    weights = _WEIGHTS.setdefault(data, {})
+    if key not in weights:
+        weights[key] = build()
+        weights[key].setflags(write=False)
+    return weights[key]
 
 
 def _weight(geometry, couplings, h, tail=False):
@@ -93,11 +102,8 @@ def _weight(geometry, couplings, h, tail=False):
     if not h_star(geometry) <= h <= 0:
         raise ValueError(f"h={h} outside [{h_star(geometry)}, 0]")
     data = spectral_data(geometry, couplings)
-    weights = _WEIGHTS.setdefault(data, {})
-    if (h, tail) not in weights:
-        weights[h, tail] = (tail_weight if tail else scale_weight)(h, data.D)
-        weights[h, tail].setflags(write=False)
-    return weights[h, tail]
+    return _kept(data, (h, tail),
+                 lambda: (tail_weight if tail else scale_weight)(h, data.D))
 
 
 def single_scale_propagator(geometry, couplings, h, z, zp, deriv_z=(0, 0), deriv_zp=(0, 0)):
@@ -121,15 +127,18 @@ def tail_propagator(geometry, couplings, h, z, zp):
 def telescoping_residual(geometry, couplings, z, zp, h=None):
     """max |g_c - g^{(<=h)} - sum_{j=h+1..0} g^{(j)}| per site pair, h* <= h <= 0.
 
-    One `mode_sum` call evaluates the ladder [w_<=h, w_{h+1}, ..., w_0, 1].
-    Returns a float for one site pair, a (P,) array for (P, 2) site arrays.
+    One `mode_sum` call evaluates the ladder [w_<=h, w_{h+1}, ..., w_0, 1],
+    stacked once per spectral table and h.  Returns a float for one site
+    pair, a (P,) array for (P, 2) site arrays.
     """
     if h is None:
         h = h_star(geometry)
-    ladder = np.stack([_weight(geometry, couplings, h, True)]
-                      + [_weight(geometry, couplings, j) for j in range(h + 1, 1)]
-                      + [np.ones_like(spectral_data(geometry, couplings).D)])
-    *pieces, full = mode_sum(spectral_data(geometry, couplings), z, zp, ladder)
+    data = spectral_data(geometry, couplings)
+    ladder = _kept(data, ("ladder", h), lambda: np.stack(
+        [_weight(geometry, couplings, h, True)]
+        + [_weight(geometry, couplings, j) for j in range(h + 1, 1)]
+        + [np.ones_like(data.D)]))
+    *pieces, full = mode_sum(data, z, zp, ladder)
     resid = np.max(np.abs(sum(pieces) - full), axis=(-2, -1))
     return float(resid) if resid.ndim == 0 else resid
 

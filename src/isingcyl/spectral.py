@@ -269,7 +269,7 @@ def _row_sums(data, table, mult, values):
 
 def _distinct(values):
     """np.unique(values, return_inverse=True), without the sort when the
-    batch holds one distinct value (a single site pair, for one)."""
+    batch holds one distinct value (one pair repeated, for one)."""
     if len(values) and (values == values[0]).all():
         return values[:1], np.zeros(len(values), dtype=np.intp)
     return np.unique(values, return_inverse=True)
@@ -301,6 +301,21 @@ def quarter_fold(ring, rows):
     return sums[..., :n1, :, :]
 
 
+def _pair_sum(data, z, zp, weight, diff_z, d1, order_zp2):
+    """`mode_sum` for one site pair: the row sums of both terms, and
+    Y_trans - Y_image folded once with the ring factor.  Every weight of
+    a stack gets the same row products as a weight alone, so stacking
+    does not change a block."""
+    k2 = data.roots
+    rows = _row_sums(data, data.trans, _mode_factor(weight, diff_z, forward_difference(
+        k2, order_zp2)), np.array([z[1] - zp[1]]))
+    rows -= _row_sums(data, data.image, _mode_factor(weight, diff_z, forward_difference(
+        -k2, order_zp2)), np.array([z[1] + zp[1]]))                        # (..., L/2, 1, 4)
+    ring = 4.0 * np.exp(-1j * (z[0] - zp[0]) * data.k1) * d1
+    out = quarter_fold(ring[None, :], rows)
+    return out.reshape(out.shape[:-3] + (2, 2))
+
+
 def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
     """Evaluate the eigenmode double sum for one site pair or a batch.
 
@@ -309,7 +324,10 @@ def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
     z2 -+ z2' of the batch (translation-invariant and image terms, phase
     arrays chunked to a few MB), then one real matmul over the distinct
     z1 - z1'.  Cost grows with the number of distinct offsets (at most
-    (2L - 1)(2M + 3)), not with the batch size.
+    (2L - 1)(2M + 3)), not with the batch size.  One site pair (alone or
+    as a batch of one) skips the offset bookkeeping and the gathers, and
+    folds the difference of its two terms once (`_pair_sum`); it agrees
+    with the batched route to roundoff.
 
     Args:
         data: SpectralData.
@@ -332,6 +350,9 @@ def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
     k1, k2 = data.k1, data.roots
     diff_z = forward_difference(-k2, deriv_z[1])
     d1 = forward_difference(-k1, deriv_z[0]) * forward_difference(k1, deriv_zp[0])
+    if len(z) == 1:
+        out = _pair_sum(data, z[0], zp[0], weight, diff_z, d1, deriv_zp[1])
+        return out if single else out[..., None, :, :]
     dz1, i1 = _distinct(z[:, 0] - zp[:, 0])
     ring = 4.0 * np.exp(-1j * np.outer(dz1, k1)) * d1                  # (n1, L/2)
     out = 0.0

@@ -1,6 +1,9 @@
 """Command line contract: exit codes, CSV schema, determinism."""
 
+import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -458,6 +461,38 @@ def test_kernels_bounds_reject_non_finite_rates(capsys, flag, value):
                          flag, value)
     assert_one_usage_line(code, err)
     assert out == ""
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--rate", "500", "error: rate 500.0 (rate_step 0.5): a weighted norm overflows"),
+    ("--rate-step", "1e-300", "error: rate_step must be finite and positive"),
+])
+def test_kernels_bounds_reject_out_of_range_rates(capsys, flag, value, message):
+    code, out, err = run(capsys, "kernels", "--random", "4,1", "--apply", "symmetrize",
+                         "--bounds", flag, value)
+    assert_one_usage_line(code, err)
+    assert err.startswith(message) and out == ""
+
+
+def test_csv_rows_are_the_csv_module_bytes(capsys):
+    rows = [[3, -7, "isotropic", -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324],
+            [0, 1, "", 0.1, 1.0, -2.5, 1 / 3, 1e300, 2.0 ** -1074],
+            ["a,b", 'say "x"', "two\nlines", 2, True, None, 0.5, "", "end"],
+            [""], [], [4.0]]
+    # every prefix: the one-pass rows, and the rows the csv module must quote
+    for count in range(len(rows) + 1):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerows([["schema", "1"], ["seed", "5"], ["h1", "h2"]])
+        writer.writerows([["%.17g" % x if isinstance(x, float) else str(x) for x in row]
+                          for row in rows[:count]])
+        cli._emit_csv(argparse.Namespace(seed=5, output=None), ["h1", "h2"], rows[:count])
+        assert capsys.readouterr().out == buf.getvalue()
+    cli._emit_csv(argparse.Namespace(seed=5, output=None), ["h"], rows[:2])
+    assert capsys.readouterr().out.splitlines()[3:] == [
+        "3,-7,isotropic,-0,nan,inf,-inf,1e-300,4.9406564584124654e-324",
+        "0,1,,0.10000000000000001,1,-2.5,0.33333333333333331,1.0000000000000001e+300,"
+        "4.9406564584124654e-324"]
 
 
 @pytest.mark.parametrize("mode", [["--gram"], ["--decay", "tail"], ["--decay", "bulk"]])

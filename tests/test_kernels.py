@@ -372,6 +372,112 @@ def test_symmetrization_norm_slack_on_derivative_sectors():
         assert weighted_norm(symmetrize(v), n, p, rate) <= bound + 1e-12
 
 
+NORM_RATES = (0.0, 0.1, 0.3, 0.7, 1.2, 2.0)
+
+
+def _rows_only(kernel):
+    """The same blocks without the orbits `symmetrize` keeps: the row path."""
+    return Kernel._of(kernel._arrays(), kernel.translation_invariant)
+
+
+def _assert_orbit_norms_equal_row_norms(kernel, weighted=True):
+    rows = _rows_only(kernel)
+    for n, p in kernel.sectors():
+        assert (n, p) in kernel._orbits
+        orbit, row = kernels._norm_table(kernel, n, p), kernels._norm_table(rows, n, p)
+        for rate in NORM_RATES:
+            assert kernels._evaluate_norm(orbit, rate) == kernels._evaluate_norm(row, rate)
+        if weighted:
+            assert weighted_norm(kernel, n, p, 0.7) == weighted_norm(rows, n, p, 0.7)
+
+
+@pytest.mark.parametrize("name", ["mixed_raw", "mixed_sym", "criterion10"])
+def test_orbit_norms_equal_row_norms_on_the_frozen_corpus(name):
+    # the renormalized blocks are the ones the frozen digests pin (memoized
+    # on the corpus kernels); up to 10^5 rows each, so no weighted_norm there
+    from test_kernel_frozen import _corpus
+
+    for k in _corpus(name):
+        _assert_orbit_norms_equal_row_norms(symmetrize(k))
+        for block in kernels._interpolations(k)[2].values():
+            _assert_orbit_norms_equal_row_norms(block, weighted=False)
+
+
+def test_orbit_norms_count_repeated_fields():
+    # equal (omega, z) on two fields (different D) and repeated sites:
+    # orbit groups whose multisets have multiplicities above one
+    k = Kernel(translation_invariant=True)
+    k.add(((1, (0, 0), (0, 0)), (1, (1, 0), (0, 0)), (-1, (0, 0), (2, 1)),
+           (-1, (0, 1), (2, 1))), 0.75)
+    k.add(((1, (0, 0), (0, 0)), (-1, (1, 0), (0, 0)), (1, (0, 0), (1, 0)),
+           (-1, (0, 0), (1, 0))), -0.5)
+    k.add(((1, (1, 0), (0, 0)), (1, (0, 0), (0, 0)), (-1, (0, 0), (0, 3)),
+           (-1, (0, 1), (2, 1))), 0.25)
+    sym = symmetrize(k)
+    assert sym.sectors() == [(4, 1), (4, 2)]
+    heads = sym._orbits[(4, 2)][0][..., [0, 3, 4]].tolist()
+    assert any(len({tuple(field) for field in row}) < 4 for row in heads)
+    _assert_orbit_norms_equal_row_norms(sym)
+
+
+def test_orbit_norm_rejects_five_distinct_sites_like_the_rows():
+    on_five = symmetrize(certify_translation_invariance(
+        _six_field_kernel([(0, 0), (0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])))
+    assert (6, 0) in on_five._orbits
+    message = r"sector \(6, 0\) has an entry on 5 distinct sites.*at most 4"
+    for k in (on_five, _rows_only(on_five)):
+        with pytest.raises(ValueError, match=message):
+            weighted_norm(k, 6, 0, 0.5)
+    on_four = symmetrize(certify_translation_invariance(
+        _six_field_kernel([(0, 0), (0, 0), (1, 0), (1, 0), (0, 1), (1, 1)])))
+    _assert_orbit_norms_equal_row_norms(on_four)
+
+
+def test_literal_kernels_keep_the_row_path():
+    rng = np.random.default_rng(19)
+    literal = symmetrize(random_sparse_kernel(rng, 4, 1, entries=4, translation_invariant=False))
+    assert literal.sectors() == [(4, 1)] and literal._orbits == {}
+    assert (weighted_norm(literal, 4, 1, 0.3)
+            == kernels._evaluate_norm(kernels._norm_table(_rows_only(literal), 4, 1), 0.3))
+
+
+def test_add_after_an_operator_drops_the_memo_and_the_orbits():
+    rng = np.random.default_rng(20)
+    sym = symmetrize(_mixed(rng, entries=3))
+    localization_operator(sym)
+    renormalization_operator(sym)
+    interpolation_bound_reports(sym, [(0.2, 0.5)])
+    assert sym._memo and sym._orbits
+    label = ((1, (0, 0), (0, 0)), (-1, (1, 0), (1, 2)))
+    sym.add(label, 0.125)
+    assert sym._memo == {} and sym._orbits == {}
+    fresh = Kernel(translation_invariant=True)
+    for key, value in sym.items():
+        fresh.add(key, value)
+    assert renormalization_operator(sym).max_abs_diff(renormalization_operator(fresh)) == 0.0
+    assert localization_operator(sym).max_abs_diff(localization_operator(fresh)) == 0.0
+    assert (interpolation_bound_reports(sym, [(0.2, 0.5)])
+            == interpolation_bound_reports(fresh, [(0.2, 0.5)]))
+
+
+def test_operators_and_bounds_share_the_interpolations(monkeypatch):
+    rng = np.random.default_rng(21)
+    sym = symmetrize(_mixed(rng, entries=3))
+    calls = []
+
+    def counted(kernel, n, p):
+        calls.append((n, p))
+        return interpolate_remainder(kernel, n, p)
+
+    monkeypatch.setattr(kernels, "interpolate_remainder", counted)
+    localization_operator(sym)
+    assert calls == [(2, 0)]
+    renormalization_operator(sym)
+    interpolation_bound_reports(sym, [(0.0, 0.5)])
+    interpolation_bound_reports(sym, [(0.2, 0.1)])
+    assert sorted(calls) == [(2, 0), (2, 1), (2, 1), (4, 0)]
+
+
 def test_interpolation_bounds_nonnegative_margins():
     rng = np.random.default_rng(13)
     combos = [(0.0, 0.1), (0.0, 0.5), (0.2, 0.1), (0.2, 0.5)]
@@ -401,6 +507,23 @@ def test_non_finite_rates_rejected(bad):
         interpolation_bound_reports(v, [(bad, 0.5)])
     with pytest.raises(ValueError):
         interpolation_bound_reports(v, [(0.1, bad)])
+
+
+def test_overflowing_rates_raise_value_errors_naming_the_rate():
+    v = symmetrize(random_sparse_kernel(np.random.default_rng(22), 4, 1, entries=6))
+    with pytest.raises(ValueError, match=r"rate 500\.0: the weighted norm of sector \(4, 1\) "
+                                         r"overflows"):
+        weighted_norm(v, 4, 1, 500.0)
+    with pytest.raises(ValueError, match=r"rate 1e\+308:"):
+        weighted_norm(v, 4, 1, 1e308)
+    with pytest.raises(ValueError, match=r"rate 500\.0 \(rate_step 0\.5\): a weighted norm "
+                                         r"overflows"):
+        interpolation_bound_reports(v, [(0.0, 0.5), (500.0, 0.5)])
+    for step in (1e-300, 1e-160, 5e-324):
+        with pytest.raises(ValueError, match=f"rate_step .*got {step}"):
+            interpolation_bound_reports(v, [(0.0, step)])
+    # the smallest steps whose inverse square is a float still report
+    assert interpolation_bound_reports(v, [(0.0, 1e-150)])[0]
 
 
 def _six_field_kernel(positions):

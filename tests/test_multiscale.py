@@ -83,6 +83,19 @@ def test_batched_telescoping_equals_per_pair_values():
         telescoping_residual(g, cpl, z, zp, h_star(g) - 1)
 
 
+def test_telescoping_ladder_is_stacked_once_per_table_and_scale():
+    g = CylinderGeometry(16, 12)
+    data = spectral.spectral_data(g, ISO)
+    first = telescoping_residual(g, ISO, (3, 2), (9, 11), -2)
+    ladder = multiscale._WEIGHTS[data]["ladder", -2]
+    assert ladder.shape == (4,) + data.D.shape and not ladder.flags.writeable
+    assert telescoping_residual(g, ISO, (3, 2), (9, 11), -2) == first
+    assert multiscale._WEIGHTS[data]["ladder", -2] is ladder
+    with pytest.raises(ValueError, match="outside"):
+        telescoping_residual(g, ISO, (3, 2), (9, 11), h_star(g) - 1)
+    assert ("ladder", h_star(g) - 1) not in multiscale._WEIGHTS[data]
+
+
 def test_telescoping_anisotropic():
     g = CylinderGeometry(8, 4)
     cpl = Couplings.critical_from_t1(0.5)

@@ -352,6 +352,36 @@ def test_quarter_sum_matches_full_mode_oracle(L, M, t1):
 
 
 @pytest.mark.parametrize("L,M,t1", QUARTER_CASES)
+def test_single_pair_route_matches_the_batched_route(L, M, t1):
+    # one pair is summed mode by mode, a batch per distinct offset: the
+    # two orders agree to roundoff of the a priori size of the sum,
+    # 4 * 2^(derivative orders) * sum of w (|trans| + |image|) per weight
+    # (near the open boundary the block itself can be 1e-4 of that)
+    g, cpl = _case(L, M, t1)
+    data = spectral_data(g, cpl)
+    rng = np.random.default_rng(23)
+    z = np.column_stack([rng.integers(1, L + 1, 12), rng.integers(0, M + 2, 12)])
+    zp = np.column_stack([rng.integers(1, L + 1, 12), rng.integers(0, M + 2, 12)])
+    z[:2, 1], zp[2:4, 1] = [0, M + 1], [M + 1, 0]
+    stack = np.stack([scale_weight(h, data.D) for h in multiscale.scale_indices(g)])
+    magnitude = np.abs(data.trans).sum(axis=-1) + np.abs(data.image).sum(axis=-1)
+    orders = [((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 2), (1, 1)), ((2, 0), (0, 2))]
+    for weight in (None, stack[1], stack):
+        size = np.sum((1.0 if weight is None else weight) * magnitude, axis=(-2, -1))
+        for dz, dzp in orders:
+            batch = mode_sum(data, z, zp, weight, dz, dzp)
+            bound = 1e-14 * 4.0 * 2.0 ** (sum(dz) + sum(dzp)) * size
+            for p in range(len(z)):
+                single = mode_sum(data, tuple(z[p]), tuple(zp[p]), weight, dz, dzp)
+                assert single.shape == batch[..., p, :, :].shape
+                err = np.max(np.abs(single - batch[..., p, :, :]), axis=(-2, -1))
+                assert np.all(err <= bound)
+                # a batch of one pair takes the same route
+                one = mode_sum(data, z[p:p + 1], zp[p:p + 1], weight, dz, dzp)
+                assert np.array_equal(one[..., 0, :, :], single)
+
+
+@pytest.mark.parametrize("L,M,t1", QUARTER_CASES)
 def test_tables_live_on_the_quarter(L, M, t1):
     g, cpl = _case(L, M, t1)
     data = SpectralData(g, cpl)
