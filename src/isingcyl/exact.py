@@ -60,19 +60,30 @@ determinant lemma give
 
     det C_k = prod_j det S_j = (det D_k)^M prod_j f_j.
 
-`partition_function_log` runs this recursion for all L/2 momenta at
-once: M scalar steps on (L/2,) arrays, O(LM) time and memory, and no
-4M x 4M array.
+The step sigma_j -> sigma_{j+1} is a Moebius map.  With sigma_j =
+p_j / q_j and (p_1, q_1) = (0, 1) it is linear,
+
+    (p_{j+1}, q_{j+1}) = T_k (p_j, q_j),
+    T_k = [[t2^2 (P_bb P_vv - P_bv P_vb), t2^2 P_bb], [P_vv, 1]],
+
+and f_j = q_{j+1} / q_j, so the product telescopes:
+
+    det C_k = (det D_k)^M (T_k^M)_22,
+
+Kaufman's row transfer matrix (Phys. Rev. 76, 1232 (1949)) at one
+momentum.  `partition_function_log` raises the L/2 matrices T_k to the
+power M by repeated squaring: O(L log M) time, O(L) memory, no loop over
+the rows, and an exactly zero f_j inside a regular block does no harm.
 
 Sign.  i C_k = i X_k - Y_k is Hermitian, and so is i times each of its
 Schur complements; det(i S) = det S for 4 x 4 blocks, so every det S_j is
-real, and so are det D_k (the M = 1 case) and f_j = det S_j / det D_k.
-The sign of Pf A is the product of their signs.  Their imaginary parts
-are roundoff, and |Im f_j| / |f_j| and |Im det D_k| / |det D_k| are the
-scale-free certificate gated by PHASE_TOL.  An exactly zero det D_k or
-f_j is a singular action matrix (ArithmeticError).  The dense matrix
-itself (`build_action_matrix`) is kept as the oracle the tests compare
-against.
+real, and so are det D_k (the M = 1 case) and (T_k^M)_22 = prod_j f_j.
+The sign of Pf A is the product of the signs of their real parts.  Their
+imaginary parts are roundoff, and |Im x| / |x| of det D_k and of
+(T_k^M)_22 is the scale-free certificate gated by PHASE_TOL.  An exactly
+zero det D_k or (T_k^M)_22 is a singular action matrix (ArithmeticError).
+The dense matrix itself (`build_action_matrix`) is kept as the oracle the
+tests compare against, and so is the M-step product of the f_j.
 
 Inverse.  Eliminating from the top row down gives the right Schur
 complements S^R_M = D_k, S^R_j = D_k - E (S^R_{j+1})^{-1} F =
@@ -125,8 +136,8 @@ from .spectral import antiperiodic_momenta
 
 CRITICAL_TOL = 1e-14
 
-# largest |Im x| / |x| of det D_k and of the Schur factors f_j, which are
-# real in exact arithmetic (module docstring)
+# largest |Im x| / |x| of det D_k and of (T_k^M)_22, which are real in
+# exact arithmetic (module docstring)
 PHASE_TOL = 1e-8
 
 
@@ -149,7 +160,12 @@ class Couplings:
     def from_beta(cls, beta, J1, J2):
         if beta <= 0 or J1 <= 0 or J2 <= 0:
             raise ValueError("beta, J1, J2 must be positive")
-        return cls(math.tanh(beta * J1), math.tanh(beta * J2))
+        products = (beta * J1, beta * J2)
+        for l, x in enumerate(products, 1):
+            if math.tanh(x) == 1.0:  # 1 - tanh x < 2^-54
+                raise ValueError(f"beta*J{l} = {x:g} too large: tanh(beta*J{l}) rounds to 1 "
+                                 f"from beta*J{l} = 27.5 log 2 = 19.06")
+        return cls(*map(math.tanh, products))
 
     @classmethod
     def critical_from_t1(cls, t1):
@@ -298,12 +314,21 @@ class PartitionResult:
     log_pf_abs: float
 
 
+def _rescaled(a, log_scale):
+    """(K, m, n) a over its largest modulus per k, that modulus's log added
+    to `log_scale`; an all-zero a stays zero."""
+    top = np.abs(a).max(axis=(1, 2), keepdims=True)
+    top[top == 0] = 1.0
+    return a / top, log_scale + np.log(top[:, 0, 0])
+
+
 def partition_function_log(geometry, beta, J1, J2):
     """Exact log partition function via the Pfaffian formula.
 
-    Pf A = prod_k (det D_k)^M prod_j f_j, from the left Schur sweep over
-    the rows of every ring block (module docstring); no matrix larger
-    than 4 x 4 is formed.
+    Pf A = prod_k (det D_k)^M (T_k^M)_22, each 2 x 2 row transfer matrix
+    T_k raised to the power M by repeated squaring (module docstring),
+    every product divided by its largest modulus and that log kept apart,
+    so no power over- or underflows.  O(L log M) time, O(L) memory.
 
     Args:
         geometry: CylinderGeometry.
@@ -315,9 +340,11 @@ def partition_function_log(geometry, beta, J1, J2):
         the canonical index ordering.
 
     Raises:
-        ArithmeticError: a row block or Schur factor is exactly zero.
-        AssertionError: a det D_k or f_j is off the real axis by more
-            than PHASE_TOL relative to its modulus.
+        ValueError: beta, J1 or J2 is not positive, or a beta J_l is too
+            large for tanh to stay below 1 (`Couplings.from_beta`).
+        ArithmeticError: a det D_k or (T_k^M)_22 is exactly zero.
+        AssertionError: a det D_k or (T_k^M)_22 is off the real axis by
+            more than PHASE_TOL relative to its modulus.
     """
     L, M = geometry.L, geometry.M
     couplings = Couplings.from_beta(beta, J1, J2)
@@ -326,18 +353,28 @@ def partition_function_log(geometry, beta, J1, J2):
     det = np.linalg.det(d)
     if np.any(det == 0):
         raise ArithmeticError("action matrix is singular; Z would vanish")
-    _, f = _schur_sweep(np.linalg.inv(d), couplings.t2, M, _V, _B)
-    if np.any(f == 0):
+    p, tt = np.linalg.inv(d), couplings.t2 ** 2
+    bb, vv = p[:, _B, _B], p[:, _V, _V]
+    base = np.stack([tt * (bb * vv - p[:, _B, _V] * p[:, _V, _B]), tt * bb, vv,
+                     np.ones_like(vv)], axis=1).reshape(-1, 2, 2)
+    # e^{log_scale} power = T_k^m, m the leading bits of M read so far
+    power, log_scale = base, 0.0
+    for bit in bin(M)[3:]:
+        power, log_scale = _rescaled(power @ power, 2.0 * log_scale)
+        if bit == "1":
+            power, log_scale = _rescaled(power @ base, log_scale)
+    q = power[:, 1, 1]
+    if np.any(q == 0):
         raise ArithmeticError("action matrix is singular; Z would vanish")
-    det_abs, f_abs = np.abs(det), np.abs(f)
-    imag = max(np.max(np.abs(det.imag) / det_abs), np.max(np.abs(f.imag) / f_abs))
+    det_abs, q_abs = np.abs(det), np.abs(q)
+    imag = max(np.max(np.abs(det.imag) / det_abs), np.max(np.abs(q.imag) / q_abs))
     if imag > PHASE_TOL:
         raise AssertionError(
             f"ring-block determinant phase off the real axis by {imag:.3e} > {PHASE_TOL:.0e}"
         )
-    negative = M * np.count_nonzero(det.real < 0) + np.count_nonzero(f.real < 0)
+    negative = M * np.count_nonzero(det.real < 0) + np.count_nonzero(q.real < 0)
     sign = -1.0 if negative % 2 else 1.0
-    log_pf = float(M * np.sum(np.log(det_abs)) + np.sum(np.log(f_abs)))
+    log_pf = float(M * np.sum(np.log(det_abs)) + np.sum(np.log(q_abs) + log_scale))
     prefactor = (
         L * M * math.log(2.0)
         + L * M * math.log(math.cosh(beta * J1))

@@ -530,40 +530,6 @@ def renormalization_operator(kernel):
 
 
 # ---------------------------------------------------------------------------
-# the marginal and relevant local monomials
-
-
-def mass_monomial():
-    """Symmetrized local pairing of opposite-omega fields."""
-    k = Kernel(translation_invariant=True)
-    for om in (1, -1):
-        k.add(((om, _ORIGIN, _ORIGIN), (-om, _ORIGIN, _ORIGIN)), om / 2.0)
-    return symmetrize(k)
-
-
-def kinetic_monomial(direction):
-    """Symmetrized local field-times-derivative pairing.
-
-    Direction 1 pairs equal omegas through the symmetric horizontal
-    difference, direction 2 opposite omegas through the vertical one
-    (each symmetric difference splits into forward differences at the
-    site and at the shifted site, both with weight one half).
-    """
-    if direction == 1:
-        d, shift, swap = (1, 0), (-1, 0), 1
-    elif direction == 2:
-        d, shift, swap = (0, 1), (0, -1), -1
-    else:
-        raise ValueError("direction must be 1 or 2")
-    k = Kernel(translation_invariant=True)
-    for om in (1, -1):
-        weight = om / 2.0 if direction == 1 else 0.5
-        k.add(((om, _ORIGIN, _ORIGIN), (swap * om, d, _ORIGIN)), weight)
-        k.add(((om, _ORIGIN, _ORIGIN), (swap * om, d, shift)), weight)
-    return symmetrize(k)
-
-
-# ---------------------------------------------------------------------------
 # weighted norms and the interpolation bounds
 
 

@@ -25,11 +25,6 @@ import numpy as np
 from .lattice import CylinderGeometry
 
 IMAGE_TOL = 1e-10
-# Gaussian regulator, Gauss-Legendre panel width and nodes per panel of
-# `fourier_profile_check`
-_FOURIER_REGULATOR = 1e-3
-_FOURIER_PANEL_WIDTH = 2.0
-_FOURIER_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -71,29 +66,6 @@ class ContinuumCylinder:
         if not 1 <= z2 <= M:
             raise ValueError(f"continuum point {z} maps to boundary row {z2} at a={a}")
         return z1, z2
-
-
-def g_scal(couplings, z1, z2):
-    """Scaling profile -z1 / (2 pi t2 (1 - t2) (z1^2 + z2^2))."""
-    r2 = z1 * z1 + z2 * z2
-    if r2 == 0.0:
-        raise ZeroDivisionError("scaling profile is singular at the origin")
-    return -z1 / (2.0 * math.pi * couplings.t2 * (1.0 - couplings.t2) * r2)
-
-
-def g1_scal(couplings, z1, z2):
-    return g_scal(couplings, z1 / (1.0 - couplings.t2), z2 / (1.0 - couplings.t1))
-
-
-def g2_scal(couplings, z1, z2):
-    return g_scal(couplings, z2 / (1.0 - couplings.t1), z1 / (1.0 - couplings.t2))
-
-
-def plane_scal_block(couplings, z1, z2):
-    """Infinite-plane scaling block [[g1, g2], [g2, -g1]]."""
-    a = g1_scal(couplings, z1, z2)
-    b = g2_scal(couplings, z1, z2)
-    return np.array([[a, b], [b, -a]])
 
 
 def _csc(z):
@@ -168,53 +140,6 @@ def cylinder_scal_block(cylinder, couplings, z, zp, tol=IMAGE_TOL):
     a_m, b_m = pref * s_m.real, -pref * s_m.imag
     a_p, b_p = pref * s_p.real, -pref * s_p.imag
     return np.array([[a_m - a_p, b_m + b_p], [b_m - b_p, -a_p - a_m]])
-
-
-def rescaling_residual(cylinder, couplings, z, zp, xi, tol=IMAGE_TOL):
-    """sup norm of xi*g(l1,l2; xi z, xi z') - g(l1/xi, l2/xi; z, z')."""
-    big = cylinder_scal_block(
-        cylinder, couplings, (xi * z[0], xi * z[1]), (xi * zp[0], xi * zp[1]), tol
-    )
-    shrunk = ContinuumCylinder(cylinder.ell1 / xi, cylinder.ell2 / xi)
-    small = cylinder_scal_block(shrunk, couplings, z, zp, tol)
-    return float(np.max(np.abs(xi * big - small)))
-
-
-def fourier_profile_check(couplings, points):
-    """Cross-check the closed-form profile against its defining k-integral.
-
-    Evaluates (1/(t2(1-t2))) * (2pi)^-2 * int e^{-ik.z} (-i k1)/|k|^2 with
-    a Gaussian regulator e^{-eps |k|^2} by panelwise Gauss-Legendre
-    quadrature, reduced to the first quadrant:
-
-        -4 int_0^K int_0^K k1 sin(k1 z1) cos(k2 z2) / |k|^2 e^{-eps|k|^2}
-
-    The profile z1/|z|^2 is harmonic away from the origin, so the
-    Gaussian smoothing is exact up to heat leakage from the singularity,
-    which is negligible at |z| >= 1 for _FOURIER_REGULATOR.
-
-    Returns:
-        max absolute difference over the points.
-    """
-    width = _FOURIER_PANEL_WIDTH
-    K = math.sqrt(34.0 / _FOURIER_REGULATOR)
-    n_panels = int(math.ceil(K / width))
-    xs, ws = np.polynomial.legendre.leggauss(_FOURIER_NODES)
-    k = np.concatenate([
-        (xs + 1.0) * 0.5 * width + i * width for i in range(n_panels)
-    ])
-    w = np.concatenate([ws * 0.5 * width for _ in range(n_panels)])
-    K1, K2 = np.meshgrid(k, k, indexing="ij")
-    W = np.outer(w, w)
-    base = K1 / (K1 ** 2 + K2 ** 2) * np.exp(-_FOURIER_REGULATOR * (K1 ** 2 + K2 ** 2))
-    worst = 0.0
-    for z1, z2 in points:
-        integrand = base * np.sin(K1 * z1) * np.cos(K2 * z2)
-        val = -4.0 * float(np.sum(W * integrand)) / (
-            (2.0 * math.pi) ** 2 * couplings.t2 * (1.0 - couplings.t2)
-        )
-        worst = max(worst, abs(val - g_scal(couplings, z1, z2)))
-    return worst
 
 
 def scaling_remainder_records(cylinder, couplings, pairs, meshes):

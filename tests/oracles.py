@@ -23,15 +23,36 @@
 - `full_ring_blocks`, `slogdet_log_pf` and `dense_ring_kernel`: the
   dense 4M x 4M ring blocks X_k + i Y_k, their determinants by LU and
   their inverses back-transformed to the offset kernel, the oracles for
-  the row Schur sweeps of `exact.partition_function_log` and
-  `exact.PropagatorCache`.
+  the transfer-matrix powers of `exact.partition_function_log` and the
+  row Schur sweeps of `exact.PropagatorCache`;
+- `sweep_log_pf`: log|Pf A| by the M-step left Schur sweep over the rows,
+  the oracle for the transfer-matrix powers of
+  `exact.partition_function_log`;
+- `g_scal`, `g1_scal`, `g2_scal` and `plane_scal_block`: the
+  infinite-plane scaling profile, the single image that
+  `scaling.cylinder_scal_block` sums over; `rescaling_residual`, its
+  scale covariance; `fourier_profile_check`, the profile against its
+  defining k-integral;
+- `mass_monomial` and `kinetic_monomial`: the symmetrized marginal and
+  relevant local monomials, the span of `kernels.localization_operator`.
 """
+
+import math
 
 import numpy as np
 
 from isingcyl.energy import cumulant_from_moments
-from isingcyl.exact import _LOCAL_MONOMIALS, Species, ring_momenta
+from isingcyl.exact import (
+    _LOCAL_MONOMIALS,
+    PHASE_TOL,
+    Species,
+    _schur_sweep,
+    ring_blocks,
+    ring_momenta,
+)
+from isingcyl.kernels import _ORIGIN, Kernel, symmetrize
 from isingcyl.multiscale import eta_window, scale_weight
+from isingcyl.scaling import IMAGE_TOL, ContinuumCylinder, cylinder_scal_block
 from isingcyl.skew import pfaffian
 from isingcyl.spectral import (
     SIGMA,
@@ -43,6 +64,11 @@ from isingcyl.spectral import (
 
 # absolute bound on the imaginary part left by the +-q2, +-k1 cancellation
 IMAG_RESIDUE_TOL = 1e-10
+# Gaussian regulator, Gauss-Legendre panel width and nodes per panel of
+# `fourier_profile_check`
+_FOURIER_REGULATOR = 1e-3
+_FOURIER_PANEL_WIDTH = 2.0
+_FOURIER_NODES = 16
 
 
 def bisection_roots(B, M):
@@ -314,3 +340,121 @@ def dense_ring_kernel(geometry, couplings):
     inv = np.linalg.inv(x + 1j * y).reshape(L // 2, -1)
     phase = np.exp(1j * np.outer(np.arange(1 - L, L), k))
     return ((-2.0 / L) * (phase @ inv).real).reshape(2 * L - 1, 4 * M, 4 * M)
+
+
+def sweep_log_pf(geometry, couplings):
+    """(sign, log|Pf A|) from Pf A = prod_k (det D_k)^M prod_j f_j, the
+    Schur factors f_j of the left sweep over the M rows of every ring
+    block (the recursion that T_k^M sums up), with the phase gate of
+    `exact.PHASE_TOL` on det D_k and on each f_j."""
+    M = geometry.M
+    x, y = ring_blocks(geometry, couplings)
+    d = x + 1j * y
+    det = np.linalg.det(d)
+    _, f = _schur_sweep(np.linalg.inv(d), couplings.t2, M, Species.V, Species.VBAR)
+    assert np.all(det != 0) and np.all(f != 0)
+    phase = max(np.max(np.abs(det.imag) / np.abs(det)), np.max(np.abs(f.imag) / np.abs(f)))
+    assert phase <= PHASE_TOL
+    negative = M * np.count_nonzero(det.real < 0) + np.count_nonzero(f.real < 0)
+    return (-1.0 if negative % 2 else 1.0,
+            float(M * np.sum(np.log(np.abs(det))) + np.sum(np.log(np.abs(f)))))
+
+
+def g_scal(couplings, z1, z2):
+    """Scaling profile -z1 / (2 pi t2 (1 - t2) (z1^2 + z2^2))."""
+    r2 = z1 * z1 + z2 * z2
+    if r2 == 0.0:
+        raise ZeroDivisionError("scaling profile is singular at the origin")
+    return -z1 / (2.0 * math.pi * couplings.t2 * (1.0 - couplings.t2) * r2)
+
+
+def g1_scal(couplings, z1, z2):
+    return g_scal(couplings, z1 / (1.0 - couplings.t2), z2 / (1.0 - couplings.t1))
+
+
+def g2_scal(couplings, z1, z2):
+    return g_scal(couplings, z2 / (1.0 - couplings.t1), z1 / (1.0 - couplings.t2))
+
+
+def plane_scal_block(couplings, z1, z2):
+    """Infinite-plane scaling block [[g1, g2], [g2, -g1]]."""
+    a = g1_scal(couplings, z1, z2)
+    b = g2_scal(couplings, z1, z2)
+    return np.array([[a, b], [b, -a]])
+
+
+def rescaling_residual(cylinder, couplings, z, zp, xi, tol=IMAGE_TOL):
+    """sup norm of xi*g(l1,l2; xi z, xi z') - g(l1/xi, l2/xi; z, z')."""
+    big = cylinder_scal_block(
+        cylinder, couplings, (xi * z[0], xi * z[1]), (xi * zp[0], xi * zp[1]), tol
+    )
+    shrunk = ContinuumCylinder(cylinder.ell1 / xi, cylinder.ell2 / xi)
+    small = cylinder_scal_block(shrunk, couplings, z, zp, tol)
+    return float(np.max(np.abs(xi * big - small)))
+
+
+def fourier_profile_check(couplings, points):
+    """Cross-check the closed-form profile against its defining k-integral.
+
+    Evaluates (1/(t2(1-t2))) * (2pi)^-2 * int e^{-ik.z} (-i k1)/|k|^2 with
+    a Gaussian regulator e^{-eps |k|^2} by panelwise Gauss-Legendre
+    quadrature, reduced to the first quadrant:
+
+        -4 int_0^K int_0^K k1 sin(k1 z1) cos(k2 z2) / |k|^2 e^{-eps|k|^2}
+
+    The profile z1/|z|^2 is harmonic away from the origin, so the
+    Gaussian smoothing is exact up to heat leakage from the singularity,
+    which is negligible at |z| >= 1 for _FOURIER_REGULATOR.
+
+    Returns:
+        max absolute difference over the points.
+    """
+    width = _FOURIER_PANEL_WIDTH
+    K = math.sqrt(34.0 / _FOURIER_REGULATOR)
+    n_panels = int(math.ceil(K / width))
+    xs, ws = np.polynomial.legendre.leggauss(_FOURIER_NODES)
+    k = np.concatenate([
+        (xs + 1.0) * 0.5 * width + i * width for i in range(n_panels)
+    ])
+    w = np.concatenate([ws * 0.5 * width for _ in range(n_panels)])
+    K1, K2 = np.meshgrid(k, k, indexing="ij")
+    W = np.outer(w, w)
+    base = K1 / (K1 ** 2 + K2 ** 2) * np.exp(-_FOURIER_REGULATOR * (K1 ** 2 + K2 ** 2))
+    worst = 0.0
+    for z1, z2 in points:
+        integrand = base * np.sin(K1 * z1) * np.cos(K2 * z2)
+        val = -4.0 * float(np.sum(W * integrand)) / (
+            (2.0 * math.pi) ** 2 * couplings.t2 * (1.0 - couplings.t2)
+        )
+        worst = max(worst, abs(val - g_scal(couplings, z1, z2)))
+    return worst
+
+
+def mass_monomial():
+    """Symmetrized local pairing of opposite-omega fields."""
+    k = Kernel(translation_invariant=True)
+    for om in (1, -1):
+        k.add(((om, _ORIGIN, _ORIGIN), (-om, _ORIGIN, _ORIGIN)), om / 2.0)
+    return symmetrize(k)
+
+
+def kinetic_monomial(direction):
+    """Symmetrized local field-times-derivative pairing.
+
+    Direction 1 pairs equal omegas through the symmetric horizontal
+    difference, direction 2 opposite omegas through the vertical one
+    (each symmetric difference splits into forward differences at the
+    site and at the shifted site, both with weight one half).
+    """
+    if direction == 1:
+        d, shift, swap = (1, 0), (-1, 0), 1
+    elif direction == 2:
+        d, shift, swap = (0, 1), (0, -1), -1
+    else:
+        raise ValueError("direction must be 1 or 2")
+    k = Kernel(translation_invariant=True)
+    for om in (1, -1):
+        weight = om / 2.0 if direction == 1 else 0.5
+        k.add(((om, _ORIGIN, _ORIGIN), (swap * om, d, _ORIGIN)), weight)
+        k.add(((om, _ORIGIN, _ORIGIN), (swap * om, d, shift)), weight)
+    return symmetrize(k)

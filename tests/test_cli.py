@@ -304,6 +304,14 @@ def test_partition_at_32_by_32(capsys):
     assert math.isfinite(float(row[header.index("log_z")]))
 
 
+def test_partition_names_the_coupling_whose_tanh_rounds_to_one(capsys):
+    code, _, err = run(capsys, "partition", "--L", "4", "--M", "3",
+                       "--beta", "50", "--J1", "1", "--J2", "0.9")
+    assert_one_usage_line(code, err)
+    assert err.startswith("error: beta*J1 = 50 too large") and "19.06" in err
+    assert "t1" not in err
+
+
 def test_correlations_bond_outside_cylinder(capsys):
     code, _, err = run(capsys, "correlations", "--L", "4", "--M", "3",
                        "--beta", "0.3", "--J1", "1", "--J2", "1",

@@ -27,6 +27,7 @@ from oracles import (
     full_ring_blocks,
     horizontal_kernel_infinite,
     slogdet_log_pf,
+    sweep_log_pf,
 )
 
 ISOTROPIC_BETA = 0.5 * math.log(1.0 + math.sqrt(2.0))
@@ -46,6 +47,15 @@ def test_couplings_validation_and_critical_line():
     assert math.isclose(iso.t1, math.sqrt(2.0) - 1.0)
     assert iso.t1 == iso.t2 and iso.is_critical
     assert not Couplings(0.3, 0.3).is_critical
+
+
+@pytest.mark.parametrize("beta,J1,J2", [(50.0, 1.0, 0.9), (1.0, 0.5, 19.07), (1e300, 1e300, 1.0)])
+def test_couplings_reject_a_tanh_that_rounds_to_one(beta, J1, J2):
+    # tanh(x) rounds to 1.0 for x >= 27.5 log 2 = 19.06...; the message
+    # names the product beta J_l, not the t_l that was never given
+    with pytest.raises(ValueError, match=r"beta\*J[12] = .* 19\.06"):
+        Couplings.from_beta(beta, J1, J2)
+    Couplings.from_beta(19.06, 1.0, 1.0)
 
 
 def test_flat_index_roundtrip():
@@ -212,9 +222,76 @@ def test_log_z_memory_is_linear_in_the_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a few complex numbers per row and momentum; one dense 4M x 4M
-    # ring block alone would be 268 MB
+    # a few 2 x 2 and 4 x 4 blocks per momentum; one dense 4M x 4M ring
+    # block alone would be 268 MB
     assert peak <= 64 * g.L * g.M
+
+
+def test_log_z_memory_does_not_grow_with_the_height():
+    # the transfer-matrix powers keep O(L) numbers at any M: a per-row
+    # (M, L/2) complex array at M = 2^20 would be 2 GB
+    g = CylinderGeometry(256, 1024)
+    partition_function_log(g, 0.4, 1.0, 0.9)
+    peaks = []
+    for M in (1024, 2 ** 20):
+        tracemalloc.start()
+        try:
+            partition_function_log(CylinderGeometry(256, M), 0.4, 1.0, 0.9)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
+def test_log_z_runs_no_row_sweep(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("row Schur sweep on the log Z path")
+
+    monkeypatch.setattr(exact, "_schur_sweep", forbidden)
+    res = partition_function_log(CylinderGeometry(8, 5), 0.4, 1.0, 0.7)
+    assert res.pf_sign == 1.0 and math.isfinite(res.log_z)
+    with pytest.raises(AssertionError, match="row Schur sweep"):
+        PropagatorCache(CylinderGeometry(8, 5), Couplings(0.35, 0.45))
+
+
+# every cylinder this module runs log Z or the propagator on, and two
+# larger ones
+_MODULE_GEOMETRIES = sorted(
+    {(L, M) for L in range(2, 65, 2) for M in range(1, 64 // L + 1)}
+    | {(2, 1), (4, 2), (6, 3), (4, 3), (2, 128), (256, 1), (16, 16), (8, 32), (64, 4),
+       (32, 32), (64, 64), (128, 128), (256, 1024), (16, 24), (8, 40), (24, 8), (2, 30),
+       (8, 6), (6, 12), (2, 5), (6, 4), (8, 8), (12, 3), (8, 5), (64, 128), (64, 129),
+       (256, 1025), (1024, 1024), (1024, 2048)})
+
+
+def test_transfer_powers_match_the_row_sweep():
+    t1 = 0.3
+    draws = ((0.4, 1.0, 0.9), (0.7, 1.3, 0.5), (ISOTROPIC_BETA, 1.0, 1.0),
+             (1.0, math.atanh(t1), math.atanh((1.0 - t1) / (1.0 + t1))))
+    for L, M in _MODULE_GEOMETRIES:
+        g = CylinderGeometry(L, M)
+        for draw in draws:
+            res = partition_function_log(g, *draw)
+            sign, log_pf = sweep_log_pf(g, Couplings.from_beta(*draw))
+            assert res.pf_sign == sign, (L, M, draw)
+            assert abs(res.log_pf_abs - log_pf) <= 1e-14 * max(1.0, abs(log_pf)), (L, M, draw)
+
+
+@pytest.mark.parametrize("beta", [0.2, 0.4, 0.6])
+def test_row_increment_is_onsager_free_energy_off_criticality(beta):
+    # -beta f = log 2 + (1/2) (2 pi)^-1 int log[(a + sqrt(a^2 - b^2))/2] d theta,
+    # a = cosh 2K1 cosh 2K2 - sinh 2K1 cos theta, b = sinh 2K2 (Onsager 1944):
+    # off criticality the ring and boundary corrections to the row
+    # increment decay exponentially.  The integrand is smooth and
+    # periodic, so the trapezoid rule converges geometrically
+    J1, J2, L = 1.0, 0.9, 1024
+    K1, K2 = beta * J1, beta * J2
+    theta = 2.0 * math.pi * np.arange(4096) / 4096
+    a = math.cosh(2 * K1) * math.cosh(2 * K2) - math.sinh(2 * K1) * np.cos(theta)
+    b = math.sinh(2 * K2)
+    bulk = math.log(2.0) + 0.5 * float(np.mean(np.log(0.5 * (a + np.sqrt(a * a - b * b)))))
+    log_z = [partition_function_log(CylinderGeometry(L, M), beta, J1, J2).log_z for M in (64, 65)]
+    assert abs((log_z[1] - log_z[0]) / L - bulk) <= 1e-13
 
 
 def test_propagator_memory_is_linear_in_the_size():

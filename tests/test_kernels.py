@@ -20,10 +20,8 @@ from isingcyl.kernels import (
     interpolation_bound_reports,
     kernel_from_text,
     kernel_to_text,
-    kinetic_monomial,
     localization_operator,
     localize_collapse,
-    mass_monomial,
     random_sparse_kernel,
     renormalization_operator,
     symmetrize,
@@ -41,6 +39,7 @@ from kernel_oracle import (
     span_projection,
     wedge_expansion,
 )
+from oracles import kinetic_monomial, mass_monomial
 
 
 def _mixed(rng, entries=4):

@@ -7,15 +7,8 @@ import pytest
 
 from isingcyl.energy import scal_energy_correlation
 from isingcyl.exact import Couplings
-from isingcyl.scaling import (
-    ContinuumCylinder,
-    cylinder_scal_block,
-    fourier_profile_check,
-    g_scal,
-    plane_scal_block,
-    rescaling_residual,
-    scaling_remainder_records,
-)
+from isingcyl.scaling import ContinuumCylinder, cylinder_scal_block, scaling_remainder_records
+from oracles import fourier_profile_check, g_scal, plane_scal_block, rescaling_residual
 
 ISO = Couplings.isotropic_critical()
 CYL = ContinuumCylinder(1.0, 1.0)
