@@ -10,9 +10,13 @@ explicit flags win: a switch takes true or false, null leaves an option
 unset, and lists and objects are written as JSON text.  Tabular output
 is CSV (RFC-4180 style, dot decimal, 17 significant digits) with a
 ``schema,1`` prelude row and the run seed recorded.  Exit codes: 0 on
-success, 1 on usage error, 2 on tolerance failure or on a failed
-internal certificate (an AssertionError, RuntimeError, ArithmeticError
-or SingularSkewError from the library, reported in one line).
+success; 1 on a usage error, which includes a ValueError from the
+library's own input checks and an allocation the machine cannot satisfy
+(MemoryError), each reported as one ``error:`` line; 2 on tolerance
+failure or on a failed internal certificate (an AssertionError,
+RuntimeError, ArithmeticError or SingularSkewError from the library,
+reported in one line).  `main` is the one place that maps exception
+classes to these codes.
 
 Runs are deterministic: the same (config, seed) produces byte-identical
 output.  The spectral propagator table is evaluated as one batch.
@@ -159,18 +163,12 @@ def _resolve_couplings(args):
         if args.t1.strip().lower() == "isotropic":
             cpl = exact.Couplings.isotropic_critical()
         else:
-            try:
-                cpl = exact.Couplings.critical_from_t1(float(args.t1))
-            except ValueError as err:
-                raise UsageError(str(err))
+            cpl = exact.Couplings.critical_from_t1(float(args.t1))
         return cpl, 1.0, math.atanh(cpl.t1), math.atanh(cpl.t2)
     beta, J1, J2 = args.beta, args.J1, args.J2
     if beta is None or J1 is None or J2 is None:
         raise UsageError("need --beta, --J1, --J2 or --critical --t1")
-    try:
-        return exact.Couplings.from_beta(beta, J1, J2), beta, J1, J2
-    except ValueError as err:
-        raise UsageError(str(err))
+    return exact.Couplings.from_beta(beta, J1, J2), beta, J1, J2
 
 
 def _continuum_couplings(args):
@@ -189,17 +187,7 @@ def _continuum_couplings(args):
 def _resolve_geometry(args):
     if args.L is None or args.M is None:
         raise UsageError("need --L and --M")
-    try:
-        return CylinderGeometry(args.L, args.M)
-    except ValueError as err:
-        raise UsageError(str(err))
-
-
-def _continuum_cylinder(args):
-    try:
-        return scaling.ContinuumCylinder(args.l1, args.l2)
-    except ValueError as err:
-        raise UsageError(str(err))
+    return CylinderGeometry(args.L, args.M)
 
 
 def _parse_site(text, flag):
@@ -259,11 +247,10 @@ def cmd_propagator(args):
         pairs = [(_parse_site(args.z, "--z"), _parse_site(args.zp, "--zp"))]
     else:
         raise UsageError("need --pairs or both --z and --zp")
+    # `mode_sum` also takes the extended rows 0 and M + 1; the CLI does not
     for z, zp in pairs:
         if not (geometry.contains(z) and geometry.contains(zp)):
             raise UsageError(f"site pair {z} {zp} is outside the cylinder")
-    if args.route == "spectral" and not couplings.is_critical:
-        raise UsageError("the spectral route requires critical couplings")
     propagate = {"dense": exact.dense_propagator,
                  "spectral": spectral.critical_propagator}[args.route]
     blocks = propagate(geometry, couplings, [z for z, _ in pairs], [zp for _, zp in pairs])
@@ -383,7 +370,7 @@ def _parse_meshes(text):
 def cmd_scaling(args):
     if args.l1 is None or args.l2 is None:
         raise UsageError("need --l1 and --l2")
-    cylinder = _continuum_cylinder(args)
+    cylinder = scaling.ContinuumCylinder(args.l1, args.l2)
     couplings = _continuum_couplings(args)
     if args.meshes is None:
         raise UsageError("need --meshes (e.g. 16,32,64)")
@@ -418,21 +405,12 @@ def cmd_scaling(args):
     return 0
 
 
-def _parse_bonds(raw, geometry, flag):
+def _parse_bonds(raw):
     try:
-        bonds = [energy.EnergyBond(int(b[0]), int(b[1]), int(b[2]))
-                 for b in raw]
+        return [energy.EnergyBond(int(b[0]), int(b[1]), int(b[2])) for b in raw]
     except (TypeError, ValueError, IndexError):
-        raise UsageError(f"{flag}: expected [[x, y, direction], ...] "
+        raise UsageError("--bonds: expected [[x, y, direction], ...] "
                          "with direction 1 (horizontal) or 2 (vertical)")
-    for bond in bonds:
-        if not geometry.contains(bond.site):
-            raise UsageError(f"{flag}: bond site {bond.site} is outside "
-                             "the cylinder")
-        if not geometry.contains(bond.other_site(geometry)):
-            raise UsageError(f"{flag}: bond at {bond.site} leaves the "
-                             "cylinder vertically")
-    return bonds
 
 
 def cmd_correlations(args):
@@ -443,17 +421,14 @@ def cmd_correlations(args):
         if args.marked is None:
             raise UsageError("continuum mode needs --marked "
                              "(JSON list of [x, y, direction])")
-        cylinder = _continuum_cylinder(args)
+        cylinder = scaling.ContinuumCylinder(args.l1, args.l2)
         couplings = _continuum_couplings(args)
         raw = _load_json_arg(args.marked, "--marked")
         try:
             marked = [((float(p[0]), float(p[1])), int(p[2])) for p in raw]
         except (TypeError, ValueError, IndexError):
             raise UsageError("--marked: expected [[x, y, direction], ...]")
-        try:
-            value = energy.scal_energy_correlation(cylinder, couplings, marked)
-        except (ValueError, ZeroDivisionError) as err:
-            raise UsageError(str(err))
+        value = energy.scal_energy_correlation(cylinder, couplings, marked)
         marked_txt = ";".join(f"{p[0]}:{p[1]}:{d}" for p, d in marked)
         _emit_csv(args, ["marked", "t1", "t2", "value"],
                   [[marked_txt, couplings.t1, couplings.t2, value]])
@@ -464,13 +439,8 @@ def cmd_correlations(args):
     if args.bonds is None:
         raise UsageError("need --bonds (JSON list of [x, y, direction])")
     raw = _load_json_arg(args.bonds, "--bonds")
-    bonds = _parse_bonds(raw, geometry, "--bonds")
-    try:
-        value = energy.truncated_energy_correlation(geometry, couplings, bonds)
-    except SingularSkewError:
-        raise
-    except ValueError as err:
-        raise UsageError(str(err))
+    bonds = _parse_bonds(raw)
+    value = energy.truncated_energy_correlation(geometry, couplings, bonds)
     bonds_txt = ";".join(f"{b.site[0]}:{b.site[1]}:{b.direction}"
                          for b in bonds)
     header = ["bonds", "beta", "value"]
@@ -522,10 +492,7 @@ def cmd_kernels(args):
         operator = {"localize": kernels.localization_operator,
                     "renormalize": kernels.renormalization_operator,
                     "symmetrize": kernels.symmetrize}[args.apply]
-        try:
-            kernel = operator(kernel)
-        except ValueError as err:
-            raise UsageError(str(err))
+        kernel = operator(kernel)
     if args.save is not None:
         _write_file(args.save, kernels.kernel_to_text(kernel), "--save")
     if args.bounds:
@@ -534,10 +501,7 @@ def cmd_kernels(args):
         except ValueError:
             raise UsageError("--rate: expected comma-separated numbers")
         combos = [(rate, args.rate_step) for rate in rates]
-        try:
-            reports = kernels.interpolation_bound_reports(kernel, combos)
-        except ValueError as err:
-            raise UsageError(str(err))
+        reports = kernels.interpolation_bound_reports(kernel, combos)
         rows, worst = [], np.inf
         for (rate, step), report in zip(combos, reports):
             for name in sorted(report):
@@ -730,9 +694,17 @@ def main(argv=None):
     except ToleranceError as err:
         print(f"tolerance failure: {err}", file=sys.stderr)
         return 2
+    # first: SingularSkewError is a ValueError
     except (AssertionError, RuntimeError, ArithmeticError, SingularSkewError) as err:
         print(f"certificate failure: {err}", file=sys.stderr)
         return 2
+    except ValueError as err:
+        # the library's own input checks name the offending value
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

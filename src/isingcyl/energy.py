@@ -169,8 +169,6 @@ def truncated_energy_correlation(geometry, couplings, bonds, correlator=None):
         raise ValueError("repeated bonds in a truncated correlation")
     if not bonds:
         raise ValueError("need at least one bond")
-    if correlator is None:
-        correlator = dense_correlator(geometry, couplings)
     fields = []
     scale = []
     for bond in bonds:
@@ -178,6 +176,8 @@ def truncated_energy_correlation(geometry, couplings, bonds, correlator=None):
         t = bond.tanh_coupling(couplings)
         fields += [fa, fb]
         scale += [(1.0 - t * t) * seam, 1.0]
+    if correlator is None:
+        correlator = dense_correlator(geometry, couplings)
     n = len(fields)
     sites, species = np.array([z for z, _ in fields]), np.array([s for _, s in fields])
     scale = np.array(scale)
@@ -312,11 +312,6 @@ class BruteForceGibbs:
         den, _ = self._sweep([])
         return self._shift + math.log(den)
 
-    def moment(self, bonds):
-        """<prod eps_x> over the listed bonds (repeats allowed here)."""
-        den, nums = self._sweep([list(bonds)])
-        return nums[0] / den
-
     def truncated(self, bonds):
         """Cumulant of the listed energy bonds, straight from the measure."""
         bonds = list(bonds)
@@ -353,9 +348,8 @@ def scal_energy_correlation(cylinder, couplings, marked):
     if m < 2:
         raise ValueError("the scaling limit is defined for m >= 2 observables")
     pts = [p for p, _ in marked]
-    l1, l2 = cylinder.ell1, cylinder.ell2
-    # heights folded by the mirrors y -> -y and y -> 2 l2 - y
-    if len({(x % l1, l2 - abs(y % (2.0 * l2) - l2)) for x, y in pts}) != m:
+    l2 = cylinder.ell2
+    if any(cylinder.coincident(z, zp) for i, z in enumerate(pts) for zp in pts[:i]):
         raise ValueError("marked points must be distinct around the ring, "
                          "none coincident with a mirror image of another")
     for (x, y), d in marked:

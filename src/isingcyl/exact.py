@@ -87,7 +87,13 @@ tests compare against, and so is the M-step product of the f_j.
 
 Inverse.  Eliminating from the top row down gives the right Schur
 complements S^R_M = D_k, S^R_j = D_k - E (S^R_{j+1})^{-1} F =
-D_k + tau_j e_b e_b^T: the same recursion with V and Vbar swapped.
+D_k + tau_j e_b e_b^T: the same recursion with V and Vbar swapped, which
+is the left one reflected.  The signed species permutation Q: Hbar ->
+-Hbar, H -> H, Vbar <-> V (the vertical reflection of `verify`) gives
+Q D_k Q^T = -D_k, so P = D_k^{-1} has P_bb = -P_vv and P_vb = -P_bv.
+Put tau = -sigma into the right step and it becomes the left step, with
+the factor 1 + tau P_bb = 1 + sigma P_vv; hence tau_j = -sigma_{M+1-j},
+the right Schur factor at row j is f_{M+1-j}, and one sweep serves both.
 Block-tridiagonal inversion (Meurant, SIAM J. Matrix Anal. Appl. 13, 707
 (1992)) makes G = C_k^{-1} semiseparable, fixed by O(M) row generators:
 
@@ -285,18 +291,16 @@ def ring_blocks(geometry, couplings):
 _B, _V = Species.VBAR, Species.V
 
 
-def _schur_sweep(p, t2, M, slot, read):
-    """Rank-one Schur complements D + s_j e_slot e_slot^T, j = 1..M.
+def _schur_sweep(p, t2, M):
+    """The left Schur complements D + sigma_j e_v e_v^T, j = 1..M.
 
-    s_1 = 0 and s_{j+1} = t2^2 [(D + s_j e_slot e_slot^T)^{-1}]_{read, read}
-    by Sherman-Morrison on P = D^{-1} (L/2, 4, 4).  `slot` and `read` are
-    species, or equal-length species arrays to run several sweeps at once.
-    Returns (s, f), complex arrays of shape (M, L/2) (or (M, L/2, n) for
-    n sweeps) with f_j = 1 + s_j P_{slot, slot}; an exactly zero f_j is
-    left for the caller to reject.
+    sigma_1 = 0 and sigma_{j+1} = t2^2 [(D + sigma_j e_v e_v^T)^{-1}]_bb
+    by Sherman-Morrison on P = D^{-1} (L/2, 4, 4).  Returns (sigma, f),
+    complex arrays of shape (M, L/2) with f_j = 1 + sigma_j P_vv; an
+    exactly zero f_j is left for the caller to reject.
     """
-    a, c = p[:, read, read], p[:, slot, slot]
-    b = a * c - p[:, read, slot] * p[:, slot, read]
+    a, c = p[:, _B, _B], p[:, _V, _V]
+    b = a * c - p[:, _B, _V] * p[:, _V, _B]
     a, b = t2 * t2 * a, t2 * t2 * b
     s = np.zeros((M, *a.shape), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -391,14 +395,14 @@ class PropagatorCache:
     """Two-point function <Phi_i Phi_j> = -[A^{-1}]_{ij} from the row
     generators of the ring inverses G_k = C_k^{-1}.
 
-    The left and right Schur sweeps over the rows (module docstring) give,
-    for every ring momentum k and row j, the diagonal block G_jj, the
-    column r_j = (S^R_j)^{-1} e_v and the chain logarithm
-    A_j = sum_{1 <= m <= j} log(t2 r_m[b]); each block below the diagonal
-    is G_ij = t2 e^{A_{i-1} - A_j} r_i (e_b^T G_jj).  Each C_k is certified
-    invertible by the lower bound 1 / (||C_k||_1 ||C_k^{-1}||_F) on
-    sigma_min / sigma_max (below PIVOT_TOL, or at an exactly zero pivot,
-    raises SingularSkewError).  The cache holds O(L M) numbers and
+    The left Schur sweep over the rows and its reflection, the right
+    sweep (module docstring), give, for every ring momentum k and row j,
+    the diagonal block G_jj, the column r_j = (S^R_j)^{-1} e_v and the
+    chain logarithm A_j = sum_{1 <= m <= j} log(t2 r_m[b]); each block
+    below the diagonal is G_ij = t2 e^{A_{i-1} - A_j} r_i (e_b^T G_jj).
+    Each C_k is certified invertible by the lower bound
+    1 / (||C_k||_1 ||C_k^{-1}||_F) on sigma_min / sigma_max (below
+    PIVOT_TOL, or at an exactly zero pivot, raises SingularSkewError).  The cache holds O(L M) numbers and
     `species_block` does one k-sum per site pair.  The dense 4LM x 4LM
     `matrix` is a test oracle view, built only on request.
     """
@@ -410,20 +414,20 @@ class PropagatorCache:
         d = x + 1j * y
         try:
             p = np.linalg.inv(d)
-            # the left sweep from the bottom row and the right one from the top
-            s, f = _schur_sweep(p, t2, M, [_V, _B], [_B, _V])
+            # the right sweep is the left one reflected (module docstring)
+            sigma, f = _schur_sweep(p, t2, M)
             if np.any(f == 0):
                 raise np.linalg.LinAlgError
-            tau = s[::-1, :, 1]
+            tau = -sigma[::-1]
             g = np.repeat(d[None], M, axis=0)
-            g[..., _V, _V] += s[:, :, 0]
+            g[..., _V, _V] += sigma
             g[..., _B, _B] += tau
             g = np.linalg.inv(g)
         except np.linalg.LinAlgError:
             raise SingularSkewError(0.0) from None
         # r_j = (S^R_j)^{-1} e_v by Sherman-Morrison, (M, 4, L/2)
         right = self._right = np.ascontiguousarray(
-            p[:, :, _V].T - (tau / f[::-1, :, 1])[:, None] * p[:, :, _B].T * p[:, _B, _V])
+            p[:, :, _V].T - (tau / f[::-1])[:, None] * p[:, :, _B].T * p[:, _B, _V])
         # G_jj is anti-Hermitian (i C_k is Hermitian): project onto that
         anti = g - np.conjugate(np.swapaxes(g, 2, 3))
         anti *= 0.5

@@ -186,9 +186,6 @@ class CylinderGeometry:
                              f"the {'extended ' if extended else ''}lattice")
         return z, zp
 
-    def per(self, dz1):
-        return per_range(dz1, self.L)
-
     def norm1(self, z, zp):
         return norm1_cyl(z, zp, self.L)
 

@@ -50,6 +50,13 @@ class ContinuumCylinder:
             raise ValueError(f"mesh a={a} too coarse: induced sizes L={L}, M={M}")
         return L, M
 
+    def coincident(self, z, zp):
+        """Whether z meets zp, or a mirror image of zp across a boundary,
+        up to windings around the ring: where `cylinder_scal_block` is
+        singular."""
+        return math.remainder(z[0] - zp[0], self.ell1) == 0.0 and any(
+            math.remainder(v, 2.0 * self.ell2) == 0.0 for v in (z[1] - zp[1], z[1] + zp[1]))
+
     def lattice_geometry(self, a):
         return CylinderGeometry(*self.lattice_sizes(a))
 
@@ -113,13 +120,12 @@ def cylinder_scal_block(cylinder, couplings, z, zp, tol=IMAGE_TOL):
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if cylinder.coincident(z, zp):
+        raise ZeroDivisionError("coincident (or mirror-coincident) points")
     l1, l2 = cylinder.ell1, cylinder.ell2
     t1, t2 = couplings.t1, couplings.t2
     u0 = z[0] - zp[0]
     v0 = np.array([z[1] - zp[1], z[1] + zp[1]])
-    if math.remainder(u0, l1) == 0.0 and any(
-            math.remainder(v, 2.0 * l2) == 0.0 for v in v0):
-        raise ZeroDivisionError("coincident (or mirror-coincident) points")
 
     lam = l1 / (1.0 - t2)
     mu = 2.0 * l2 / (1.0 - t1)

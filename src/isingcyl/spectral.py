@@ -267,14 +267,6 @@ def _row_sums(data, table, mult, values):
     return out
 
 
-def _distinct(values):
-    """np.unique(values, return_inverse=True), without the sort when the
-    batch holds one distinct value (one pair repeated, for one)."""
-    if len(values) and (values == values[0]).all():
-        return values[:1], np.zeros(len(values), dtype=np.intp)
-    return np.unique(values, return_inverse=True)
-
-
 def _mode_factor(*factors):
     """Product of the per-mode array factors, skipping scalars (the
     order-0 `forward_difference`) and None; None when none is an array.
@@ -353,12 +345,12 @@ def mode_sum(data, z, zp, weight=None, deriv_z=(0, 0), deriv_zp=(0, 0)):
     if len(z) == 1:
         out = _pair_sum(data, z[0], zp[0], weight, diff_z, d1, deriv_zp[1])
         return out if single else out[..., None, :, :]
-    dz1, i1 = _distinct(z[:, 0] - zp[:, 0])
+    dz1, i1 = np.unique(z[:, 0] - zp[:, 0], return_inverse=True)
     ring = 4.0 * np.exp(-1j * np.outer(dz1, k1)) * d1                  # (n1, L/2)
     out = 0.0
     for sign, table, q2, offsets in ((1.0, data.trans, k2, z[:, 1] - zp[:, 1]),
                                      (-1.0, data.image, -k2, z[:, 1] + zp[:, 1])):
-        values, index = _distinct(offsets)
+        values, index = np.unique(offsets, return_inverse=True)
         mult = _mode_factor(weight, diff_z, forward_difference(q2, deriv_zp[1]))
         sums = quarter_fold(ring, _row_sums(data, table, mult, values))  # (..., n1, n2, 4)
         out = out + sign * sums[..., i1, index, :]                       # (..., P, 4)

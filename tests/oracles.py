@@ -28,6 +28,8 @@
 - `sweep_log_pf`: log|Pf A| by the M-step left Schur sweep over the rows,
   the oracle for the transfer-matrix powers of
   `exact.partition_function_log`;
+- `right_sweep`: the right Schur sweep eliminated from the top row down,
+  the oracle for the reflected left sweep of `exact.PropagatorCache`;
 - `g_scal`, `g1_scal`, `g2_scal` and `plane_scal_block`: the
   infinite-plane scaling profile, the single image that
   `scaling.cylinder_scal_block` sums over; `rescaling_residual`, its
@@ -351,13 +353,28 @@ def sweep_log_pf(geometry, couplings):
     x, y = ring_blocks(geometry, couplings)
     d = x + 1j * y
     det = np.linalg.det(d)
-    _, f = _schur_sweep(np.linalg.inv(d), couplings.t2, M, Species.V, Species.VBAR)
+    _, f = _schur_sweep(np.linalg.inv(d), couplings.t2, M)
     assert np.all(det != 0) and np.all(f != 0)
     phase = max(np.max(np.abs(det.imag) / np.abs(det)), np.max(np.abs(f.imag) / np.abs(f)))
     assert phase <= PHASE_TOL
     negative = M * np.count_nonzero(det.real < 0) + np.count_nonzero(f.real < 0)
     return (-1.0 if negative % 2 else 1.0,
             float(M * np.sum(np.log(np.abs(det))) + np.sum(np.log(np.abs(f)))))
+
+
+def right_sweep(geometry, couplings):
+    """tau_j of the right Schur complements D_k + tau_j e_b e_b^T, rows
+    j = 1..M, from the top row down: tau_M = 0 and
+    tau_j = t2^2 [(D_k + tau_{j+1} e_b e_b^T)^{-1}]_vv, each inverse by
+    LU.  Returns a complex (M, L/2) array."""
+    x, y = ring_blocks(geometry, couplings)
+    d = x + 1j * y
+    tau = np.zeros((geometry.M, len(d)), dtype=complex)
+    for j in range(geometry.M - 2, -1, -1):
+        s = d.copy()
+        s[:, Species.VBAR, Species.VBAR] += tau[j + 1]
+        tau[j] = couplings.t2 ** 2 * np.linalg.inv(s)[:, Species.V, Species.V]
+    return tau
 
 
 def g_scal(couplings, z1, z2):

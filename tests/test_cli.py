@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from isingcyl import cli, energy, exact, scaling, spectral, verify
+from isingcyl import cli, energy, exact, kernels, multiscale, scaling, spectral, verify
 from isingcyl.cli import main
 from isingcyl.lattice import CylinderGeometry
 
@@ -627,3 +627,57 @@ def test_dense_paths_never_build_the_oracle_matrix(capsys, monkeypatch):
     assert verify.check_boundary_and_symmetry()["passed"]
     assert len(built) == 1 + 1 + 6 + 2
     assert not [cache for cache in built if "matrix" in cache.__dict__]
+
+
+_OFF_CRITICAL = ["--L", "4", "--M", "3", "--beta", "0.4", "--J1", "1", "--J2", "1"]
+# per command: the library entry point it calls, outside any wrapper that
+# prefixes a flag name, and flags that reach it
+_ENTRY_POINTS = {
+    "partition": (exact, "partition_function_log", _OFF_CRITICAL),
+    "propagator": (exact, "dense_propagator", [*_OFF_CRITICAL, "--z", "1,1", "--zp", "2,3"]),
+    "multiscale": (multiscale, "telescoping_residual",
+                   ["--L", "8", "--M", "8", "--critical", "--t1", "isotropic",
+                    "--check-telescoping"]),
+    "scaling": (scaling, "ContinuumCylinder",
+                ["--l1", "1", "--l2", "1", "--meshes", "8,16",
+                 "--pairs", "[[[0.25, 0.25], [0.75, 0.5]]]"]),
+    "correlations": (energy, "truncated_energy_correlation",
+                     [*_OFF_CRITICAL, "--bonds", "[[1,1,2],[3,2,2]]"]),
+    "kernels": (kernels, "symmetrize", ["--random", "2,1", "--apply", "symmetrize"]),
+}
+
+
+@pytest.mark.parametrize("exc,prefix", [(ValueError, "error: "),
+                                        (MemoryError, "error: out of memory: ")])
+@pytest.mark.parametrize("command", sorted(_ENTRY_POINTS))
+def test_library_errors_exit_one_in_one_line(capsys, monkeypatch, command, exc, prefix):
+    module, name, flags = _ENTRY_POINTS[command]
+
+    def planted(*args, **kwargs):
+        raise exc("planted")
+
+    monkeypatch.setattr(module, name, planted)
+    code, out, err = run(capsys, command, *flags)
+    assert code == 1
+    assert err == f"{prefix}planted\n"
+    assert out == ""
+
+
+def test_correlations_bond_site_outside_is_rejected_before_the_cache(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("propagator cache built for a bond outside the lattice")
+
+    monkeypatch.setattr(exact.PropagatorCache, "__init__", forbidden)
+    exact.propagator_from_A.cache_clear()
+    code, _, err = run(capsys, "correlations", *_OFF_CRITICAL, "--bonds", "[[1,1,2],[5,1,1]]")
+    assert_one_usage_line(code, err)
+    assert err == "error: bond site (5, 1) outside the lattice\n"
+
+
+def test_correlations_points_one_winding_apart_are_not_distinct(capsys):
+    # 1.3 % 1 != 0.3 in floating point, but the image sum sees the winding
+    code, out, err = run(capsys, "correlations", "--l1", "1", "--l2", "1",
+                         "--marked", "[[0.3,0.5,2],[1.3,0.5,2]]")
+    assert_one_usage_line(code, err)
+    assert "distinct" in err and out == ""
+

@@ -333,6 +333,17 @@ def test_scal_energy_correlation_validation():
             scal_energy_correlation(cyl, cpl, [((0.3, 0.4), 2), ((0.7, y), 2)])
 
 
+@pytest.mark.parametrize("z,zp", [((0.3, 0.5), (1.3, 0.5)), ((0.1, 0.5), (1.1, 0.5)),
+                                  ((0.7, 0.25), (2.7, 0.25)), ((0.7, 0.25), (-0.3, -0.25))])
+def test_scal_energy_points_a_winding_or_mirror_apart_are_not_distinct(z, zp):
+    # x % l1 tells these apart in floating point; the image sum, which
+    # would divide by zero, does not
+    cyl = ContinuumCylinder(1.0, 1.0)
+    assert cyl.coincident(z, zp)
+    with pytest.raises(ValueError, match="distinct"):
+        scal_energy_correlation(cyl, Couplings.isotropic_critical(), [(z, 2), (zp, 2)])
+
+
 def test_scal_energy_pair_frozen_value():
     cyl = ContinuumCylinder(1.0, 1.0)
     cpl = Couplings.isotropic_critical()

@@ -26,6 +26,7 @@ from oracles import (
     dense_ring_kernel,
     full_ring_blocks,
     horizontal_kernel_infinite,
+    right_sweep,
     slogdet_log_pf,
     sweep_log_pf,
 )
@@ -275,6 +276,22 @@ def test_transfer_powers_match_the_row_sweep():
             sign, log_pf = sweep_log_pf(g, Couplings.from_beta(*draw))
             assert res.pf_sign == sign, (L, M, draw)
             assert abs(res.log_pf_abs - log_pf) <= 1e-14 * max(1.0, abs(log_pf)), (L, M, draw)
+
+
+def test_right_sweep_is_the_left_sweep_reflected():
+    # tau_j = -sigma_{M+1-j}, and the right Schur factors are the left
+    # ones reversed (`exact` module docstring, "Inverse")
+    for L, M in _MODULE_GEOMETRIES:
+        g = CylinderGeometry(L, M)
+        for cpl in (Couplings.isotropic_critical(), Couplings.from_beta(0.4, 1.0, 0.9)):
+            x, y = exact.ring_blocks(g, cpl)
+            p = np.linalg.inv(x + 1j * y)
+            sigma, f = exact._schur_sweep(p, cpl.t2, M)
+            tau = right_sweep(g, cpl)
+            scale = np.max(np.abs(sigma))
+            assert np.max(np.abs(tau + sigma[::-1])) <= 1e-12 * scale, (L, M, cpl)
+            assert np.max(np.abs(1.0 + tau * p[:, Species.VBAR, Species.VBAR]
+                                 - f[::-1])) <= 1e-12, (L, M, cpl)
 
 
 @pytest.mark.parametrize("beta", [0.2, 0.4, 0.6])

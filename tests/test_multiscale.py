@@ -7,7 +7,7 @@ import pytest
 
 from isingcyl import multiscale, spectral
 from isingcyl.exact import Couplings
-from isingcyl.lattice import CylinderGeometry
+from isingcyl.lattice import CylinderGeometry, per_range
 from isingcyl.multiscale import (
     _SHARP_PHASE,
     _weight,
@@ -135,7 +135,7 @@ def test_bulk_block_is_image_sum_of_plane():
     h = -1
     # one interior pair and one whose offset wraps the long way round
     zs, zps = [(4, 7), (15, 7)], [(6, 8), (2, 8)]
-    folded = [(g.per(z[0] - zp[0]), z[1] - zp[1]) for z, zp in zip(zs, zps)]
+    folded = [(per_range(z[0] - zp[0], g.L), z[1] - zp[1]) for z, zp in zip(zs, zps)]
     assert folded == [(-2, -1), (-3, -1)]
     bulk, edge = bulk_edge_split(g, ISO, h, zs, zps)
     # the same batch of sorted displacements as the split evaluates

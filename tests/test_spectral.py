@@ -426,27 +426,6 @@ def test_every_two_point_route_returns_float64_blocks(L, M, t1):
         assert value.shape == shape
 
 
-def _unique_offsets(values):
-    return np.unique(values, return_inverse=True)
-
-
-@pytest.mark.parametrize("L,M,t1", QUARTER_CASES)
-def test_one_distinct_offset_path_is_bit_identical(monkeypatch, L, M, t1):
-    g, cpl = _case(L, M, t1)
-    data = spectral_data(g, cpl)
-    stack = np.stack([scale_weight(h, data.D) for h in multiscale.scale_indices(g)])
-    # a single pair, and a batch whose offsets repeat one value each
-    cases = [((2, 3), (L, M)), ([(1, 1)] * 3, [(L, 0)] * 3),
-             ([(1, 2), (3, 2)], [(4, M), (6, M)])]
-    orders = [((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 2), (1, 1))]
-    fast = [mode_sum(data, z, zp, w, dz, dzp) for z, zp in cases
-            for w in (None, stack[1], stack) for dz, dzp in orders]
-    monkeypatch.setattr(spectral, "_distinct", _unique_offsets)
-    sorted_ = [mode_sum(data, z, zp, w, dz, dzp) for z, zp in cases
-               for w in (None, stack[1], stack) for dz, dzp in orders]
-    assert all(np.array_equal(a, b) for a, b in zip(fast, sorted_))
-
-
 @pytest.mark.parametrize("L,M,t1", QUARTER_CASES)
 def test_table_weights_are_bit_identical(L, M, t1):
     g, cpl = _case(L, M, t1)
