@@ -38,7 +38,6 @@ from .lattice import CylinderGeometry
 from .skew import SingularSkewError
 
 SCHEMA_VERSION = "1"
-ORACLE_SITE_CAP = 20
 # largest arity for `kernels --random`: its draw enumerates 6^n splittings,
 # ~2 s at n = 8 and 36 times that at n = 10
 RANDOM_KERNEL_MAX_N = 8
@@ -198,12 +197,15 @@ def _parse_site(text, flag):
     return (x, y)
 
 
-def _brute_force(geometry, beta, J1, J2):
-    n_sites = geometry.L * geometry.M
-    if n_sites > ORACLE_SITE_CAP:
-        raise UsageError(f"--oracle enumerates 2^(L*M) spin configurations; "
-                         f"L*M = {n_sites} exceeds the cap {ORACLE_SITE_CAP}")
-    return energy.BruteForceGibbs(geometry, beta, J1, J2)
+def _brute_force(args, geometry, beta, J1, J2):
+    """The `--oracle` enumeration, None without the flag.  Built before the
+    exact route, so a lattice over its site cap is rejected first."""
+    if not args.oracle:
+        return None
+    try:
+        return energy.BruteForceGibbs(geometry, beta, J1, J2)
+    except ValueError as err:
+        raise UsageError(f"--oracle: {err}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +215,7 @@ def _brute_force(geometry, beta, J1, J2):
 def cmd_partition(args):
     geometry = _resolve_geometry(args)
     couplings, beta, J1, J2 = _resolve_couplings(args)
+    brute = _brute_force(args, geometry, beta, J1, J2)
     result = exact.partition_function_log(geometry, beta, J1, J2)
     header = ["L", "M", "beta", "J1", "J2", "t1", "t2",
               "log_z", "pf_sign", "log_pf_abs"]
@@ -221,7 +224,7 @@ def cmd_partition(args):
            result.log_z, result.pf_sign, result.log_pf_abs]
     failed = False
     if args.oracle:
-        ref = _brute_force(geometry, beta, J1, J2).log_partition()
+        ref = brute.log_partition()
         abs_err = abs(result.log_z - ref)
         rel_err = abs_err / abs(ref)
         header += ["oracle_log_z", "abs_err", "rel_err"]
@@ -440,6 +443,7 @@ def cmd_correlations(args):
         raise UsageError("need --bonds (JSON list of [x, y, direction])")
     raw = _load_json_arg(args.bonds, "--bonds")
     bonds = _parse_bonds(raw)
+    brute = _brute_force(args, geometry, beta, J1, J2)
     value = energy.truncated_energy_correlation(geometry, couplings, bonds)
     bonds_txt = ";".join(f"{b.site[0]}:{b.site[1]}:{b.direction}"
                          for b in bonds)
@@ -447,7 +451,7 @@ def cmd_correlations(args):
     row = [bonds_txt, beta, value]
     failed = False
     if args.oracle:
-        ref = _brute_force(geometry, beta, J1, J2).truncated(bonds)
+        ref = brute.truncated(bonds)
         abs_err = abs(value - ref)
         rel_err = abs_err / max(abs(ref), 1e-300)
         header += ["oracle_value", "abs_err", "rel_err"]
@@ -614,8 +618,8 @@ def build_parser():
     sub.add_argument("--h-list", dest="h_list",
                      help="comma-separated scale depths, e.g. 1,2,3 for "
                           "h = -1,-2,-3 (default: every scale below 0)")
-    sub.add_argument("--n-pairs", dest="n_pairs", type=int, default=20,
-                     help="sample pairs for --gram (default 20)")
+    sub.add_argument("--n-pairs", dest="n_pairs", type=int, default=4,
+                     help="sample pairs checked by --gram (default 4)")
     sub.add_argument("--tol", type=float, default=1e-9,
                      help="residual tolerance for --check-telescoping")
     sub.set_defaults(func=cmd_multiscale)

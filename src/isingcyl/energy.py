@@ -31,7 +31,7 @@ from .exact import Species, propagator_from_A
 from .scaling import IMAGE_TOL, cylinder_scal_block
 from .skew import pfaffian
 
-_BRUTE_FORCE_SITE_CAP = 24
+_BRUTE_FORCE_SITE_CAP = 20
 _BRUTE_FORCE_CHUNK = 1 << 18
 
 
@@ -245,7 +245,7 @@ def _cycle_sum(w):
 class BruteForceGibbs:
     """Exact Gibbs expectations by enumerating all spin configurations.
 
-    Capped at 24 sites.  Summation is chunked with a fixed chunk size
+    Capped at 20 sites.  Summation is chunked with a fixed chunk size
     and per-chunk compensated totals, so results are reproducible to the
     last bit regardless of platform threading.
     """

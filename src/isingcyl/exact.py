@@ -291,22 +291,30 @@ def ring_blocks(geometry, couplings):
 _B, _V = Species.VBAR, Species.V
 
 
+def _transfer(p, t2):
+    """The row transfer matrices T_k = [[t2^2 (P_bb P_vv - P_bv P_vb),
+    t2^2 P_bb], [P_vv, 1]] from P = D_k^{-1} (L/2, 4, 4), as an
+    (L/2, 2, 2) stack (module docstring)."""
+    tt, bb, vv = t2 * t2, p[:, _B, _B], p[:, _V, _V]
+    return np.stack([tt * (bb * vv - p[:, _B, _V] * p[:, _V, _B]), tt * bb, vv,
+                     np.ones_like(vv)], axis=1).reshape(-1, 2, 2)
+
+
 def _schur_sweep(p, t2, M):
     """The left Schur complements D + sigma_j e_v e_v^T, j = 1..M.
 
-    sigma_1 = 0 and sigma_{j+1} = t2^2 [(D + sigma_j e_v e_v^T)^{-1}]_bb
-    by Sherman-Morrison on P = D^{-1} (L/2, 4, 4).  Returns (sigma, f),
-    complex arrays of shape (M, L/2) with f_j = 1 + sigma_j P_vv; an
-    exactly zero f_j is left for the caller to reject.
+    sigma_1 = 0 and sigma_{j+1} = (T00 sigma_j + T01) / (T10 sigma_j + T11),
+    the Moebius action of the row transfer matrix (`_transfer`) of
+    P = D^{-1} (L/2, 4, 4).  Returns (sigma, f), complex arrays of shape
+    (M, L/2) with f_j = 1 + sigma_j P_vv; an exactly zero f_j is left
+    for the caller to reject.
     """
-    a, c = p[:, _B, _B], p[:, _V, _V]
-    b = a * c - p[:, _B, _V] * p[:, _V, _B]
-    a, b = t2 * t2 * a, t2 * t2 * b
-    s = np.zeros((M, *a.shape), dtype=complex)
+    (t00, t01), (t10, t11) = np.moveaxis(_transfer(p, t2), 0, -1)
+    s = np.zeros((M, len(p)), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(1, M):
-            s[j] = (a + s[j - 1] * b) / (1.0 + s[j - 1] * c)
-    return s, 1.0 + s * c
+            s[j] = (t00 * s[j - 1] + t01) / (t10 * s[j - 1] + t11)
+    return s, t11 + s * t10
 
 
 @dataclass(frozen=True)
@@ -357,10 +365,7 @@ def partition_function_log(geometry, beta, J1, J2):
     det = np.linalg.det(d)
     if np.any(det == 0):
         raise ArithmeticError("action matrix is singular; Z would vanish")
-    p, tt = np.linalg.inv(d), couplings.t2 ** 2
-    bb, vv = p[:, _B, _B], p[:, _V, _V]
-    base = np.stack([tt * (bb * vv - p[:, _B, _V] * p[:, _V, _B]), tt * bb, vv,
-                     np.ones_like(vv)], axis=1).reshape(-1, 2, 2)
+    base = _transfer(np.linalg.inv(d), couplings.t2)
     # e^{log_scale} power = T_k^m, m the leading bits of M read so far
     power, log_scale = base, 0.0
     for bit in bin(M)[3:]:

@@ -658,21 +658,24 @@ def weighted_norm(kernel, n, p, rate):
 def interpolation_bound_reports(kernel, combos):
     """Margins of the interpolation norm inequalities, batched.
 
-    Single-step: the interpolated remainder of an (n, p) sector at the
-    base rate is bounded by (n-1)/rate_step times the input norm at
-    rate + rate_step.  Double-step: the twice-interpolated (2, 0)
-    sector is bounded by rate_step^-2 times the input norm at
-    rate + 2 rate_step.  Composite: the renormalized (2, 2) and (4, 1)
-    blocks are bounded by the corresponding sums of input norms.  Both
-    sides are evaluated exactly on the finite support.
+    One rule gives every bound: an interpolation step costs one rate step
+    and a factor 1/rate_step, so a block built by k steps from input
+    sectors V_s obeys ||left||_rate <= the sum over its (c, k, s) of
+    c / rate_step^k ||V_s||_(rate + k rate_step).  The table:
 
-    The interpolations and renormalized blocks do not depend on the
-    rates, so they are computed once and re-measured per combination.
+        single_{n}{p}_to_{n}{p+1}  [(n - 1, 1, (n, p))], INTERPOLATED_SECTORS
+        double_20_to_22            [(1, 2, (2, 0))]
+        renormalized_22            [(1, 0, (2, 2)), (1, 1, (2, 1)), (1, 2, (2, 0))]
+        renormalized_41            [(1, 0, (4, 1)), (3, 1, (4, 0))]
 
-    Returns:
-        list of dicts, one per (rate, rate_step) pair, mapping bound
-        names to (value, bound, margin) triples; every margin must be
-        nonnegative.
+    A single or double bound with an empty input sector is omitted.  Both
+    sides are exact on the finite support; the norm tables are built once
+    per call, each input sector's shared by the rules that read it, and
+    only their evaluations depend on the rates.  A bound that overflows a
+    float is a ValueError, like a weighted norm that does.
+
+    Returns one dict per (rate, rate_step) pair, mapping bound names to
+    (value, bound, margin) triples; every margin must be nonnegative.
     """
     _require_certified(kernel)
     for rate, rate_step in combos:
@@ -685,48 +688,30 @@ def interpolation_bound_reports(kernel, combos):
             raise ValueError(f"rate_step must be finite and positive, with rate_step^-2 "
                              f"a finite float, got {rate_step}")
     once, twice, renormalized = _interpolations(kernel)
-    single = {}
-    input_tables = {}
-    for n, p in INTERPOLATED_SECTORS:
-        input_tables[(n, p)] = _norm_table(kernel, n, p)
-        if input_tables[(n, p)] is not None:
-            single[(n, p)] = _norm_table(once[(n, p)], n, p + 1)
-    double_table = _norm_table(twice, 2, 2)
-    input_tables[(2, 2)] = _norm_table(kernel, 2, 2)
-    input_tables[(4, 1)] = _norm_table(kernel, 4, 1)
-    renorm22 = _norm_table(renormalized[(2, 2)], 2, 2)
-    renorm41 = _norm_table(renormalized[(4, 1)], 4, 1)
-
-    reports = []
+    rules = [(f"single_{n}{p}_to_{n}{p + 1}", once[(n, p)], (n, p + 1), [(n - 1, 1, (n, p))])
+             for n, p in INTERPOLATED_SECTORS if (n, p) in kernel._arrays()]
+    if (2, 0) in kernel._arrays():
+        rules.append(("double_20_to_22", twice, (2, 2), [(1, 2, (2, 0))]))
+    rules += [("renormalized_22", renormalized[(2, 2)], (2, 2),
+               [(1, 0, (2, 2)), (1, 1, (2, 1)), (1, 2, (2, 0))]),
+              ("renormalized_41", renormalized[(4, 1)], (4, 1), [(1, 0, (4, 1)), (3, 1, (4, 0))])]
+    inputs = {s: _norm_table(kernel, *s)
+              for s in dict.fromkeys(s for *_, terms in rules for *_, s in terms)}
+    reports = [{} for _ in combos]
     try:
-        for rate, rate_step in combos:
-            report = {}
-            for (n, p), table in single.items():
+        for name, left, sector, terms in rules:
+            table = _norm_table(left, *sector)
+            for report, (rate, rate_step) in zip(reports, combos):
                 lhs = _evaluate_norm(table, rate)
-                rhs = (n - 1) / rate_step * _evaluate_norm(
-                    input_tables[(n, p)], rate + rate_step)
-                report[f"single_{n}{p}_to_{n}{p + 1}"] = (lhs, rhs, rhs - lhs)
-            if input_tables[(2, 0)] is not None:
-                lhs = _evaluate_norm(double_table, rate)
-                rhs = rate_step ** -2 * _evaluate_norm(
-                    input_tables[(2, 0)], rate + 2 * rate_step)
-                report["double_20_to_22"] = (lhs, rhs, rhs - lhs)
-            lhs = _evaluate_norm(renorm22, rate)
-            rhs = (_evaluate_norm(input_tables[(2, 2)], rate)
-                   + _evaluate_norm(input_tables[(2, 1)], rate + rate_step)
-                   / rate_step
-                   + _evaluate_norm(input_tables[(2, 0)], rate + 2 * rate_step)
-                   / rate_step ** 2)
-            report["renormalized_22"] = (lhs, rhs, rhs - lhs)
-            lhs = _evaluate_norm(renorm41, rate)
-            rhs = (_evaluate_norm(input_tables[(4, 1)], rate)
-                   + 3.0 / rate_step * _evaluate_norm(input_tables[(4, 0)],
-                                                      rate + rate_step))
-            report["renormalized_41"] = (lhs, rhs, rhs - lhs)
-            reports.append(report)
+                rhs = 0.0  # left to right: `sum` of floats is compensated from Python 3.12
+                for c, k, s in terms:
+                    rhs += c / rate_step ** k * _evaluate_norm(inputs[s], rate + k * rate_step)
+                if not math.isfinite(rhs):  # c / rate_step^k times a finite norm
+                    raise OverflowError
+                report[name] = (lhs, rhs, rhs - lhs)
     except _OVERFLOW:
         raise ValueError(f"rate {rate} (rate_step {rate_step}): a weighted norm "
-                         f"overflows a float") from None
+                         f"overflows a float, or a bound built from them does") from None
     return reports
 
 

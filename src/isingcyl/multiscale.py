@@ -595,7 +595,7 @@ def gram_norms(geometry, couplings, hs, orders):
     return 4.0 * np.matmul(weights, terms).transpose(1, 0, 2)
 
 
-def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0):
+def gram_report(geometry, couplings, h_list, n_pairs=4, seed=0):
     """Verify the Gram representation and measure its norm scaling.
 
     For `n_pairs` random site pairs and all derivative orders with
@@ -620,16 +620,15 @@ def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0):
         for _ in range(n_pairs)
     ]
     orders = [(0, 0), (1, 0), (0, 1)]
-    used = pairs[: max(4, n_pairs // len(h_list))]
     weights = np.stack([_weight(geometry, couplings, h) for h in h_list])
-    zs, zps = np.array(used).transpose(1, 0, 2)
+    zs, zps = np.array(pairs).transpose(1, 0, 2)
     # direct[h, p, (s, omega), (s', omega')]
     direct = np.array([[mode_sum(spectral_data(geometry, couplings), zs, zps, weights, s, sp)
                         for sp in orders] for s in orders])
-    direct = direct.transpose(2, 3, 0, 4, 1, 5).reshape(len(h_list), len(used), 6, 6)
+    direct = direct.transpose(2, 3, 0, 4, 1, 5).reshape(len(h_list), len(pairs), 6, 6)
     rec = np.zeros_like(direct)
     step = max(1, _GRAM_BLOCK // M)
-    for p, (z, zp) in enumerate(used):
+    for p, (z, zp) in enumerate(pairs):
         for part in (slice(lo, lo + step) for lo in range(0, L // 2, step)):
             rec[:, p] += gram_inner(gram_rows(geometry, couplings, z, "left", orders, part),
                                     gram_rows(geometry, couplings, zp, "right", orders, part),
@@ -642,5 +641,5 @@ def gram_report(geometry, couplings, h_list, n_pairs=20, seed=0):
         min_cauchy_schwarz_margin=float(np.min(
             norms[:, None, :, None] * norms[:, None, None, :] - np.abs(rec))),
         norm_slope=float(slope[0]),
-        n_pairs=len(pairs),
+        n_pairs=n_pairs,
     )

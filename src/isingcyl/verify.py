@@ -317,7 +317,7 @@ def check_gram_reconstruction(seed=2):
     geom = CylinderGeometry(32, 32)
     cpl = Couplings.isotropic_critical()
     rep = multiscale.gram_report(
-        geom, cpl, h_list=(-1, -2, -3, -4), n_pairs=80, seed=seed
+        geom, cpl, h_list=(-1, -2, -3, -4), n_pairs=20, seed=seed
     )
     passed = (
         rep["max_reconstruction_error"] <= 1e-9

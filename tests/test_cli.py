@@ -674,6 +674,23 @@ def test_correlations_bond_site_outside_is_rejected_before_the_cache(capsys, mon
     assert err == "error: bond site (5, 1) outside the lattice\n"
 
 
+@pytest.mark.parametrize("command,flags", [("partition", []),
+                                           ("correlations", ["--bonds", "[[1,1,1],[3,2,2]]"])],
+                         ids=["partition", "correlations"])
+def test_oracle_cap_is_checked_before_the_exact_route(capsys, monkeypatch, command, flags):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exact route ran before the --oracle cap")
+
+    monkeypatch.setattr(exact.PropagatorCache, "__init__", forbidden)
+    monkeypatch.setattr(exact, "partition_function_log", forbidden)
+    exact.propagator_from_A.cache_clear()
+    code, out, err = run(capsys, command, "--L", "512", "--M", "512", "--beta", "0.4",
+                         "--J1", "1", "--J2", "0.9", *flags, "--oracle")
+    assert_one_usage_line(code, err)
+    assert err == "error: --oracle: 262144 sites exceed the brute-force cap (20)\n"
+    assert out == ""
+
+
 def test_correlations_points_one_winding_apart_are_not_distinct(capsys):
     # 1.3 % 1 != 0.3 in floating point, but the image sum sees the winding
     code, out, err = run(capsys, "correlations", "--l1", "1", "--l2", "1",

@@ -459,6 +459,36 @@ def test_add_after_an_operator_drops_the_memo_and_the_orbits():
             == interpolation_bound_reports(fresh, [(0.2, 0.5)]))
 
 
+def test_bound_reports_follow_the_one_rule_on_the_criterion_10_kernels():
+    # each family written out by hand: (n - 1)/step for a single step,
+    # step^-2 for two, the renormalized blocks summing their inputs
+    from test_kernel_frozen import _corpus
+
+    combos = [(0.0, 0.1), (0.0, 0.5), (0.2, 0.1), (0.2, 0.5)]
+    for k in _corpus("criterion10"):
+        once, twice, renormalized = kernels._interpolations(k)
+        held = k.sectors()
+        for (rate, step), report in zip(combos, interpolation_bound_reports(k, combos)):
+            def norm(n, p, shift=0.0):
+                return weighted_norm(k, n, p, rate + shift)
+
+            want = {f"single_{n}{p}_to_{n}{p + 1}":
+                    (weighted_norm(once[(n, p)], n, p + 1, rate), (n - 1) / step * norm(n, p, step))
+                    for n, p in kernels.INTERPOLATED_SECTORS if (n, p) in held}
+            if (2, 0) in held:
+                want["double_20_to_22"] = (weighted_norm(twice, 2, 2, rate),
+                                           step ** -2 * norm(2, 0, 2 * step))
+            want["renormalized_22"] = (weighted_norm(renormalized[(2, 2)], 2, 2, rate),
+                                       norm(2, 2) + norm(2, 1, step) / step
+                                       + norm(2, 0, 2 * step) / step ** 2)
+            want["renormalized_41"] = (weighted_norm(renormalized[(4, 1)], 4, 1, rate),
+                                       norm(4, 1) + 3.0 / step * norm(4, 0, step))
+            assert sorted(report) == sorted(want)
+            for name, (lhs, rhs) in want.items():
+                for got, ref in zip(report[name], (lhs, rhs, rhs - lhs)):
+                    assert abs(got - ref) <= 4 * math.ulp(ref), (name, got, ref)
+
+
 def test_operators_and_bounds_share_the_interpolations(monkeypatch):
     rng = np.random.default_rng(21)
     sym = symmetrize(_mixed(rng, entries=3))
@@ -523,6 +553,17 @@ def test_overflowing_rates_raise_value_errors_naming_the_rate():
             interpolation_bound_reports(v, [(0.0, step)])
     # the smallest steps whose inverse square is a float still report
     assert interpolation_bound_reports(v, [(0.0, 1e-150)])[0]
+
+
+def test_overflowing_bounds_raise_value_errors_naming_the_rate():
+    # finite norms, but 1 / rate_step^2 = 1e308 times the (2, 0) norm 4 is not a float
+    k = Kernel(translation_invariant=True)
+    k.add(((1, (0, 0), (0, 0)), (-1, (0, 0), (1, 0))), 4.0)
+    with pytest.raises(ValueError, match=r"rate 0\.0 \(rate_step 1e-154\): .*bound"):
+        interpolation_bound_reports(k, [(0.0, 0.5), (0.0, 1e-154)])
+    # one step larger, every bound is a float again
+    bound = interpolation_bound_reports(k, [(0.0, 1e-150)])[0]["double_20_to_22"][1]
+    assert bound == pytest.approx(4e300)
 
 
 def _six_field_kernel(positions):

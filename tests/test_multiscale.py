@@ -351,6 +351,31 @@ def test_gram_report_keys():
     assert rep["n_pairs"] == 4
 
 
+def test_gram_report_checks_the_pairs_it_draws():
+    # the first 4 pairs of the seed-0 draw, the ones that a report asked
+    # for 20 pairs over 6 scales used to check while printing 20
+    g = CylinderGeometry(64, 64)
+    rep = gram_report(g, ISO, range(-1, -7, -1), n_pairs=4)
+    assert rep["n_pairs"] == 4
+    assert rep["max_reconstruction_error"] <= 1e-15
+    assert rep["min_cauchy_schwarz_margin"] == pytest.approx(
+        float.fromhex("0x1.eeaa50ca58bfep-17"), rel=1e-12)
+    assert rep["norm_slope"] == pytest.approx(float.fromhex("0x1.14bf52709e381p+0"), rel=1e-12)
+
+
+def test_gram_report_reconstructs_every_pair_it_draws(monkeypatch):
+    # 9 pairs over 4 scales: each pair's left rows are built from k1 row 0 on
+    calls = []
+
+    def counted(geometry, couplings, z, side, orders, part=slice(None)):
+        calls.append((side, part.start))
+        return gram_rows(geometry, couplings, z, side, orders, part)
+
+    monkeypatch.setattr(multiscale, "gram_rows", counted)
+    rep = gram_report(CylinderGeometry(16, 16), ISO, range(-1, -5, -1), n_pairs=9)
+    assert rep["n_pairs"] == calls.count(("left", 0)) == 9
+
+
 def test_tail_plus_scales_is_projection_complete():
     # the tail at the bottom scale is itself the whole propagator minus
     # the windows above it; check via the identity at h = h*
