@@ -333,7 +333,8 @@ def cmd_multiscale(args):
 
 def _parse_h_list(args, geometry):
     if args.h_list is None:
-        return multiscale.scale_indices(geometry)[:-1] or [multiscale.h_star(geometry)]
+        # every scale strictly between h* (wrap-contaminated) and 0
+        return multiscale.scale_indices(geometry)[1:-1] or [multiscale.h_star(geometry)]
     # scale indices are never positive, so accept plain depths too:
     # "1,2,3" and "-1,-2,-3" both mean h = -1, -2, -3 (argparse would
     # otherwise eat a leading dash unless written as --h-list=-1,-2,-3)
@@ -617,7 +618,8 @@ def build_parser():
                      help="Gram reconstruction and norm-scaling report")
     sub.add_argument("--h-list", dest="h_list",
                      help="comma-separated scale depths, e.g. 1,2,3 for "
-                          "h = -1,-2,-3 (default: every scale below 0)")
+                          "h = -1,-2,-3 (default: every scale strictly "
+                          "between h* and 0, or h* alone if there is none)")
     sub.add_argument("--n-pairs", dest="n_pairs", type=int, default=4,
                      help="sample pairs checked by --gram (default 4)")
     sub.add_argument("--tol", type=float, default=1e-9,

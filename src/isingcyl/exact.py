@@ -88,24 +88,25 @@ tests compare against, and so is the M-step product of the f_j.
 Inverse.  Eliminating from the top row down gives the right Schur
 complements S^R_M = D_k, S^R_j = D_k - E (S^R_{j+1})^{-1} F =
 D_k + tau_j e_b e_b^T: the same recursion with V and Vbar swapped, which
-is the left one reflected.  The signed species permutation Q: Hbar ->
+is the left one reflected.  The signed species permutation Pi: Hbar ->
 -Hbar, H -> H, Vbar <-> V (the vertical reflection of `verify`) gives
-Q D_k Q^T = -D_k, so P = D_k^{-1} has P_bb = -P_vv and P_vb = -P_bv.
+Pi D_k Pi^T = -D_k, so P = D_k^{-1} has P_bb = -P_vv and P_vb = -P_bv.
 Put tau = -sigma into the right step and it becomes the left step, with
 the factor 1 + tau P_bb = 1 + sigma P_vv; hence tau_j = -sigma_{M+1-j},
 the right Schur factor at row j is f_{M+1-j}, and one sweep serves both.
 Block-tridiagonal inversion (Meurant, SIAM J. Matrix Anal. Appl. 13, 707
-(1992)) makes G = C_k^{-1} semiseparable, fixed by O(M) row generators:
+(1992)) makes G = C_k^{-1} semiseparable, fixed by O(M) row generators,
+each a rank-one update by Sherman-Morrison, of P or of Q_j = (S^R_j)^{-1}:
 
-    G_jj = (D_k + sigma_j e_v e_v^T + tau_j e_b e_b^T)^{-1},
+    Q_j = P - (tau_j / f_{M+1-j}) (P e_b)(e_b^T P),       r_j = Q_j e_v,
+    G_jj = Q_j - sigma_j r_j (e_v^T Q_j) / (1 + sigma_j r_j[v]),
     G_ij = t2 e^{A_{i-1} - A_j} r_i (e_b^T G_jj)        for i > j,
 
-with the column r_i = (S^R_i)^{-1} e_v (Sherman-Morrison again) and the
-chain logarithm A_i = sum_{1 <= m <= i} log(t2 r_m[b]), whose differences
-stay finite where the plain products underflow.  Only this lower chain
-is formed: i C_k is Hermitian, so G is anti-Hermitian, and a site pair
-above the diagonal is taken as minus the transpose of the swapped pair;
--A^{-1} is then antisymmetric by construction.
+with the chain logarithm A_i = sum_{1 <= m <= i} log(t2 r_m[b]), whose
+differences stay finite where the plain products underflow.  Only this
+lower chain is formed: i C_k is Hermitian, so G is anti-Hermitian, and a
+site pair above the diagonal is taken as minus the transpose of the
+swapped pair; -A^{-1} is then antisymmetric by construction.
 `PropagatorCache` certifies each block invertible by the lower bound
 1 / (||C_k||_1 ||C_k^{-1}||_F) <= sigma_min / sigma_max: |C_k| is
 entrywise symmetric, so ||C_k||_2 <= ||C_k||_1, and
@@ -400,14 +401,13 @@ class PropagatorCache:
     """Two-point function <Phi_i Phi_j> = -[A^{-1}]_{ij} from the row
     generators of the ring inverses G_k = C_k^{-1}.
 
-    The left Schur sweep over the rows and its reflection, the right
-    sweep (module docstring), give, for every ring momentum k and row j,
-    the diagonal block G_jj, the column r_j = (S^R_j)^{-1} e_v and the
-    chain logarithm A_j = sum_{1 <= m <= j} log(t2 r_m[b]); each block
-    below the diagonal is G_ij = t2 e^{A_{i-1} - A_j} r_i (e_b^T G_jj).
-    Each C_k is certified invertible by the lower bound
-    1 / (||C_k||_1 ||C_k^{-1}||_F) on sigma_min / sigma_max (below
-    PIVOT_TOL, or at an exactly zero pivot, raises SingularSkewError).  The cache holds O(L M) numbers and
+    One inverse P = D_k^{-1} per ring momentum k and one Schur sweep give
+    them all by Sherman-Morrison (module docstring): Q_j = (S^R_j)^{-1}
+    from P, the column t2 r_j = t2 Q_j e_v, G_jj from Q_j, and the chain
+    logarithm A_j = sum_{1 <= m <= j} log(t2 r_m[b]).  Each C_k is
+    certified invertible by the lower bound 1 / (||C_k||_1 ||C_k^{-1}||_F)
+    on sigma_min / sigma_max (below PIVOT_TOL, or at an exactly zero
+    pivot, raises SingularSkewError).  The cache holds O(L M) numbers and
     `species_block` does one k-sum per site pair.  The dense 4LM x 4LM
     `matrix` is a test oracle view, built only on request.
     """
@@ -419,20 +419,20 @@ class PropagatorCache:
         d = x + 1j * y
         try:
             p = np.linalg.inv(d)
-            # the right sweep is the left one reflected (module docstring)
-            sigma, f = _schur_sweep(p, t2, M)
-            if np.any(f == 0):
-                raise np.linalg.LinAlgError
-            tau = -sigma[::-1]
-            g = np.repeat(d[None], M, axis=0)
-            g[..., _V, _V] += sigma
-            g[..., _B, _B] += tau
-            g = np.linalg.inv(g)
         except np.linalg.LinAlgError:
             raise SingularSkewError(0.0) from None
-        # r_j = (S^R_j)^{-1} e_v by Sherman-Morrison, (M, 4, L/2)
-        right = self._right = np.ascontiguousarray(
-            p[:, :, _V].T - (tau / f[::-1])[:, None] * p[:, :, _B].T * p[:, _B, _V])
+        sigma, f = _schur_sweep(p, t2, M)
+        if np.any(f == 0):
+            raise SingularSkewError(0.0)
+        # Q_j = (D + tau_j e_b e_b^T)^{-1} with tau_j = -sigma_{M+1-j} and
+        # 1 + tau_j P_bb = f_{M+1-j} (module docstring), (M, L/2, 4, 4)
+        g = (sigma[::-1] / f[::-1])[..., None, None] * p[:, :, _B, None] * p[:, None, _B, :]
+        g += p
+        # t2 r_j = t2 Q_j e_v, (M, 4, L/2)
+        right = self._right = np.ascontiguousarray(t2 * np.swapaxes(g[..., _V], 1, 2))
+        # G_jj = Q_j - sigma_j (Q_j e_v)(e_v^T Q_j) / (1 + sigma_j (Q_j)_vv)
+        g -= g[..., :, _V, None] * (
+            (sigma / (1.0 + sigma * g[..., _V, _V]))[..., None, None] * g[..., _V, None, :])
         # G_jj is anti-Hermitian (i C_k is Hermitian): project onto that
         anti = g - np.conjugate(np.swapaxes(g, 2, 3))
         anti *= 0.5
@@ -440,9 +440,9 @@ class PropagatorCache:
         del g
         # ||C_k^{-1}||_F^2: the diagonal blocks plus twice those below it,
         # sum_i ||t2 r_i||^2 S_i with S_{i+1} = ||row_i||^2 + |t2 r_i[b]|^2 S_i
-        link = np.abs(t2 * right[:, _B]) ** 2
+        link = np.abs(right[:, _B]) ** 2
         row_sq = np.sum(np.abs(anti[..., _B, :]) ** 2, axis=2)
-        right_sq = t2 * t2 * np.sum(np.abs(right) ** 2, axis=1)
+        right_sq = np.sum(np.abs(right) ** 2, axis=1)
         tail = lower = 0.0
         for i in range(1, M):
             tail = row_sq[i - 1] + link[i - 1] * tail
@@ -459,10 +459,10 @@ class PropagatorCache:
             raise AssertionError(f"inverse symmetrization defect {defect:.3e} > 1e-10 * {norm:.3e}")
         self._k = ring_momenta(L)
         self._chain = np.zeros((M, L // 2), dtype=complex)
-        np.cumsum(np.log(t2 * right[1:, _B]), axis=0, out=self._chain[1:])
+        np.cumsum(np.log(right[1:, _B]), axis=0, out=self._chain[1:])
         # scaled so that a block is Re sum_k e^{ikd} (...) of the stored factors
         self._diag = (-2.0 / L) * anti.reshape(M, L // 2, 16)
-        self._rows = (-2.0 * t2 / L) * anti[..., _B, :]
+        self._rows = (-2.0 / L) * anti[..., _B, :]
 
     def species_block(self, z, zp):
         """<Phi_{z,s} Phi_{z',s'}> indexed [s, s'] by `Species`: (4, 4) for

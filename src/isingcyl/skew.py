@@ -68,22 +68,6 @@ class SkewMatrix:
         self._upper = np.triu(u, k=1)
 
     @classmethod
-    def from_dense(cls, a):
-        """Wrap an already antisymmetric dense array.
-
-        The input must satisfy a + a^T == 0 exactly entrywise; anything
-        else means the caller's assembly is broken, which should not be
-        papered over by symmetrization.
-        """
-        a = np.asarray(a)
-        defect = a + a.T
-        if defect.size and np.max(np.abs(defect)) != 0:
-            raise ValueError(
-                f"matrix is not exactly antisymmetric, max|a + a^T| = {np.max(np.abs(defect)):.3e}"
-            )
-        return cls(a)
-
-    @classmethod
     def zeros(cls, n, dtype=float):
         return cls(np.zeros((n, n), dtype=dtype))
 

@@ -30,6 +30,9 @@
   `exact.partition_function_log`;
 - `right_sweep`: the right Schur sweep eliminated from the top row down,
   the oracle for the reflected left sweep of `exact.PropagatorCache`;
+- `diagonal_blocks`: the diagonal blocks G_jj of the ring inverses by one
+  LU inverse of the repeated D_k stack, the oracle for the two
+  Sherman-Morrison steps of `exact.PropagatorCache`;
 - `g_scal`, `g1_scal`, `g2_scal` and `plane_scal_block`: the
   infinite-plane scaling profile, the single image that
   `scaling.cylinder_scal_block` sums over; `rescaling_residual`, its
@@ -375,6 +378,19 @@ def right_sweep(geometry, couplings):
         s[:, Species.VBAR, Species.VBAR] += tau[j + 1]
         tau[j] = couplings.t2 ** 2 * np.linalg.inv(s)[:, Species.V, Species.V]
     return tau
+
+
+def diagonal_blocks(geometry, couplings):
+    """G_jj = (D_k + sigma_j e_v e_v^T + tau_j e_b e_b^T)^{-1} with
+    tau_j = -sigma_{M+1-j}, for every row j and ring momentum k, each
+    inverse by LU.  Returns a complex (M, L/2, 4, 4) array."""
+    x, y = ring_blocks(geometry, couplings)
+    d = x + 1j * y
+    sigma, _ = _schur_sweep(np.linalg.inv(d), couplings.t2, geometry.M)
+    g = np.repeat(d[None], geometry.M, axis=0)
+    g[..., Species.V, Species.V] += sigma
+    g[..., Species.VBAR, Species.VBAR] -= sigma[::-1]
+    return np.linalg.inv(g)
 
 
 def g_scal(couplings, z1, z2):

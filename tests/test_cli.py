@@ -525,6 +525,21 @@ def test_multiscale_edge_decay_too_deep_is_usage_error(capsys):
     assert code == 0 and out.splitlines()[3].startswith("-2,")
 
 
+def test_multiscale_edge_default_stops_above_h_star(capsys):
+    # the default depths lie strictly between h* = -7 and 0 on 128 x 128;
+    # an explicit h* still has no room for its edge windows
+    base = ["multiscale", "--L", "128", "--M", "128", "--critical", "--t1", "isotropic",
+            "--decay", "edge"]
+    code, out, _ = run(capsys, *base)
+    assert code == 0 and [row.split(",")[0] for row in out.splitlines()[3:]] == [
+        "-6", "-5", "-4", "-3", "-2", "-1"]
+    code, out, err = run(capsys, *base, "--h-list", "7")
+    assert_one_usage_line(code, err)
+    assert err == ("error: --h-list: could not place enough edge samples at h = -7 "
+                   "on 128 x 128; use shallower depths\n")
+    assert out == ""
+
+
 def test_multiscale_bulk_decay_below_h_minus_seven(capsys):
     code, out, _ = run(capsys, "multiscale", "--L", "256", "--M", "256", "--critical",
                        "--t1", "isotropic", "--decay", "bulk", "--h-list", "7,8")

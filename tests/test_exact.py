@@ -3,6 +3,7 @@
 import decimal
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from isingcyl.lattice import CylinderGeometry
 from isingcyl.skew import SingularSkewError, pfaffian_sign_logabs, skew_inverse
 from oracles import (
     dense_ring_kernel,
+    diagonal_blocks,
     full_ring_blocks,
     horizontal_kernel_infinite,
     right_sweep,
@@ -370,6 +372,49 @@ def test_propagator_cache_matches_skew_inverse(L, M):
         assert np.max(np.abs(m - ref)) <= 1e-12
         assert np.max(np.abs(m + m.T)) == 0.0
         assert not m.flags.writeable
+
+
+def test_propagator_cache_inverts_only_the_row_blocks(monkeypatch):
+    # G_jj and r_j are rank-one updates of P = D_k^{-1}: the one LU
+    # inverse is of the (L/2, 4, 4) stack of D_k
+    shapes = []
+    original = np.linalg.inv
+
+    def inv(a):
+        shapes.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    PropagatorCache(CylinderGeometry(8, 6), Couplings(0.35, 0.45))
+    assert shapes == [(4, 4, 4)]
+
+
+@pytest.mark.parametrize("L,M", [(2, 1), (4, 3), (8, 8), (64, 64)])
+def test_diagonal_blocks_match_the_batched_inverse(L, M):
+    g = CylinderGeometry(L, M)
+    for cpl in (Couplings(0.35, 0.45), Couplings(0.9, 0.95), Couplings(0.38, 0.34),
+                Couplings.isotropic_critical()):
+        # the stored factor: -(2/L) times the anti-Hermitian part of G_jj
+        ref = diagonal_blocks(g, cpl)
+        ref = (-1.0 / L) * (ref - np.conjugate(np.swapaxes(ref, 2, 3)))
+        diag = PropagatorCache(g, cpl)._diag.reshape(ref.shape)
+        assert np.max(np.abs(diag - ref)) <= 1e-15 * np.max(np.abs(ref)), (L, M, cpl)
+
+
+def test_zero_schur_factor_is_rejected(monkeypatch):
+    original = exact._schur_sweep
+
+    def sweep(p, t2, M):
+        sigma, f = original(p, t2, M)
+        f[1, 0] = 0.0
+        return sigma, f
+
+    monkeypatch.setattr(exact, "_schur_sweep", sweep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSkewError) as info:
+            PropagatorCache(CylinderGeometry(4, 3), Couplings(0.35, 0.45))
+    assert info.value.pivot == 0.0
 
 
 def _with_singular_block(scale):
