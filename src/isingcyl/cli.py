@@ -306,8 +306,7 @@ def cmd_multiscale(args):
                 report = multiscale.edge_decay_report(geometry, couplings,
                                                       h_list, seed=args.seed)
             else:
-                report = multiscale.tail_bound_report(geometry, couplings,
-                                                      h_list, seed=args.seed)
+                report = multiscale.tail_bound_report(geometry, couplings, h_list)
         except multiscale.SampleDepthError as err:
             raise UsageError(f"--h-list: {err}")
         header = ["h", "fitted_C", "fitted_c", "max_residual", "n_samples"]
@@ -613,7 +612,7 @@ def build_parser():
     sub.add_argument("--check-telescoping", action="store_true",
                      help="verify the scales resum to the full propagator")
     sub.add_argument("--decay", choices=["bulk", "edge", "tail"],
-                     help="fit decay envelopes for these single-scale parts")
+                     help="fit the bulk or edge envelope, or bound the tail in closed form")
     sub.add_argument("--gram", action="store_true",
                      help="Gram reconstruction and norm-scaling report")
     sub.add_argument("--h-list", dest="h_list",

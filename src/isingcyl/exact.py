@@ -433,10 +433,13 @@ class PropagatorCache:
         # G_jj = Q_j - sigma_j (Q_j e_v)(e_v^T Q_j) / (1 + sigma_j (Q_j)_vv)
         g -= g[..., :, _V, None] * (
             (sigma / (1.0 + sigma * g[..., _V, _V]))[..., None, None] * g[..., _V, None, :])
-        # G_jj is anti-Hermitian (i C_k is Hermitian): project onto that
-        anti = g - np.conjugate(np.swapaxes(g, 2, 3))
+        # G_jj is anti-Hermitian (i C_k is Hermitian): project onto that,
+        # in place, so the build holds two stacks of G_jj at a time
+        anti = np.conjugate(np.swapaxes(g, 2, 3), order="C")
+        np.subtract(g, anti, out=anti)
         anti *= 0.5
-        defect, norm = np.max(np.abs(g - anti)), np.max(np.abs(anti))
+        g -= anti
+        defect, norm = np.max(np.abs(g)), np.max(np.abs(anti))
         del g
         # ||C_k^{-1}||_F^2: the diagonal blocks plus twice those below it,
         # sum_i ||t2 r_i||^2 S_i with S_{i+1} = ||row_i||^2 + |t2 r_i[b]|^2 S_i
@@ -461,8 +464,9 @@ class PropagatorCache:
         self._chain = np.zeros((M, L // 2), dtype=complex)
         np.cumsum(np.log(right[1:, _B]), axis=0, out=self._chain[1:])
         # scaled so that a block is Re sum_k e^{ikd} (...) of the stored factors
-        self._diag = (-2.0 / L) * anti.reshape(M, L // 2, 16)
-        self._rows = (-2.0 / L) * anti[..., _B, :]
+        anti *= -2.0 / L
+        self._diag = anti.reshape(M, L // 2, 16)
+        self._rows = np.ascontiguousarray(anti[..., _B, :])
 
     def species_block(self, z, zp):
         """<Phi_{z,s} Phi_{z',s'}> indexed [s, s'] by `Species`: (4, 4) for

@@ -60,11 +60,6 @@ def ring_sign(z1, L):
     return np.sign(L - 2 * np.abs(z1))
 
 
-def norm1_cyl(z, zp, L):
-    """Cylinder l1 distance: folded horizontal part plus vertical part."""
-    return abs(per_range(z[0] - zp[0], L)) + abs(z[1] - zp[1])
-
-
 def edge_distance(z, zp, L, M):
     """Distance-to-boundary metric entering edge-part decay bounds.
 
@@ -185,9 +180,6 @@ class CylinderGeometry:
             raise ValueError(f"sites {tuple(z[p].tolist())}, {tuple(zp[p].tolist())} outside "
                              f"the {'extended ' if extended else ''}lattice")
         return z, zp
-
-    def norm1(self, z, zp):
-        return norm1_cyl(z, zp, self.L)
 
     def edge_distance(self, z, zp):
         return edge_distance(z, zp, self.L, self.M)

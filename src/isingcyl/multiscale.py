@@ -366,8 +366,8 @@ def bulk_decay_report(couplings, h_list):
 
 
 class SampleDepthError(ValueError):
-    """A decay fit cannot place its sample pairs at a requested depth h:
-    the cylinder is too small for distances of order 2^-h."""
+    """The edge decay fit cannot place its sample pairs at a requested
+    depth h: the cylinder is too small for edge distances of order 2^-h."""
 
 
 _EDGE_RATE_X_RANGE = (1.0, 2.5)
@@ -375,55 +375,39 @@ _EDGE_AMP_X_RANGE = (1.0, 1.5)
 _EDGE_PER_DISTANCE = 5
 
 
-def _sample_pairs(kind, geometry, h, rng, window, d_min, per_distance, span, draw):
-    """Site pairs at eight distances d covering a rescaled window.
-
-    Per d = max(d_min, round(x 2^-h)), x in the window, up to `per_distance`
-    pairs from at most 60 tries: a try draws t uniformly from the range
-    span(d), skipped when empty, and draw(d, t) returns a pair at distance
-    d or None.
-    """
-    pairs = []
-    for x in np.linspace(*window, 8):
-        d = max(d_min, int(round(x * 2.0 ** (-h))))
-        lo, hi = span(d)
-        placed = attempts = 0
-        while lo <= hi and placed < per_distance and attempts < 60:
-            attempts += 1
-            pair = draw(d, int(rng.integers(lo, hi + 1)))
-            if pair is not None:
-                pairs.append(pair)
-                placed += 1
-    if len(pairs) < 12:
-        raise SampleDepthError(f"could not place enough {kind} samples at h = {h} on "
-                               f"{geometry.L} x {geometry.M}; use shallower depths")
-    return pairs
-
-
 def _edge_sample_pairs(geometry, h, rng, window):
-    """Construct pairs whose edge distance covers a rescaled window.
-
-    The edge distance is realized explicitly through the boundary branch
-    (ring offset d - b plus combined boundary depth b); rejection sampling
-    would essentially never land near the boundary at shallow scales on a
-    large cylinder.  The ring offset is kept below L/8 so the boundary
-    branch of the distance, not the wrap-around branch, is the binding one.
+    """Pairs whose edge distance d covers a rescaled window, up to
+    _EDGE_PER_DISTANCE per d = max(2, round(x 2^-h)), x at eight points of
+    the window, from at most 60 tries.  A try realizes d through the
+    boundary branch, a ring offset d - b plus a combined boundary depth b
+    in [max(2, d - L/8), min(d, 2M - 1)]: rejection sampling would almost
+    never land near the boundary at shallow scales on a large cylinder, and
+    the offset below L/8 keeps the wrap-around branch from binding.
     """
     L, M = geometry.L, geometry.M
-
-    def draw(d, b):
-        u = max(1, min(M, int(rng.integers(1, b))))
-        if not 1 <= b - u <= M:
-            return None
-        z1 = int(rng.integers(1, L + 1))
-        w1 = (z1 - 1 + d - b) % L + 1
-        z, zp = (z1, u), (w1, b - u)
-        if rng.random() >= 0.5:
-            z, zp = (z1, M + 1 - u), (w1, M + 1 - b + u)
-        return (z, zp) if geometry.edge_distance(z, zp) == d else None
-
-    return _sample_pairs("edge", geometry, h, rng, window, 2, _EDGE_PER_DISTANCE,
-                         lambda d: (max(2, d - L // 8), min(d, 2 * M - 1)), draw)
+    pairs = []
+    for x in np.linspace(*window, 8):
+        d = max(2, int(round(x * 2.0 ** (-h))))
+        lo, hi = max(2, d - L // 8), min(d, 2 * M - 1)
+        placed = attempts = 0
+        while lo <= hi and placed < _EDGE_PER_DISTANCE and attempts < 60:
+            attempts += 1
+            b = int(rng.integers(lo, hi + 1))
+            u = max(1, min(M, int(rng.integers(1, b))))
+            if not 1 <= b - u <= M:
+                continue
+            z1 = int(rng.integers(1, L + 1))
+            w1 = (z1 - 1 + d - b) % L + 1
+            z, zp = (z1, u), (w1, b - u)
+            if rng.random() >= 0.5:
+                z, zp = (z1, M + 1 - u), (w1, M + 1 - b + u)
+            if geometry.edge_distance(z, zp) == d:
+                pairs.append((z, zp))
+                placed += 1
+    if len(pairs) < 12:
+        raise SampleDepthError(f"could not place enough edge samples at h = {h} on "
+                               f"{L} x {M}; use shallower depths")
+    return pairs
 
 
 def _edge_samples(geometry, couplings, h, pairs):
@@ -453,44 +437,25 @@ def edge_decay_report(geometry, couplings, h_list, seed=0):
     return sorted(reports, key=lambda r: r["h"])
 
 
-_TAIL_X_RANGE = (0.25, 2.5)
-_TAIL_PER_DISTANCE = 6
+def tail_bound_report(geometry, couplings, h_list):
+    """C_h in  sup_{z,z'} |g^{(<=h)}(z, z')| <= C_h 2^h, per scale, in closed form.
 
-
-def _tail_sample_pairs(geometry, h, rng):
-    """Pairs at cylinder distances covering the binding regime ~2^-h.
-
-    sup |g^{(<=h)}| * 2^-h is attained near distance 2^-h, where the
-    infrared remainder crosses over from the 2^h plateau to the 1/d
-    envelope of the full propagator; sampling that window at every scale
-    makes the per-scale constants comparable.  A pair at distance d is a
-    ring offset a plus a vertical offset d - a.
+    Entry a of a block sums w_<=h trans_a and w_<=h image_a over all L M
+    modes, times plane waves and the ring factor, of modulus 1, and the
+    four quadrants of the modes carry equal moduli (the sigma symmetry of
+    the `spectral` docstring).  So at every site pair, the extended rows 0
+    and M + 1 included, |g^{(<=h)}_a| <= 4 sum_quarter w_<=h (|trans_a| +
+    |image_a|): one quarter reduction per scale, as in `gram_norms`, and
+    C_h is 2^-h times the largest entry.  Nothing is sampled or fitted:
+    fitted_c and max_residual are 0, and n_samples is (L M)^2, the number
+    of site pairs covered.
     """
-    L, M = geometry.L, geometry.M
-
-    def draw(d, a):
-        z2 = int(rng.integers(1, M + 1 - (d - a)))
-        z1 = int(rng.integers(1, L + 1))
-        z, zp = (z1, z2 + d - a), ((z1 - 1 + a) % L + 1, z2)
-        return (z, zp) if geometry.norm1(z, zp) == d else None
-
-    return _sample_pairs("tail", geometry, h, rng, _TAIL_X_RANGE, 1, _TAIL_PER_DISTANCE,
-                         lambda d: (max(0, d - (M - 1)), min(d, L // 2 - 1)), draw)
-
-
-def tail_bound_report(geometry, couplings, h_list, seed=0):
-    """Fit C in  sup_{z,z'} |g^{(<=h)}(z, z')| <= C 2^h, per scale."""
-    rng = np.random.default_rng(seed)
-    reports = []
-    for h in h_list:
-        pairs = _tail_sample_pairs(geometry, h, rng)
-        sup = float(np.max(np.abs(tail_propagator(
-            geometry, couplings, h, [z for z, _ in pairs], [zp for _, zp in pairs]))))
-        reports.append(
-            dict(h=h, fitted_C=sup * 2.0 ** (-h), fitted_c=0.0, max_residual=0.0,
-                 n_samples=len(pairs))
-        )
-    return reports
+    data = spectral_data(geometry, couplings)
+    size = (np.abs(data.trans) + np.abs(data.image)).reshape(-1, 4)
+    return [dict(h=h, fitted_C=4.0 * 2.0 ** (-h) * float(np.max(
+                     _weight(geometry, couplings, h, True).reshape(-1) @ size)),
+                 fitted_c=0.0, max_residual=0.0, n_samples=(geometry.L * geometry.M) ** 2)
+            for h in h_list]
 
 
 # ---------------------------------------------------------------------------

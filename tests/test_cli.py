@@ -540,6 +540,18 @@ def test_multiscale_edge_default_stops_above_h_star(capsys):
     assert out == ""
 
 
+def test_multiscale_default_tail_is_a_seed_free_sup_bound(capsys):
+    # the default depths h* < h < 0 of 16 x 16, each bounding all 256^2 site pairs
+    base = ["multiscale", "--L", "16", "--M", "16", "--critical", "--t1", "isotropic",
+            "--decay", "tail"]
+    code, out, _ = run(capsys, *base, "--seed", "0")
+    rows = out.splitlines()[3:]
+    assert code == 0 and [row.split(",")[0] for row in rows] == ["-3", "-2", "-1"]
+    assert all(row.split(",")[4] == "65536" for row in rows)
+    code, out, _ = run(capsys, *base, "--seed", "5")
+    assert code == 0 and out.splitlines()[3:] == rows
+
+
 def test_multiscale_bulk_decay_below_h_minus_seven(capsys):
     code, out, _ = run(capsys, "multiscale", "--L", "256", "--M", "256", "--critical",
                        "--t1", "isotropic", "--decay", "bulk", "--h-list", "7,8")

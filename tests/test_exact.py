@@ -330,6 +330,21 @@ def test_propagator_memory_is_linear_in_the_size():
     assert peak <= 1024 * g.L * g.M
 
 
+def test_propagator_cache_build_holds_few_stacks_of_row_inverses():
+    # the anti-Hermitian projection runs in place: the build peaks below
+    # 3.25 (M, L/2, 4, 4) complex stacks of G_jj (an out-of-place one reaches 3.9)
+    g = CylinderGeometry(256, 256)
+    cpl = Couplings.from_beta(0.4, 1.0, 0.9)
+    PropagatorCache(CylinderGeometry(4, 4), cpl)
+    tracemalloc.start()
+    try:
+        PropagatorCache(g, cpl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * g.M * (g.L // 2) * 16 * 16
+
+
 @pytest.mark.parametrize("L,M", [(16, 24), (8, 40), (24, 8), (2, 30)])
 def test_propagator_kernel_matches_dense_ring_inverses(L, M):
     g = CylinderGeometry(L, M)

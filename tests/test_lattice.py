@@ -8,7 +8,6 @@ import pytest
 from isingcyl.lattice import (
     CylinderGeometry,
     edge_distance,
-    norm1_cyl,
     per_range,
     ring_sign,
     steiner_length,
@@ -74,12 +73,6 @@ def test_ring_sign_cases():
     assert ring_sign(-4, 8) == 0
     assert ring_sign(5, 8) == -1
     assert ring_sign(-7, 8) == -1
-
-
-def test_norm1_wraps_horizontally():
-    assert norm1_cyl((1, 1), (8, 1), 8) == 1
-    assert norm1_cyl((1, 1), (5, 3), 8) == 6
-    assert norm1_cyl((2, 2), (2, 2), 8) == 0
 
 
 def test_edge_distance_routes():

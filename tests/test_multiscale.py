@@ -29,6 +29,7 @@ from isingcyl.multiscale import (
     scale_indices,
     scale_weight,
     single_scale_propagator,
+    tail_bound_report,
     tail_propagator,
     tail_weight,
     telescoping_residual,
@@ -388,3 +389,24 @@ def test_tail_plus_scales_is_projection_complete():
     from isingcyl.spectral import critical_propagator
     full = critical_propagator(g, ISO, z, zp)
     assert np.max(np.abs(total - full)) < 1e-13
+
+
+@pytest.mark.parametrize("cpl", [ISO, T05], ids=["iso", "t1=0.5"])
+@pytest.mark.parametrize("L,M", [(16, 16), (32, 32), (16, 6)])
+def test_tail_bound_covers_every_site_pair(monkeypatch, L, M, cpl):
+    # C_h 2^h bounds |g^{(<=h)}| on every site pair, the extended rows 0 and
+    # M + 1 included, and the sup reaches at least 0.45 of it at every h
+    g = CylinderGeometry(L, M)
+    hs = scale_indices(g)
+    with monkeypatch.context() as m:
+        m.setattr(multiscale, "mode_sum", None)      # closed form: no mode sum
+        reports = tail_bound_report(g, cpl, hs)
+    assert [r["h"] for r in reports] == hs
+    sites = np.array([(x, y) for x in range(1, L + 1) for y in range(M + 2)])
+    z, zp = np.repeat(sites, len(sites), axis=0), np.tile(sites, (len(sites), 1))
+    for rep in reports:
+        assert rep["fitted_c"] == rep["max_residual"] == 0.0
+        assert rep["n_samples"] == (L * M) ** 2
+        bound = rep["fitted_C"] * 2.0 ** rep["h"]
+        sup = np.max(np.abs(tail_propagator(g, cpl, rep["h"], z, zp)))
+        assert 0.45 * bound <= sup <= bound * (1.0 + 1e-12)
